@@ -379,7 +379,7 @@ def _partition_worker(task: tuple) -> dict:
     """One worker: stream a contiguous segment range through the sweep.
 
     ``task`` is ``(path, s_lo, s_hi, max_pairs_per_location)``.  The
-    worker mmaps the container itself, regex-skips the access rows of
+    worker mmaps the container itself, skips the access rows of
     every prelude segment (it only needs per-thread sequencer counts and
     each thread's last pre-range sequencer — the opener of its possible
     straddler), lean-decodes its owned range, and keeps reading past the
@@ -407,7 +407,7 @@ def _partition_worker(task: tuple) -> dict:
             for name, tid, _block, count, step, ts, kind in scan_segment_sequencers(payload):
                 cursor.skip(name, tid, count, (step, ts, kind))
         kinds: Dict[str, str] = {}
-        interned: Dict[Tuple[str, int], object] = {}
+        interned: Dict[str, Dict[int, object]] = {}
         for position in range(s_lo, len(entries)):
             if position >= s_hi:
                 earliest = cursor.earliest_open_ts()

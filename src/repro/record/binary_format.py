@@ -58,6 +58,12 @@ zero-replay detect path's entry point.  Skipping a varint is a byte scan
 (no shifts, no object construction), and skipping the per-thread load
 payload in particular never touches the v2 value predictor: the
 predicted bit alone says whether a value field is present.
+
+**One row decoder.**  Fixed-width rows (access, heap, global order,
+footer) decode a block of varints at a time (:func:`_decode_varints`);
+:func:`_read_access_rows` is the only access-row parser, and the full,
+sectioned, per-segment and lean reads project it.  Truncated or
+malformed input raises :class:`LogFormatError`.
 """
 
 from __future__ import annotations
@@ -65,10 +71,11 @@ from __future__ import annotations
 import io
 import mmap
 import os
-import re
 import zlib
 from array import array
 from dataclasses import dataclass, field
+from itertools import accumulate
+from operator import attrgetter
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..isa.program import StaticInstructionId
@@ -116,14 +123,97 @@ _HEAP_ROW_COST = 5
 #: :func:`repro.record.compression.compression_stats`.
 _COMPRESSION_LEVEL = 6
 
-#: Varints skipped per regex step in :meth:`_Reader.skip_uints`.  One
-#: varint is ``[\x80-\xff]*`` continuation bytes then a terminator with
-#: the high bit clear; the counted repetition lets the regex engine scan
-#: a whole block of them in C.
-_SKIP_CHUNK_SIZE = 512
-_SKIP_CHUNK = re.compile(
-    rb"(?:[\x80-\xff]*[\x00-\x7f]){%d}" % _SKIP_CHUNK_SIZE
-)
+#: Every byte with the continuation bit set: deleting them from a run of
+#: varint bytes leaves one byte per varint (its terminator).
+_CONTINUATION_BYTES = bytes(range(0x80, 0x100))
+
+#: Rows decoded per block by the row decoders: the transient flat varint
+#: list and column slices stay bounded by this, whatever a section's row
+#: count.
+_ROW_BLOCK = 4096
+
+
+class LogFormatError(ValueError):
+    """A binary replay log that is truncated or malformed.
+
+    ``offset`` is the byte offset where decoding failed — within the
+    container for frame errors, within the decompressed section for
+    payload errors — and ``segment`` the v4 segment ordinal, when known.
+    """
+
+    def __init__(self, reason: str, offset=None, segment=None) -> None:
+        self.reason = reason
+        self.offset = offset
+        self.segment = segment
+        message = "corrupt replay log: " + reason
+        if offset is not None:
+            message += " at byte offset %d" % offset
+        if segment is not None:
+            message += " in segment %d" % segment
+        super().__init__(message)
+
+    def in_segment(self, segment: int) -> "LogFormatError":
+        """The same error, tagged with the segment it occurred in."""
+        return LogFormatError(self.reason, self.offset, segment)
+
+
+def _varints_end(data: bytes, offset: int, count: int) -> int:
+    """Offset just past the ``count`` varints starting at ``offset``.
+
+    ``count`` varints span at least ``count`` bytes: take that many,
+    count their terminators in C (the bytes left after deleting
+    continuation bytes) and extend by the shortfall until none is left.
+    Seeking past a large section costs microseconds, not a Python loop
+    per byte.
+    """
+    end = offset
+    while count:
+        stop = end + count
+        if stop > len(data):
+            raise LogFormatError(
+                "varints run past the end of a %d-byte section" % len(data), end
+            )
+        count -= len(data[end:stop].translate(None, _CONTINUATION_BYTES))
+        end = stop
+    return end
+
+
+def _decode_varints(data: bytes, offset: int, count: int) -> Tuple[list, int]:
+    """Decode ``count`` consecutive varints; returns ``(values, end)``.
+
+    The block decoder under every row read.  The block's end comes from
+    :func:`_varints_end`; a block whose bytes are all below ``0x80``
+    holds only single-byte varints, so its values are its bytes.  Any
+    other block takes one pass over its bytes.
+    """
+    end = _varints_end(data, offset, count)
+    raw = data[offset:end]
+    if raw.isascii():
+        return list(raw), end
+    values: List[int] = []
+    append = values.append
+    value = 0
+    shift = 0
+    for byte in raw:
+        if byte < 0x80:
+            if shift:
+                append(value | (byte << shift))
+                value = shift = 0
+            else:
+                append(byte)
+        else:
+            value |= (byte & 0x7F) << shift
+            shift += 7
+    return values, end
+
+
+def _inflate(payload: bytes, segment: Optional[int] = None) -> bytes:
+    """Decompress one zlib-framed section; a bad stream is a format error."""
+    try:
+        return zlib.decompress(payload)
+    except zlib.error as error:
+        reason = "undecompressable section (%s)" % error
+        raise LogFormatError(reason, None, segment) from None
 
 
 class _Writer:
@@ -150,7 +240,10 @@ class _Writer:
 
 
 class _Reader:
-    """Varint record-stream reader (mirrors :class:`_Writer` exactly)."""
+    """Varint record-stream reader (mirrors :class:`_Writer` exactly).
+
+    Running off the end of the data raises :class:`LogFormatError`.
+    """
 
     __slots__ = ("data", "offset")
 
@@ -159,16 +252,27 @@ class _Reader:
         self.offset = 0
 
     def uint(self) -> int:
-        value, self.offset = decode_varint(self.data, self.offset)
+        try:
+            value, self.offset = decode_varint(self.data, self.offset)
+        except IndexError:
+            raise LogFormatError("truncated varint", self.offset) from None
         return value
+
+    def uints(self, count: int) -> List[int]:
+        """Decode ``count`` consecutive unsigned varints in one block."""
+        values, self.offset = _decode_varints(self.data, self.offset, count)
+        return values
 
     def sint(self) -> int:
         return unzigzag(self.uint())
 
     def text(self) -> str:
         length = self.uint()
-        raw = self.data[self.offset : self.offset + length]
-        self.offset += length
+        start = self.offset
+        raw = self.data[start : start + length]
+        if len(raw) != length:
+            raise LogFormatError("truncated string", start)
+        self.offset = start + length
         return raw.decode("utf-8")
 
     def flag(self) -> bool:
@@ -177,34 +281,16 @@ class _Reader:
     # -- seek-past primitives (the sectioned reader's skip side) -------
 
     def skip_uints(self, count: int) -> None:
-        """Advance past ``count`` varints without decoding them.
-
-        A varint ends at its first byte with the continuation bit clear,
-        so skipping is a byte scan — no shifts, no int assembly.  The
-        scan runs in the regex engine (:data:`_SKIP_CHUNK` matches a
-        fixed block of varints at C speed), so seeking past a large
-        section — the global-order stream is two varints *per executed
-        step* — costs microseconds, not a Python loop per byte.  Signed
+        """Advance past ``count`` varints without decoding them.  Signed
         (zigzag) fields occupy exactly one varint, so this skips them
-        too.
-        """
-        data = self.data
-        offset = self.offset
-        while count >= _SKIP_CHUNK_SIZE:
-            match = _SKIP_CHUNK.match(data, offset)
-            if match is None:
-                break  # truncated stream: the loop below pinpoints it
-            offset = match.end()
-            count -= _SKIP_CHUNK_SIZE
-        for _ in range(count):
-            while data[offset] & 0x80:
-                offset += 1
-            offset += 1
-        self.offset = offset
+        too."""
+        self.offset = _varints_end(self.data, self.offset, count)
 
     def skip_text(self) -> None:
         """Advance past one length-prefixed string without decoding it."""
         length = self.uint()
+        if self.offset + length > len(self.data):
+            raise LogFormatError("truncated string", self.offset)
         self.offset += length
 
 
@@ -412,6 +498,100 @@ def encode_log(
 # ----------------------------------------------------------------------
 
 
+def _row_blocks(reader: _Reader, width: int) -> Iterator[List[int]]:
+    """Yield one count-prefixed section of ``width``-varint rows as flat
+    varint lists of at most :data:`_ROW_BLOCK` rows each."""
+    remaining = reader.uint()
+    while remaining:
+        rows = min(remaining, _ROW_BLOCK)
+        yield reader.uints(rows * width)
+        remaining -= rows
+
+
+def _read_access_rows(
+    reader: _Reader, block: str, interned: Dict[int, StaticInstructionId]
+) -> Iterator[Tuple[list, list, list, list, list]]:
+    """The one access-row decoder: every captured-row read projects it.
+
+    Each row is five varints — step delta, flag, zigzag address delta,
+    value, static-id index — with step and address delta bases running
+    across the whole section.  Yields ``(steps, flags, addresses, values,
+    static_ids)`` column blocks.  The block decoder does the varints and
+    stride slices split the columns, so no Python code runs per varint.
+    Static ids are interned in ``interned`` (index → id, one object per
+    distinct index of ``block``): loops revisit the same instructions,
+    and equality is by value, so identity is irrelevant downstream.
+    """
+    step = 0
+    address = 0
+    for flat in _row_blocks(reader, 5):
+        deltas = flat[0::5]
+        deltas[0] += step
+        steps = list(accumulate(deltas))
+        step = steps[-1]
+        moves = [(raw >> 1) ^ -(raw & 1) for raw in flat[2::5]]
+        moves[0] += address
+        addresses = list(accumulate(moves))
+        address = addresses[-1]
+        indices = flat[4::5]
+        for index in set(indices).difference(interned):
+            interned[index] = StaticInstructionId(block=block, index=index)
+        static_ids = list(map(interned.__getitem__, indices))
+        yield steps, flat[1::5], addresses, flat[3::5], static_ids
+
+
+#: A column carrier's access columns, in the order the row decoder yields them.
+_access_columns = attrgetter("steps", "flags", "addresses", "values", "static_ids")
+
+
+def _extend_access_columns(
+    columns, reader: _Reader, block: str, interned: Dict[int, StaticInstructionId]
+) -> None:
+    """Append one access-row section to any column carrier exposing
+    ``steps``/``flags``/``addresses``/``values``/``static_ids``.
+
+    ``array`` columns take each block through ``fromlist``, which
+    resizes once per block: ``extend`` from a list resizes once per
+    item, and reallocating a large array that often fragments the heap.
+    """
+    appends = [
+        column.fromlist if isinstance(column, array) else column.extend
+        for column in _access_columns(columns)
+    ]
+    for columns_block in _read_access_rows(reader, block, interned):
+        for append, values in zip(appends, columns_block):
+            append(values)
+
+
+def _read_heap_rows(reader: _Reader) -> Iterator[Tuple[list, list, list, list]]:
+    """Yield ``(steps, kinds, bases, sizes)`` blocks of one heap-row
+    section (step delta, kind 0=alloc, base, size per row)."""
+    step = 0
+    for flat in _row_blocks(reader, 4):
+        deltas = flat[0::4]
+        deltas[0] += step
+        steps = list(accumulate(deltas))
+        step = steps[-1]
+        yield steps, flat[1::4], flat[2::4], flat[3::4]
+
+
+def _extend_heap_columns(columns: ThreadAccessColumns, reader: _Reader) -> None:
+    """Append one heap-row section to ``columns``' ``heap_*`` lists."""
+    for steps, kinds, bases, sizes in _read_heap_rows(reader):
+        columns.heap_steps.extend(steps)
+        columns.heap_kinds.extend(["alloc" if kind == 0 else "free" for kind in kinds])
+        columns.heap_bases.extend(bases)
+        columns.heap_sizes.extend(sizes)
+
+
+def _read_global_order(reader: _Reader) -> List[Tuple[int, int]]:
+    """Decode the global order's ``(tid, zigzag step)`` pairs."""
+    order: List[Tuple[int, int]] = []
+    for flat in _row_blocks(reader, 2):
+        order.extend(zip(flat[0::2], [(raw >> 1) ^ -(raw & 1) for raw in flat[1::2]]))
+    return order
+
+
 def _read_static_id(reader: _Reader) -> Optional[StaticInstructionId]:
     if not reader.flag():
         return None
@@ -434,10 +614,11 @@ def _read_loads(reader: _Reader, version: int, log: ThreadLog) -> None:
                 try:
                     value = predictor[address]
                 except KeyError:
-                    raise ValueError(
-                        "corrupt log: predicted load with no prior value "
-                        "for address %#x" % address
-                    )
+                    raise LogFormatError(
+                        "predicted load with no prior value for address %#x"
+                        % address,
+                        reader.offset,
+                    ) from None
             else:
                 value = reader.uint()
             predictor[address] = value
@@ -527,12 +708,7 @@ def _read_sequencers(reader: _Reader) -> List[SequencerRecord]:
 
 
 def _read_footprint(reader: _Reader) -> set:
-    pc = 0
-    footprint = set()
-    for _ in range(reader.uint()):
-        pc += reader.uint()
-        footprint.add(pc)
-    return footprint
+    return set(accumulate(reader.uints(reader.uint())))
 
 
 def _skip_footprint(reader: _Reader) -> None:
@@ -560,7 +736,7 @@ def _read_thread(reader: _Reader, version: int) -> ThreadLog:
     name = reader.text()
     tid = reader.uint()
     block = reader.text()
-    registers = tuple(reader.uint() for _ in range(reader.uint()))
+    registers = tuple(reader.uints(reader.uint()))
     log = ThreadLog(name=name, tid=tid, block=block, initial_registers=registers)
     _read_loads(reader, version, log)
     _read_syscalls(reader, log)
@@ -576,37 +752,9 @@ def _read_captured(reader: _Reader, threads: dict) -> CapturedAccessColumns:
     captured = CapturedAccessColumns(predicted_loads=reader.uint())
     for _ in range(reader.uint()):
         name = reader.text()
-        block = threads[name].block
         columns = ThreadAccessColumns()
-        step = 0
-        address = 0
-        # Static-id indices repeat massively (loops revisit the same
-        # instructions), so intern the frozen dataclass per index instead
-        # of constructing one per row; equality is by value, identity is
-        # irrelevant downstream.
-        interned: Dict[int, StaticInstructionId] = {}
-        for _ in range(reader.uint()):
-            step += reader.uint()
-            flag = reader.uint()
-            address += reader.sint()
-            columns.steps.append(step)
-            columns.flags.append(flag)
-            columns.addresses.append(address)
-            columns.values.append(reader.uint())
-            index = reader.uint()
-            static_id = interned.get(index)
-            if static_id is None:
-                static_id = interned[index] = StaticInstructionId(
-                    block=block, index=index
-                )
-            columns.static_ids.append(static_id)
-        step = 0
-        for _ in range(reader.uint()):
-            step += reader.uint()
-            columns.heap_steps.append(step)
-            columns.heap_kinds.append("alloc" if reader.uint() == 0 else "free")
-            columns.heap_bases.append(reader.uint())
-            columns.heap_sizes.append(reader.uint())
+        _extend_access_columns(columns, reader, threads[name].block, {})
+        _extend_heap_columns(columns, reader)
         captured.threads[name] = columns
     return captured
 
@@ -622,16 +770,12 @@ def decode_log(data: bytes) -> ReplayLog:
         )
     if version >= SEGMENTED_FORMAT_VERSION:
         return _decode_log_segmented(data)
-    reader = _Reader(zlib.decompress(data[len(MAGIC) + 1 :]))
+    reader = _Reader(_inflate(data[len(MAGIC) + 1 :]))
     program_name = reader.text()
     program_source = reader.text()
     seed = reader.sint()
     scheduler = reader.text()
-    global_order: Optional[List[Tuple[int, int]]] = None
-    if reader.flag():
-        global_order = [
-            (reader.uint(), reader.sint()) for _ in range(reader.uint())
-        ]
+    global_order = _read_global_order(reader) if reader.flag() else None
     threads = {}
     for _ in range(reader.uint()):
         thread = _read_thread(reader, version)
@@ -742,44 +886,9 @@ def _read_captured_view(
     captured: Dict[str, CapturedColumnView] = {}
     for _ in range(reader.uint()):
         name = reader.text()
-        block = threads[name].block
-        view = CapturedColumnView()
-        step_col = view.steps
-        flag_col = view.flags
-        address_col = view.addresses
-        value_col = view.values
-        static_col = view.static_ids
-        interned: Dict[int, StaticInstructionId] = {}
-        step = 0
-        address = 0
-        # The row loop is the sectioned reader's hottest code (five
-        # varints per captured access), so it decodes varints inline on
-        # local offsets instead of going through reader.uint()/sint().
-        decode = decode_varint
-        data = reader.data
-        offset = reader.offset
-        count, offset = decode(data, offset)
-        for _ in range(count):
-            delta, offset = decode(data, offset)
-            step += delta
-            flag, offset = decode(data, offset)
-            raw, offset = decode(data, offset)
-            address += (raw >> 1) ^ -(raw & 1)
-            value, offset = decode(data, offset)
-            index, offset = decode(data, offset)
-            step_col.append(step)
-            flag_col.append(flag)
-            address_col.append(address)
-            value_col.append(value)
-            static_id = interned.get(index)
-            if static_id is None:
-                static_id = interned[index] = StaticInstructionId(
-                    block=block, index=index
-                )
-            static_col.append(static_id)
-        reader.offset = offset
+        view = captured[name] = CapturedColumnView()
+        _extend_access_columns(view, reader, threads[name].block, {})
         reader.skip_uints(4 * reader.uint())  # heap lifecycle rows
-        captured[name] = view
     return captured
 
 
@@ -801,7 +910,7 @@ def decode_log_sections(data: bytes) -> LogSections:
         )
     if version >= SEGMENTED_FORMAT_VERSION:
         return _decode_log_sections_segmented(data)
-    reader = _Reader(zlib.decompress(data[len(MAGIC) + 1 :]))
+    reader = _Reader(_inflate(data[len(MAGIC) + 1 :]))
     program_name = reader.text()
     program_source = reader.text()
     seed = reader.sint()
@@ -1454,20 +1563,37 @@ def is_segmented_log(data: bytes) -> bool:
     )
 
 
-def _iter_frames(data: bytes) -> Iterator[Tuple[int, bytes]]:
-    """Yield ``(tag, compressed payload)`` for each v4 section frame."""
-    offset = len(MAGIC) + 1
-    end = len(data)
-    while offset < end:
+def _frame_head(data, offset: int, ordinal=None) -> Tuple[int, int, int]:
+    """Read the frame header at ``offset``: ``(tag, payload offset,
+    payload end)``.  ``data`` is bytes or an mmap of the container;
+    ``ordinal`` is the frame's segment ordinal if it is a segment frame
+    (errors name it)."""
+    start = offset
+    try:
         tag, offset = decode_varint(data, offset)
         length, offset = decode_varint(data, offset)
-        payload = data[offset : offset + length]
-        if len(payload) != length:
-            raise ValueError(
-                "corrupt segmented log: truncated frame (tag %d)" % tag
-            )
-        offset += length
-        yield tag, payload
+    except IndexError:
+        raise LogFormatError("truncated frame header", start) from None
+    if offset + length > len(data):
+        raise LogFormatError(
+            "truncated frame (tag %d, %d payload bytes declared)" % (tag, length),
+            start,
+            ordinal if tag == _SECTION_SEGMENT else None,
+        )
+    return tag, offset, offset + length
+
+
+def _iter_frames(data) -> Iterator[Tuple[int, int, int]]:
+    """Yield ``(tag, payload start, payload end)`` for each v4 section
+    frame.  ``data`` is the container's bytes or an mmap of it; nothing
+    is copied, so a caller slices out only the payloads it needs."""
+    offset = len(MAGIC) + 1
+    segments = 0
+    while offset < len(data):
+        tag, start, offset = _frame_head(data, offset, segments)
+        if tag == _SECTION_SEGMENT:
+            segments += 1
+        yield tag, start, offset
 
 
 def _require_segmented(data: bytes) -> int:
@@ -1489,10 +1615,10 @@ def _require_segmented(data: bytes) -> int:
 def read_segmented_header(data: bytes) -> SegmentedHeader:
     """Decode only the header section of a v4 container."""
     version = _require_segmented(data)
-    for tag, payload in _iter_frames(data):
+    for tag, start, end in _iter_frames(data):
         if tag != _SECTION_HEADER:
             break
-        reader = _Reader(zlib.decompress(payload))
+        reader = _Reader(_inflate(data[start:end]))
         return SegmentedHeader(
             version=version,
             program_name=reader.text(),
@@ -1501,48 +1627,25 @@ def read_segmented_header(data: bytes) -> SegmentedHeader:
             scheduler=reader.text(),
             has_captured=reader.flag(),
         )
-    raise ValueError("corrupt segmented log: missing header section")
+    raise LogFormatError("missing header section")
 
 
 def _read_segment_payload(payload: bytes) -> LogSegmentView:
     """Decode one decompressed segment payload into a view."""
     reader = _Reader(payload)
-    ordinal = reader.uint()
-    first_ts = reader.uint()
-    last_ts = reader.uint()
+    ordinal, first_ts, last_ts = reader.uints(3)
     threads: Dict[str, SegmentThreadView] = {}
-    for _ in range(reader.uint()):
-        name = reader.text()
-        tid = reader.uint()
-        block = reader.text()
-        view = SegmentThreadView(name=name, tid=tid, block=block)
-        view.sequencers = _read_sequencers(reader)
-        columns = view.columns
-        interned: Dict[int, StaticInstructionId] = {}
-        step = 0
-        address = 0
+    try:
         for _ in range(reader.uint()):
-            step += reader.uint()
-            flag = reader.uint()
-            address += reader.sint()
-            columns.steps.append(step)
-            columns.flags.append(flag)
-            columns.addresses.append(address)
-            columns.values.append(reader.uint())
-            index = reader.uint()
-            static_id = interned.get(index)
-            if static_id is None:
-                static_id = interned[index] = StaticInstructionId(
-                    block=block, index=index
-                )
-            columns.static_ids.append(static_id)
-        step = 0
-        for _ in range(reader.uint()):
-            step += reader.uint()
-            view.heap_rows.append(
-                (step, reader.uint(), reader.uint(), reader.uint())
+            name, tid, block = reader.text(), reader.uint(), reader.text()
+            view = threads[name] = SegmentThreadView(
+                name=name, tid=tid, block=block, sequencers=_read_sequencers(reader)
             )
-        threads[name] = view
+            _extend_access_columns(view.columns, reader, block, {})
+            for heap_block in _read_heap_rows(reader):
+                view.heap_rows.extend(zip(*heap_block))
+    except LogFormatError as error:
+        raise error.in_segment(ordinal) from None
     return LogSegmentView(
         ordinal=ordinal, first_ts=first_ts, last_ts=last_ts, threads=threads
     )
@@ -1556,25 +1659,19 @@ def iter_segments(data: bytes) -> Iterator[LogSegmentView]:
     itself, which the caller already holds).
     """
     _require_segmented(data)
-    for tag, payload in _iter_frames(data):
+    ordinal = 0
+    for tag, start, end in _iter_frames(data):
         if tag == _SECTION_SEGMENT:
-            yield _read_segment_payload(zlib.decompress(payload))
+            yield _read_segment_payload(_inflate(data[start:end], ordinal))
+            ordinal += 1
 
 
 def _parse_segment_index(payload: bytes) -> List[SegmentIndexEntry]:
     """Decode a decompressed footer payload into its index entries."""
-    reader = _Reader(payload)
     return [
-        SegmentIndexEntry(
-            ordinal=reader.uint(),
-            offset=reader.uint(),
-            length=reader.uint(),
-            sequencer_rows=reader.uint(),
-            access_rows=reader.uint(),
-            first_ts=reader.uint(),
-            last_ts=reader.uint(),
-        )
-        for _ in range(reader.uint())
+        SegmentIndexEntry(*flat[row : row + 7])
+        for flat in _row_blocks(_Reader(payload), 7)
+        for row in range(0, len(flat), 7)
     ]
 
 
@@ -1582,12 +1679,12 @@ def read_segment_index(data: bytes) -> List[SegmentIndexEntry]:
     """Decode the footer's segment index of a v4 container."""
     _require_segmented(data)
     footer: Optional[bytes] = None
-    for tag, payload in _iter_frames(data):
+    for tag, start, end in _iter_frames(data):
         if tag == _SECTION_FOOTER:
-            footer = payload
+            footer = data[start:end]
     if footer is None:
-        raise ValueError("corrupt segmented log: missing footer section")
-    return _parse_segment_index(zlib.decompress(footer))
+        raise LogFormatError("missing footer section")
+    return _parse_segment_index(_inflate(footer))
 
 
 # -- mmap-backed zero-copy reading (the parallel detect path) -----------
@@ -1623,7 +1720,7 @@ class MappedSegmentedReader:
         try:
             self.version = _require_segmented(self._map[: len(MAGIC) + 1])
             header_payload, footer_payload = self._locate_sections()
-            reader = _Reader(zlib.decompress(header_payload))
+            reader = _Reader(_inflate(header_payload))
             self.header = SegmentedHeader(
                 version=self.version,
                 program_name=reader.text(),
@@ -1632,47 +1729,33 @@ class MappedSegmentedReader:
                 scheduler=reader.text(),
                 has_captured=reader.flag(),
             )
-            self.index = _parse_segment_index(zlib.decompress(footer_payload))
+            self.index = _parse_segment_index(_inflate(footer_payload))
         except Exception:
             self.close()
             raise
 
     def _locate_sections(self) -> Tuple[bytes, bytes]:
         """Hop the frame chain; slice out only header and footer."""
-        data = self._map
-        offset = len(MAGIC) + 1
-        end = len(data)
         header: Optional[bytes] = None
         footer: Optional[bytes] = None
-        while offset < end:
-            tag, offset = decode_varint(data, offset)
-            length, offset = decode_varint(data, offset)
-            if offset + length > end:
-                raise ValueError(
-                    "corrupt segmented log: truncated frame (tag %d)" % tag
-                )
+        for tag, start, end in _iter_frames(self._map):
             if tag == _SECTION_HEADER and header is None:
-                header = data[offset : offset + length]
+                header = self._map[start:end]
             elif tag == _SECTION_FOOTER:
-                footer = data[offset : offset + length]
-            offset += length
+                footer = self._map[start:end]
         if header is None:
-            raise ValueError("corrupt segmented log: missing header section")
+            raise LogFormatError("missing header section")
         if footer is None:
-            raise ValueError("corrupt segmented log: missing footer section")
+            raise LogFormatError("missing footer section")
         return header, footer
 
     def segment_payload(self, entry: SegmentIndexEntry) -> bytes:
         """Decompress one segment's payload straight out of the mapping."""
-        data = self._map
-        tag, offset = decode_varint(data, entry.offset)
+        tag, start, end = _frame_head(self._map, entry.offset, entry.ordinal)
         if tag != _SECTION_SEGMENT:
-            raise ValueError(
-                "corrupt segment index: entry %d points at tag %d"
-                % (entry.ordinal, tag)
-            )
-        length, offset = decode_varint(data, offset)
-        return zlib.decompress(data[offset : offset + length])
+            reason = "segment index entry %d points at a tag-%d frame"
+            raise LogFormatError(reason % (entry.ordinal, tag), entry.offset)
+        return _inflate(self._map[start:end], entry.ordinal)
 
     def segment_view(self, ordinal: int) -> LogSegmentView:
         """Fully decode one segment by ordinal (tests and tooling)."""
@@ -1692,7 +1775,7 @@ class MappedSegmentedReader:
 
 
 def scan_segment_sequencers(payload: bytes) -> List[tuple]:
-    """Prelude scan: per-thread sequencer totals, rows regex-skipped.
+    """Prelude scan: per-thread sequencer totals, rows skipped.
 
     A partition worker catching up to its segment range only needs to
     know, per thread, *how many* sequencers came before the range and
@@ -1736,7 +1819,7 @@ def scan_segment_sequencers(payload: bytes) -> List[tuple]:
 def read_segment_lean(
     payload: bytes,
     kinds: Dict[str, str],
-    interned: Dict[Tuple[str, int], StaticInstructionId],
+    interned: Dict[str, Dict[int, StaticInstructionId]],
 ) -> Tuple[int, int, int, List[tuple]]:
     """Fused single-pass decode of one segment for a partition worker.
 
@@ -1744,87 +1827,85 @@ def read_segment_lean(
     sweep: sequencers come back as ``(thread_step, timestamp, kind)``
     tuples, access rows as ``(step, flag, address, value, static_id)``
     tuples — the exact row shape the region cursor hands the detector —
-    heap rows are regex-skipped (detection never reads them), and no
+    heap rows are skipped (detection never reads them), and no
     column lists are built.  ``kinds``/``interned`` are caller-held
-    interning maps so kind strings and static ids stay shared across
-    every segment a worker touches.
+    interning maps (``interned`` maps block → index → static id) so kind
+    strings and static ids stay shared across every segment a worker
+    touches.
 
     Returns ``(ordinal, first_ts, last_ts, threads)`` with ``threads``
     as ``(name, tid, block, sequencers, rows)`` tuples.
     """
     reader = _Reader(payload)
-    ordinal = reader.uint()
-    first_ts = reader.uint()
-    last_ts = reader.uint()
+    ordinal, first_ts, last_ts = reader.uints(3)
     threads: List[tuple] = []
-    for _ in range(reader.uint()):
-        name = reader.text()
-        tid = reader.uint()
-        block = reader.text()
-        sequencers: List[tuple] = []
-        seq_append = sequencers.append
-        step = 0
-        timestamp = 0
+    try:
         for _ in range(reader.uint()):
-            step += reader.sint()
-            timestamp += reader.sint()
-            kind = reader.text()
-            kind = kinds.setdefault(kind, kind)
-            if reader.uint():
-                reader.skip_text()
-                reader.skip_uints(1)
-            seq_append((step, timestamp, kind))
-        # The hot loop: five varints per access row, decoded with local
-        # bindings and inline zigzag exactly like ``_read_captured_view``.
-        rows: List[tuple] = []
-        row_append = rows.append
-        decode = decode_varint
-        data = reader.data
-        offset = reader.offset
-        count, offset = decode(data, offset)
-        step = 0
-        address = 0
-        intern_get = interned.get
-        for _ in range(count):
-            delta, offset = decode(data, offset)
-            step += delta
-            flag, offset = decode(data, offset)
-            raw, offset = decode(data, offset)
-            address += (raw >> 1) ^ -(raw & 1)
-            value, offset = decode(data, offset)
-            index, offset = decode(data, offset)
-            static_id = intern_get((block, index))
-            if static_id is None:
-                static_id = interned[(block, index)] = StaticInstructionId(
-                    block=block, index=index
-                )
-            row_append((step, flag, address, value, static_id))
-        reader.offset = offset
-        reader.skip_uints(4 * reader.uint())  # heap rows
-        threads.append((name, tid, block, sequencers, rows))
+            name, tid, block = reader.text(), reader.uint(), reader.text()
+            sequencers = []
+            for record in _read_sequencers(reader):
+                kind = kinds.setdefault(record.kind, record.kind)
+                sequencers.append((record.thread_step, record.timestamp, kind))
+            rows: List[tuple] = []
+            for columns in _read_access_rows(
+                reader, block, interned.setdefault(block, {})
+            ):
+                rows.extend(zip(*columns))
+            reader.skip_uints(4 * reader.uint())  # heap rows
+            threads.append((name, tid, block, sequencers, rows))
+    except LogFormatError as error:
+        raise error.in_segment(ordinal) from None
     return ordinal, first_ts, last_ts, threads
 
 
-def _read_residual_access_rows(reader: _Reader, block: str) -> list:
-    """Decode trailer residual access rows to ``(step, flag, address,
-    value, static_id)`` tuples."""
-    rows = []
-    interned: Dict[int, StaticInstructionId] = {}
-    step = 0
-    address = 0
-    for _ in range(reader.uint()):
-        step += reader.uint()
-        flag = reader.uint()
-        address += reader.sint()
-        value = reader.uint()
-        index = reader.uint()
-        static_id = interned.get(index)
-        if static_id is None:
-            static_id = interned[index] = StaticInstructionId(
-                block=block, index=index
-            )
-        rows.append((step, flag, address, value, static_id))
-    return rows
+@dataclass
+class _GatheredThread:
+    """One thread's rows concatenated across every segment of a v4
+    container, plus its trailer residue."""
+
+    tid: int
+    block: str
+    columns: object
+    sequencers: List[SequencerRecord] = field(default_factory=list)
+    interned: Dict[int, StaticInstructionId] = field(default_factory=dict)
+
+
+def _gather_segments(
+    data: bytes, new_columns, keep_heap: bool
+) -> Tuple[Dict[str, _GatheredThread], bytes]:
+    """Decode every segment of a v4 container straight into per-thread
+    sequencer lists and access columns (``new_columns()`` makes one
+    thread's column carrier; heap rows land in its ``heap_*`` lists only
+    when ``keep_heap``).  Returns the threads in first-appearance order
+    and the decompressed trailer."""
+    gathered: Dict[str, _GatheredThread] = {}
+    trailer: Optional[bytes] = None
+    ordinal = 0
+    for tag, start, end in _iter_frames(data):
+        if tag == _SECTION_TRAILER:
+            trailer = _inflate(data[start:end])
+        if tag != _SECTION_SEGMENT:
+            continue
+        try:
+            reader = _Reader(_inflate(data[start:end]))
+            reader.skip_uints(3)  # ordinal, first_ts, last_ts
+            for _ in range(reader.uint()):
+                name, tid, block = reader.text(), reader.uint(), reader.text()
+                thread = gathered.get(name)
+                if thread is None:
+                    thread = gathered[name] = _GatheredThread(tid, block, new_columns())
+                thread.sequencers.extend(_read_sequencers(reader))
+                _extend_access_columns(thread.columns, reader, block, thread.interned)
+                if keep_heap:
+                    _extend_heap_columns(thread.columns, reader)
+                else:
+                    reader.skip_uints(4 * reader.uint())
+        except LogFormatError as error:
+            raise error.in_segment(ordinal) from None
+        ordinal += 1
+    if trailer is None:
+        raise LogFormatError("missing trailer section")
+    return gathered, trailer
 
 
 def _decode_log_segmented(data: bytes) -> ReplayLog:
@@ -1837,86 +1918,34 @@ def _decode_log_segmented(data: bytes) -> ReplayLog:
     log already has.
     """
     header = read_segmented_header(data)
-    sequencers: Dict[str, List[SequencerRecord]] = {}
-    columns: Dict[str, ThreadAccessColumns] = {}
-    trailer: Optional[bytes] = None
-    for tag, payload in _iter_frames(data):
-        if tag == _SECTION_SEGMENT:
-            view = _read_segment_payload(zlib.decompress(payload))
-            for name, thread_view in view.threads.items():
-                sequencers.setdefault(name, []).extend(thread_view.sequencers)
-                into = columns.get(name)
-                if into is None:
-                    into = columns[name] = ThreadAccessColumns()
-                into.steps.extend(thread_view.columns.steps)
-                into.flags.extend(thread_view.columns.flags)
-                into.addresses.extend(thread_view.columns.addresses)
-                into.values.extend(thread_view.columns.values)
-                into.static_ids.extend(thread_view.columns.static_ids)
-                for step, kind, base, size in thread_view.heap_rows:
-                    into.heap_steps.append(step)
-                    into.heap_kinds.append("alloc" if kind == 0 else "free")
-                    into.heap_bases.append(base)
-                    into.heap_sizes.append(size)
-        elif tag == _SECTION_TRAILER:
-            trailer = zlib.decompress(payload)
-    if trailer is None:
-        raise ValueError("corrupt segmented log: missing trailer section")
+    gathered, trailer = _gather_segments(data, ThreadAccessColumns, keep_heap=True)
     reader = _Reader(trailer)
-    global_order: Optional[List[Tuple[int, int]]] = None
-    if reader.flag():
-        global_order = [
-            (reader.uint(), reader.sint()) for _ in range(reader.uint())
-        ]
+    global_order = _read_global_order(reader) if reader.flag() else None
     predicted_loads = reader.uint()
     threads: Dict[str, ThreadLog] = {}
+    columns: Dict[str, ThreadAccessColumns] = {}
     for _ in range(reader.uint()):
-        name = reader.text()
-        tid = reader.uint()
-        block = reader.text()
-        registers = tuple(reader.uint() for _ in range(reader.uint()))
-        thread = ThreadLog(
+        name, tid, block = reader.text(), reader.uint(), reader.text()
+        registers = tuple(reader.uints(reader.uint()))
+        thread = threads[name] = ThreadLog(
             name=name, tid=tid, block=block, initial_registers=registers
         )
         _read_loads(reader, SEGMENTED_FORMAT_VERSION, thread)
         _read_syscalls(reader, thread)
-        thread.sequencers.extend(sequencers.get(name, []))
+        into = gathered.get(name)
+        if into is None:
+            into = gathered[name] = _GatheredThread(tid, block, ThreadAccessColumns())
+        thread.sequencers.extend(into.sequencers)
         thread.pc_footprint = _read_footprint(reader)
         thread.steps = reader.uint()
         thread.end = _read_end(reader)
-        into = columns.get(name)
-        if into is None:
-            into = columns[name] = ThreadAccessColumns()
-        for step, flag, address, value, static_id in _read_residual_access_rows(
-            reader, block
-        ):
-            into.steps.append(step)
-            into.flags.append(flag)
-            into.addresses.append(address)
-            into.values.append(value)
-            into.static_ids.append(static_id)
-        step = 0
-        for _ in range(reader.uint()):
-            step += reader.uint()
-            into.heap_steps.append(step)
-            into.heap_kinds.append("alloc" if reader.uint() == 0 else "free")
-            into.heap_bases.append(reader.uint())
-            into.heap_sizes.append(reader.uint())
-        threads[name] = thread
+        _extend_access_columns(into.columns, reader, block, into.interned)
+        _extend_heap_columns(into.columns, reader)
+        columns[name] = into.columns
     captured: Optional[CapturedAccessColumns] = None
     if header.has_captured:
         captured = CapturedAccessColumns(
-            threads={
-                # Explicit None check: a heap-only columns object has
-                # __len__ == 0 and would be dropped by an ``or``.
-                name: (
-                    columns[name]
-                    if columns.get(name) is not None
-                    else ThreadAccessColumns()
-                )
-                for name in threads
-            },
-            predicted_loads=predicted_loads,
+            threads=columns, predicted_loads=predicted_loads
         )
     return ReplayLog(
         program_name=header.program_name,
@@ -1930,72 +1959,39 @@ def _decode_log_segmented(data: bytes) -> ReplayLog:
 
 
 def _decode_log_sections_segmented(data: bytes) -> LogSections:
-    """The sectioned reader for v4: header + segments decoded, trailer
-    seeked through for step counts, footer skipped."""
+    """The sectioned reader for v4: segment rows decoded straight into
+    per-thread columns, trailer seeked through for step counts and
+    residual rows, footer skipped."""
     header = read_segmented_header(data)
-    threads: Dict[str, ThreadSectionView] = {}
-    captured: Optional[Dict[str, CapturedColumnView]] = (
-        {} if header.has_captured else None
-    )
-    trailer: Optional[bytes] = None
-    for tag, payload in _iter_frames(data):
-        if tag == _SECTION_SEGMENT:
-            view = _read_segment_payload(zlib.decompress(payload))
-            for name, thread_view in view.threads.items():
-                section = threads.get(name)
-                if section is None:
-                    section = threads[name] = ThreadSectionView(
-                        name=name, tid=thread_view.tid, block=thread_view.block
-                    )
-                section.sequencers.extend(thread_view.sequencers)
-                if captured is not None:
-                    into = captured.get(name)
-                    if into is None:
-                        into = captured[name] = CapturedColumnView()
-                    into.steps.extend(thread_view.columns.steps)
-                    into.flags.extend(thread_view.columns.flags)
-                    into.addresses.extend(thread_view.columns.addresses)
-                    into.values.extend(thread_view.columns.values)
-                    into.static_ids.extend(thread_view.columns.static_ids)
-        elif tag == _SECTION_TRAILER:
-            trailer = zlib.decompress(payload)
-    if trailer is None:
-        raise ValueError("corrupt segmented log: missing trailer section")
+    gathered, trailer = _gather_segments(data, CapturedColumnView, keep_heap=False)
+    threads: Dict[str, ThreadSectionView] = {
+        name: ThreadSectionView(
+            name=name, tid=thread.tid, block=thread.block, sequencers=thread.sequencers
+        )
+        for name, thread in gathered.items()
+    }
     reader = _Reader(trailer)
     if reader.flag():
         reader.skip_uints(2 * reader.uint())  # global order pairs
     reader.skip_uints(1)  # predicted_loads
     for _ in range(reader.uint()):
-        name = reader.text()
-        tid = reader.uint()
-        block = reader.text()
+        name, tid, block = reader.text(), reader.uint(), reader.text()
         section = threads.get(name)
         if section is None:
-            section = threads[name] = ThreadSectionView(
-                name=name, tid=tid, block=block
-            )
+            section = threads[name] = ThreadSectionView(name=name, tid=tid, block=block)
+            gathered[name] = _GatheredThread(tid, block, CapturedColumnView())
         reader.skip_uints(reader.uint())  # initial registers
         _skip_loads(reader, SEGMENTED_FORMAT_VERSION)
         _skip_syscalls(reader)
         _skip_footprint(reader)
         section.steps = reader.uint()
         _skip_end(reader)
-        residual = _read_residual_access_rows(reader, block)
-        if captured is not None and residual:
-            into = captured.get(name)
-            if into is None:
-                into = captured[name] = CapturedColumnView()
-            for step, flag, address, value, static_id in residual:
-                into.steps.append(step)
-                into.flags.append(flag)
-                into.addresses.append(address)
-                into.values.append(value)
-                into.static_ids.append(static_id)
+        into = gathered[name]
+        _extend_access_columns(into.columns, reader, block, into.interned)
         reader.skip_uints(4 * reader.uint())  # residual heap rows
-    if captured is not None:
-        for name in threads:
-            if name not in captured:
-                captured[name] = CapturedColumnView()
+    captured: Optional[Dict[str, CapturedColumnView]] = None
+    if header.has_captured:
+        captured = {name: gathered[name].columns for name in threads}
     return LogSections(
         version=header.version,
         program_name=header.program_name,

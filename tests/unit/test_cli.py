@@ -127,6 +127,28 @@ class TestDetect:
         assert "detect.sweep" in text
 
 
+    def test_truncated_container_is_a_one_line_error(self, tmp_path, capsys):
+        from repro.record.binary_format import read_segment_index
+
+        program = tmp_path / "demo.asm"
+        program.write_text(DEMO_SOURCE)
+        log = tmp_path / "demo.rprb"
+        code, _ = run_cli(
+            ["record", str(program), "-o", str(log), "--segment-bytes", "64"]
+        )
+        assert code == 0
+        data = log.read_bytes()
+        cut = tmp_path / "cut.rprb"
+        cut.write_bytes(data[: read_segment_index(data)[1].offset + 1])
+        capsys.readouterr()
+        for path_flags in ([], ["--stream"]):
+            code, _ = run_cli(["detect", str(cut)] + path_flags)
+            err = capsys.readouterr().err
+            assert code == 1
+            assert err.startswith("error: corrupt replay log: truncated frame header")
+            assert err.count("\n") == 1 and "Traceback" not in err
+
+
 class TestClassify:
     def test_classify_prints_triage(self, recorded):
         _, log, _ = recorded

@@ -4,8 +4,11 @@ Covers the pieces the streaming equivalence properties treat as a black
 box: the deterministic window-sealing rule, races whose regions straddle
 a segment boundary, the cursor's ordering/consistency errors (with the
 offending segment ordinal and step in the message), the streaming
-recorder, and the version gates on the streaming view.
+recorder, the version gates on the streaming view, and the typed
+:class:`LogFormatError` every reader raises on a truncated container.
 """
+
+import zlib
 
 import pytest
 
@@ -13,16 +16,25 @@ from repro.analysis.pipeline import detect_only, detection_report, render_report
 from repro.isa import assemble
 from repro.record import load_log, record_run, record_run_segmented
 from repro.record.binary_format import (
+    MAGIC,
     SEGMENTED_FORMAT_VERSION,
+    LogFormatError,
+    MappedSegmentedReader,
     SegmentedLogWriter,
+    _read_sequencers,
+    _Reader,
+    decode_log,
+    decode_log_sections,
     encode_log,
     encode_log_segmented,
     is_segmented_log,
     iter_segments,
     read_segment_index,
+    read_segment_lean,
     read_segmented_header,
     segment_views_of_log,
 )
+from repro.record.compression import decode_varint, encode_varint
 from repro.replay.errors import ReplayDivergence, stream_context
 from repro.replay.log_view import (
     LogViewUnavailable,
@@ -315,3 +327,107 @@ class TestStreamingRecorder:
         _, log = _recorded()
         with pytest.raises(ValueError):
             save_log(log, tmp_path / "log.json", segment_bytes=64)
+
+
+def _frames(data):
+    """``(tag, compressed payload)`` for each frame of a v4 container."""
+    frames = []
+    offset = len(MAGIC) + 1
+    while offset < len(data):
+        tag, offset = decode_varint(data, offset)
+        length, offset = decode_varint(data, offset)
+        frames.append((tag, data[offset : offset + length]))
+        offset += length
+    return frames
+
+
+def _container(data, frames):
+    return data[: len(MAGIC) + 1] + b"".join(
+        encode_varint(tag) + encode_varint(len(payload)) + payload
+        for tag, payload in frames
+    )
+
+
+def _cut_mid_row(raw):
+    """Cut a decompressed segment payload inside the second access row
+    of its first thread."""
+    reader = _Reader(raw)
+    reader.skip_uints(3)  # ordinal, first_ts, last_ts
+    reader.uint()  # thread count
+    reader.text(), reader.uint(), reader.text()
+    _read_sequencers(reader)
+    assert reader.uint() >= 2  # access rows of the first thread
+    reader.skip_uints(5)  # the whole first row
+    return raw[: reader.offset + 2]
+
+
+class TestTruncatedContainers:
+    """Every reader turns a cut container into a :class:`LogFormatError`
+    (a ``ValueError``) naming the byte offset, never an ``IndexError``."""
+
+    def test_frame_header_cut(self, tmp_path):
+        _, log = _recorded()
+        data = encode_log_segmented(log, segment_bytes=64)
+        entry = read_segment_index(data)[1]
+        cut = data[: entry.offset + 1]  # the tag byte, then nothing
+        for read in (decode_log, decode_log_sections, lambda d: list(iter_segments(d))):
+            with pytest.raises(LogFormatError) as info:
+                read(cut)
+            assert info.value.offset == entry.offset
+            assert "truncated frame header" in str(info.value)
+        path = tmp_path / "cut.rprb"
+        path.write_bytes(cut)
+        with pytest.raises(LogFormatError):
+            MappedSegmentedReader(path)
+
+    def test_frame_payload_cut_names_the_segment(self):
+        _, log = _recorded()
+        data = encode_log_segmented(log, segment_bytes=64)
+        entry = read_segment_index(data)[2]
+        with pytest.raises(LogFormatError) as info:
+            decode_log_sections(data[: entry.offset + entry.length - 1])
+        assert info.value.segment == 2
+        assert info.value.offset == entry.offset
+
+    def test_segment_payload_cut_mid_row(self):
+        _, log = _recorded()
+        data = encode_log_segmented(log)
+        frames = _frames(data)
+        assert [tag for tag, _ in frames].count(2) == 1
+        raw = zlib.decompress(frames[1][1])
+        cut = _cut_mid_row(raw)
+        frames[1] = (2, zlib.compress(cut))
+        truncated = _container(data, frames)
+        readers = (
+            decode_log,
+            decode_log_sections,
+            lambda d: list(iter_segments(d)),
+        )
+        for read in readers:
+            with pytest.raises(LogFormatError) as info:
+                read(truncated)
+            assert info.value.segment == 0
+            assert info.value.offset is not None
+        with pytest.raises(LogFormatError) as info:
+            read_segment_lean(cut, {}, {})
+        assert info.value.segment == 0
+        # The uncut payload still decodes through the same readers.
+        assert read_segment_lean(raw, {}, {})[0] == 0
+
+    def test_v3_captured_section_cut(self):
+        _, log = _recorded()
+        body = zlib.decompress(encode_log(log, version=3)[len(MAGIC) + 1 :])
+        # Without captured columns the body ends at the has-captured flag,
+        # so the captured section starts where that shorter body ends.
+        bare = zlib.decompress(
+            encode_log(log, version=3, include_captured=False)[len(MAGIC) + 1 :]
+        )
+        start = len(bare)
+        assert body[: start - 1] == bare[:-1] and len(body) > start + 8
+        cut = body[: start + (len(body) - start) // 2]
+        truncated = MAGIC + bytes([3]) + zlib.compress(cut)
+        for read in (decode_log, decode_log_sections):
+            with pytest.raises(LogFormatError) as info:
+                read(truncated)
+            assert info.value.offset is not None
+            assert info.value.offset <= len(cut)
