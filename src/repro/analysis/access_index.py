@@ -29,6 +29,8 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
+from itertools import compress, repeat
+from operator import itemgetter
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from ..replay.events import ReplayedAccess
@@ -36,6 +38,22 @@ from ..replay.regions import SequencingRegion
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (replay builds us)
     from ..replay.ordered_replay import OrderedReplay
+
+#: ``bytes.translate`` tables over captured flag bytes (bit 0 = write,
+#: bit 1 = synchronization access): the write bit, and 1 for a plain
+#: (non-sync) access.
+_WRITE_BIT = bytes(flag & 1 for flag in range(256))
+_PLAIN_BIT = bytes(1 - ((flag >> 1) & 1) for flag in range(256))
+
+
+def _drop_sync_rows(flags: bytes, columns: list) -> Tuple[bytes, list]:
+    """``flags`` and its parallel ``columns`` without the sync rows —
+    one ``compress`` per column, and only when there are any."""
+    plain = flags.translate(_PLAIN_BIT)
+    if 0 in plain:
+        flags = bytes(compress(flags, plain))
+        columns = [list(compress(column, plain)) for column in columns]
+    return flags, columns
 
 
 class AccessIndex:
@@ -62,7 +80,7 @@ class AccessIndex:
         "_slices",
         "_address_tuples",
         "postings",
-        "_by_address",
+        "_at",
         "_perf",
         "_write_count",
     )
@@ -148,10 +166,12 @@ class AccessIndex:
         self._address_tuples: List[Tuple[int, ...]] = []
         #: address -> ascending region ordinals touching it.
         self.postings: Dict[int, List[int]] = {}
-        #: Per-ordinal address -> accesses grouping, built lazily.
-        self._by_address: List[Optional[Dict[int, List[ReplayedAccess]]]] = []
+        #: ordinal -> {address: that region's rows there}, filled by
+        #: :meth:`accesses_at` and dropped by :meth:`retire`.
+        self._at: Dict[int, Dict[int, List[tuple]]] = {}
         self._perf = perf
         self._write_count: Optional[int] = None
+        postings = self.postings
         for ordinal, region in enumerate(self.regions):
             columns = (
                 columns_by_thread.get(region.thread_name)
@@ -159,59 +179,56 @@ class AccessIndex:
                 else None
             )
             start = len(self._objects)
-            seen: Dict[int, None] = {}
             if columns is not None:
-                self._fill_region_from_columns(ordinal, region, columns, seen)
+                self._fill_region_from_columns(region, columns)
             elif ordered is not None:
-                self._fill_region_from_replay(ordinal, region, ordered, seen)
+                self._fill_region_from_replay(region, ordered)
             else:
                 raise ValueError(
                     "no captured columns for thread %r and no replay to "
                     "fall back to" % region.thread_name
                 )
-            self._slices.append((start, len(self._objects)))
-            self._address_tuples.append(tuple(seen))
-        self._by_address = [None] * len(self.regions)
+            end = len(self._objects)
+            self._slices.append((start, end))
+            self.region_of.extend(repeat(ordinal, end - start))
+            # Distinct addresses in first-touch order.
+            touched = tuple(dict.fromkeys(self.addresses[start:end]))
+            self._address_tuples.append(touched)
+            for address in touched:
+                postings.setdefault(address, []).append(ordinal)
 
-    def _fill_region_from_columns(
-        self,
-        ordinal: int,
-        region: SequencingRegion,
-        columns,
-        seen: Dict[int, None],
-    ) -> None:
-        """Append one region's rows from step-sorted captured columns.
+    def _fill_region_from_columns(self, region: SequencingRegion, columns) -> None:
+        """Append one region's plain rows from step-sorted captured columns.
 
         Shared by both construction paths: the replay constructor hands
         recorder columns here, :meth:`from_captured` hands the sectioned
         reader's views — identical parallel-sequence shape either way.
+        Whole column slices are appended at once (sync rows dropped
+        first, see :func:`_drop_sync_rows`).
         """
         column_steps = columns.steps
-        column_flags = columns.flags
         lo = bisect_left(column_steps, region.start_step)
         hi = bisect_left(column_steps, region.end_step, lo)
-        for position in range(lo, hi):
-            flag = column_flags[position]
-            if flag & 2:  # synchronization access
-                continue
-            address = columns.addresses[position]
-            self._objects.append(None)
-            self._static_id_col.append(columns.static_ids[position])
-            self.steps.append(column_steps[position])
-            self.addresses.append(address)
-            self.values.append(columns.values[position])
-            self.write_flags.append(flag & 1)
-            self.region_of.append(ordinal)
-            if address not in seen:
-                seen[address] = None
-                self.postings.setdefault(address, []).append(ordinal)
+        if lo == hi:
+            return
+        flags, (steps, addresses, values, static_ids) = _drop_sync_rows(
+            bytes(columns.flags[lo:hi]),
+            [
+                column_steps[lo:hi],
+                columns.addresses[lo:hi],
+                columns.values[lo:hi],
+                columns.static_ids[lo:hi],
+            ],
+        )
+        self._objects.extend(repeat(None, len(steps)))
+        self._static_id_col.extend(static_ids)
+        self.steps.extend(steps)
+        self.addresses.extend(addresses)
+        self.values.extend(values)
+        self.write_flags += flags.translate(_WRITE_BIT)
 
     def _fill_region_from_replay(
-        self,
-        ordinal: int,
-        region: SequencingRegion,
-        ordered: "OrderedReplay",
-        seen: Dict[int, None],
+        self, region: SequencingRegion, ordered: "OrderedReplay"
     ) -> None:
         """Append one region's rows from a materialized thread replay."""
         replay = ordered.thread_replays[region.thread_name]
@@ -226,10 +243,6 @@ class AccessIndex:
             self.addresses.append(access.address)
             self.values.append(access.value)
             self.write_flags.append(1 if access.is_write else 0)
-            self.region_of.append(ordinal)
-            if access.address not in seen:
-                seen[access.address] = None
-                self.postings.setdefault(access.address, []).append(ordinal)
 
     # ------------------------------------------------------------------
     # Sizes.
@@ -313,27 +326,33 @@ class AccessIndex:
         """Distinct addresses a region touches, in first-touch order."""
         return self._address_tuples[ordinal]
 
-    def by_address(self, ordinal: int) -> Dict[int, List[ReplayedAccess]]:
-        """A region's accesses grouped by address (step order preserved).
+    def accesses_at(self, ordinal: int, address: int) -> List[tuple]:
+        """A region's rows at one address, as ``(step, is_write, value,
+        static_id)`` in step order.
 
-        Grouped once per ordinal on first query, driven by the address
-        column; the detector shares the grouping across every pair the
-        region participates in.
+        Read from the columns over the region's slice and cached per
+        region until :meth:`retire`: the sweep asks only for the
+        addresses a region shares with an overlapping one, and may ask
+        again for every further partner.
         """
-        grouped = self._by_address[ordinal]
-        if grouped is None:
+        cached = self._at.setdefault(ordinal, {})
+        rows = cached.get(address)
+        if rows is None:
             start, end = self._slices[ordinal]
-            objects = self._materialize_range(start, end)
-            grouped = {}
-            addresses = self.addresses
-            for offset, position in enumerate(range(start, end)):
-                grouped.setdefault(addresses[position], []).append(objects[offset])
-            self._by_address[ordinal] = grouped
-        return grouped
+            steps, addresses, values = self.steps, self.addresses, self.values
+            writes, static_ids = self.write_flags, self._static_id_col
+            rows = cached[address] = [
+                (steps[p], writes[p] == 1, values[p], static_ids[p])
+                for p in range(start, end)
+                if addresses[p] == address
+            ]
+        return rows
 
     def retire(self, ordinal: int) -> None:
-        """Part of the sweep's row-store protocol; a no-op here, because
-        the classifier reads the whole index after detection."""
+        """Drop a region's :meth:`accesses_at` cache (the sweep expired
+        it); the columns stay, because the classifier reads the whole
+        index after detection."""
+        self._at.pop(ordinal, None)
 
     def regions_touching(self, address: int) -> List[int]:
         """Ascending ordinals of regions touching ``address``."""
@@ -358,10 +377,10 @@ class StreamingAccessWindow:
     captured ``(step, flag, address, value, static_id)`` rows and
     *retired* as soon as the sweep expires them, so resident state is
     the active overlap window, not the trace.  Rows stay as captured
-    tuples; a region's accesses are grouped into
-    :class:`~repro.replay.events.ReplayedAccess` objects, exactly as
-    :meth:`AccessIndex.by_address` groups them, only when the sweep
-    pairs the region up (most regions never conflict).
+    tuples; :meth:`accesses_at` reshapes a region's rows at one address,
+    exactly as :meth:`AccessIndex.accesses_at` returns them, only when
+    the sweep pairs the region up on that address (most regions never
+    conflict).
 
     Ordinals are assigned in admission order; only their *relative*
     order matters to the sweep, and it matches the batch index's
@@ -374,7 +393,7 @@ class StreamingAccessWindow:
     __slots__ = (
         "_rows",
         "_addresses",
-        "_grouped",
+        "_at",
         "_next_ordinal",
         "regions",
         "accesses",
@@ -385,7 +404,7 @@ class StreamingAccessWindow:
     def __init__(self) -> None:
         self._rows: Dict[int, list] = {}
         self._addresses: Dict[int, Tuple[int, ...]] = {}
-        self._grouped: Dict[int, Dict[int, List[ReplayedAccess]]] = {}
+        self._at: Dict[int, Dict[int, List[tuple]]] = {}
         self._next_ordinal = 0
         #: Totals over the *counted* regions (see :meth:`admit`), in the
         #: shape :meth:`AccessIndex.stats` reports for a whole log.
@@ -394,39 +413,29 @@ class StreamingAccessWindow:
         self.writes = 0
         self.addresses_seen: Dict[int, None] = {}
 
-    def admit(self, region: SequencingRegion, rows, counted: bool = True) -> Optional[int]:
+    def admit(self, region: SequencingRegion, rows: list, counted: bool = True) -> Optional[int]:
         """Store one region's rows; returns its ordinal, or ``None`` when
         the region carries no plain access (not admitted).
 
         ``rows`` are in step order, already bounded to the region's step
-        range; sync rows (``flag & 2``) are filtered here, the same
-        filter :meth:`AccessIndex._fill_region_from_columns` applies.
+        range; sync rows (``flag & 2``) are dropped here by
+        :func:`_drop_sync_rows`, as the batch index drops them.
         ``counted`` regions add to the totals whether or not they are
         admitted; a fan-out worker passes ``False`` for the straddlers
         it preloads, which the worker owning them counts.
         """
-        plain = []
-        append = plain.append
-        addresses: Dict[int, None] = {}
-        writes = 0
-        for row in rows:
-            flag = row[1]
-            if flag & 2:
-                continue
-            append(row)
-            addresses[row[2]] = None
-            if flag & 1:
-                writes += 1
+        flags, (rows,) = _drop_sync_rows(bytes(map(itemgetter(1), rows)), [rows])
+        addresses = dict.fromkeys(map(itemgetter(2), rows))
         if counted:
             self.regions += 1
-            self.accesses += len(plain)
-            self.writes += writes
+            self.accesses += len(rows)
+            self.writes += flags.translate(_WRITE_BIT).count(1)
             self.addresses_seen.update(addresses)
-        if not plain:
+        if not rows:
             return None
         ordinal = self._next_ordinal
         self._next_ordinal += 1
-        self._rows[ordinal] = plain
+        self._rows[ordinal] = rows
         self._addresses[ordinal] = tuple(addresses)
         return ordinal
 
@@ -434,7 +443,7 @@ class StreamingAccessWindow:
         """Drop a region's resident state (the sweep expired it)."""
         del self._rows[ordinal]
         del self._addresses[ordinal]
-        self._grouped.pop(ordinal, None)
+        self._at.pop(ordinal, None)
 
     # -- the sweep-facing surface ---------------------------------------
 
@@ -442,24 +451,18 @@ class StreamingAccessWindow:
         """Distinct addresses a region touches, in first-touch order."""
         return self._addresses[ordinal]
 
-    def by_address(self, ordinal: int) -> Dict[int, List[ReplayedAccess]]:
-        """A region's accesses grouped by address (step order preserved),
-        materialized to :class:`ReplayedAccess` on first query."""
-        grouped = self._grouped.get(ordinal)
-        if grouped is None:
-            grouped = self._grouped[ordinal] = {}
-            for step, flag, address, value, static_id in self._rows[ordinal]:
-                grouped.setdefault(address, []).append(
-                    ReplayedAccess(
-                        thread_step=step,
-                        static_id=static_id,
-                        address=address,
-                        value=value,
-                        is_write=bool(flag & 1),
-                        is_sync=False,
-                    )
-                )
-        return grouped
+    def accesses_at(self, ordinal: int, address: int) -> List[tuple]:
+        """A resident region's rows at one address, as ``(step, is_write,
+        value, static_id)`` in step order; cached until :meth:`retire`."""
+        cached = self._at.setdefault(ordinal, {})
+        rows = cached.get(address)
+        if rows is None:
+            rows = cached[address] = [
+                (step, flag & 1 == 1, value, static_id)
+                for step, flag, at, value, static_id in self._rows[ordinal]
+                if at == address
+            ]
+        return rows
 
     @property
     def resident_regions(self) -> int:

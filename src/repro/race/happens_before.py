@@ -42,7 +42,6 @@ from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..replay.events import ReplayedAccess
 from ..replay.log_view import LogView, SegmentCursor
 from ..replay.ordered_replay import OrderedReplay
 from ..replay.regions import SequencingRegion
@@ -72,7 +71,12 @@ class SweepKernel:
 
     ``store`` holds the regions' accesses, addressed by ordinal: an
     :class:`AccessIndex` (batch) or a :class:`StreamingAccessWindow`.
-    It answers ``addresses_of``, ``by_address`` and ``retire``.
+    It answers three calls: ``addresses_of(ordinal)``, the distinct
+    addresses a region touches; ``accesses_at(ordinal, address)``, its
+    rows there as ``(step, is_write, value, static_id)`` in step order;
+    and ``retire(ordinal)``, once the region has expired.  A region pair
+    is compared only on the addresses both regions touch, row by row,
+    and each instance is built straight from those rows.
 
     Regions must be swept in opening-timestamp order.  A region expires
     from the active set once its closing timestamp is at or before the
@@ -121,20 +125,13 @@ class SweepKernel:
         for address in addresses:
             candidates |= active_by_address[address]
         tid = region.tid
-        grouped = None
         instances: List[RaceInstance] = []
         for other in sorted(candidates):
             other_region = active[other]
             if other_region.tid == tid:
                 continue
             self.examined += 1
-            if grouped is None:
-                grouped = store.by_address(ordinal)
-            instances.extend(
-                self._conflicts(
-                    other_region, store.by_address(other), region, grouped
-                )
-            )
+            instances.extend(self._conflicts(other, other_region, ordinal, region))
         self.preload(ordinal, region)
         return instances
 
@@ -166,55 +163,52 @@ class SweepKernel:
 
     def _conflicts(
         self,
+        ordinal_a: int,
         region_a: SequencingRegion,
-        accesses_a: Dict[int, List[ReplayedAccess]],
+        ordinal_b: int,
         region_b: SequencingRegion,
-        accesses_b: Dict[int, List[ReplayedAccess]],
     ) -> List[RaceInstance]:
         # Canonical side ordering: earlier-opening region is side A.
         if (region_b.start_ts, region_b.tid) < (region_a.start_ts, region_a.tid):
             region_a, region_b = region_b, region_a
-            accesses_a, accesses_b = accesses_b, accesses_a
+            ordinal_a, ordinal_b = ordinal_b, ordinal_a
+        store = self.store
+        accesses_at = store.accesses_at
+        cap = self.max_pairs_per_location
+        name_a, tid_a = region_a.thread_name, region_a.tid
+        name_b, tid_b = region_b.thread_name, region_b.tid
         instances: List[RaceInstance] = []
-        common = set(accesses_a) & set(accesses_b)
+        common = set(store.addresses_of(ordinal_a)).intersection(
+            store.addresses_of(ordinal_b)
+        )
         for address in sorted(common):
+            rows_b = accesses_at(ordinal_b, address)
             emitted = 0
-            for access_a in accesses_a[address]:
-                for access_b in accesses_b[address]:
-                    if not (access_a.is_write or access_b.is_write):
+            for step_a, write_a, value_a, static_a in accesses_at(ordinal_a, address):
+                access_a = None  # built on its first pair, shared by the rest
+                for step_b, write_b, value_b, static_b in rows_b:
+                    if not (write_a or write_b):
                         continue
-                    if (
-                        self.max_pairs_per_location is not None
-                        and emitted >= self.max_pairs_per_location
-                    ):
+                    if cap is not None and emitted >= cap:
                         self.truncated_locations += 1
                         break
-                    instances.append(
-                        RaceInstance(
-                            access_a=self._to_race_access(region_a, access_a),
-                            access_b=self._to_race_access(region_b, access_b),
-                            region_a=region_a,
-                            region_b=region_b,
+                    # RaceAccess(thread_name, tid, thread_step, static_id,
+                    # address, value, is_write)
+                    if access_a is None:
+                        access_a = RaceAccess(
+                            name_a, tid_a, step_a, static_a, address, value_a, write_a
                         )
+                    access_b = RaceAccess(
+                        name_b, tid_b, step_b, static_b, address, value_b, write_b
+                    )
+                    instances.append(
+                        RaceInstance(access_a, access_b, region_a, region_b)
                     )
                     emitted += 1
                 else:
                     continue
                 break
         return instances
-
-    def _to_race_access(
-        self, region: SequencingRegion, access: ReplayedAccess
-    ) -> RaceAccess:
-        return RaceAccess(
-            thread_name=region.thread_name,
-            tid=region.tid,
-            thread_step=access.thread_step,
-            static_id=access.static_id,
-            address=access.address,
-            value=access.value,
-            is_write=access.is_write,
-        )
 
 
 class HappensBeforeDetector:
@@ -260,6 +254,7 @@ class HappensBeforeDetector:
         for ordinal, region in enumerate(index.regions):
             if addresses_of(ordinal):
                 instances.extend(kernel.sweep(ordinal, region))
+        kernel.drain()
         self.truncated_locations = kernel.truncated_locations
         if self.perf is not None:
             kernel.record_perf(self.perf)

@@ -139,12 +139,15 @@ class LogFormatError(ValueError):
     ``offset`` is the byte offset where decoding failed — within the
     container for frame errors, within the decompressed section for
     payload errors — and ``segment`` the v4 segment ordinal, when known.
+    ``version`` is the container's version byte when the header check
+    rejected it, ``None`` otherwise (bad magic included).
     """
 
-    def __init__(self, reason: str, offset=None, segment=None) -> None:
+    def __init__(self, reason: str, offset=None, segment=None, version=None) -> None:
         self.reason = reason
         self.offset = offset
         self.segment = segment
+        self.version = version
         message = "corrupt replay log: " + reason
         if offset is not None:
             message += " at byte offset %d" % offset
@@ -154,7 +157,26 @@ class LogFormatError(ValueError):
 
     def in_segment(self, segment: int) -> "LogFormatError":
         """The same error, tagged with the segment it occurred in."""
-        return LogFormatError(self.reason, self.offset, segment)
+        return LogFormatError(self.reason, self.offset, segment, self.version)
+
+
+def _container_version(data) -> int:
+    """Check a container's magic bytes and version byte; return the
+    version.  Every binary reader starts here, so a foreign file, a cut
+    header or a version this reader does not know is one
+    :class:`LogFormatError`."""
+    if not data.startswith(MAGIC):
+        raise LogFormatError("not a binary replay log (bad magic bytes)", 0)
+    if len(data) <= len(MAGIC):
+        raise LogFormatError("truncated container header", len(data))
+    version = data[len(MAGIC)]
+    if version not in SUPPORTED_VERSIONS:
+        raise LogFormatError(
+            "unsupported binary replay-log format version: %d" % version,
+            len(MAGIC),
+            version=version,
+        )
+    return version
 
 
 def _varints_end(data: bytes, offset: int, count: int) -> int:
@@ -761,13 +783,7 @@ def _read_captured(reader: _Reader, threads: dict) -> CapturedAccessColumns:
 
 def decode_log(data: bytes) -> ReplayLog:
     """Rebuild a :class:`ReplayLog` from :func:`encode_log` output."""
-    if not data.startswith(MAGIC):
-        raise ValueError("not a binary replay log (bad magic bytes)")
-    version = data[len(MAGIC)]
-    if version not in SUPPORTED_VERSIONS:
-        raise ValueError(
-            "unsupported binary replay-log format version: %d" % version
-        )
+    version = _container_version(data)
     if version >= SEGMENTED_FORMAT_VERSION:
         return _decode_log_segmented(data)
     reader = _Reader(_inflate(data[len(MAGIC) + 1 :]))
@@ -901,13 +917,7 @@ def decode_log_sections(data: bytes) -> LogSections:
     rows and the optional global order.  The wire format is unchanged;
     this is purely a cheaper reader over the same bytes.
     """
-    if not data.startswith(MAGIC):
-        raise ValueError("not a binary replay log (bad magic bytes)")
-    version = data[len(MAGIC)]
-    if version not in SUPPORTED_VERSIONS:
-        raise ValueError(
-            "unsupported binary replay-log format version: %d" % version
-        )
+    version = _container_version(data)
     if version >= SEGMENTED_FORMAT_VERSION:
         return _decode_log_sections_segmented(data)
     reader = _Reader(_inflate(data[len(MAGIC) + 1 :]))
@@ -1597,17 +1607,11 @@ def _iter_frames(data) -> Iterator[Tuple[int, int, int]]:
 
 
 def _require_segmented(data: bytes) -> int:
-    if not data.startswith(MAGIC):
-        raise ValueError("not a binary replay log (bad magic bytes)")
-    version = data[len(MAGIC)]
+    version = _container_version(data)
     if version < SEGMENTED_FORMAT_VERSION:
         raise ValueError(
             "not a segmented replay log (container version %d predates v%d)"
             % (version, SEGMENTED_FORMAT_VERSION)
-        )
-    if version not in SUPPORTED_VERSIONS:
-        raise ValueError(
-            "unsupported binary replay-log format version: %d" % version
         )
     return version
 

@@ -28,6 +28,7 @@ nonzero exit) and callers fall back to :class:`OrderedReplay`.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from heapq import heappop, heappush
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
@@ -356,11 +357,11 @@ class SegmentCursor:
         # start_step are stragglers of the *previous* closing sequencer's
         # step (the VM emits a sync instruction's sequencer before its
         # access hooks) — always sync-flagged, outside every region.
+        # Rows are step-sorted tuples, so ``(end_step,)`` sorts before
+        # every row at end_step (a prefix compares lower) and after every
+        # earlier one: the comparison never reaches a row's other fields.
         buffered = cursor.rows
-        position = 0
-        total = len(buffered)
-        while position < total and buffered[position][0] < end_step:
-            position += 1
+        position = bisect_left(buffered, (end_step,))
         rows = buffered[:position]
         del buffered[:position]
         if rows and rows[0][0] < start_step:

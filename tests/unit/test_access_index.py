@@ -132,19 +132,42 @@ class TestQueries:
             }
             assert set(index.addresses_of(ordinal)) == touched
 
-    def test_by_address_groups_in_step_order(self, index):
-        for ordinal in range(index.region_count):
-            grouped = index.by_address(ordinal)
-            flattened = [
-                access for accesses in grouped.values() for access in accesses
-            ]
-            assert len(flattened) == len(
-                index.region_accesses(index.regions[ordinal])
-            )
-            for address, accesses in grouped.items():
-                steps = [access.thread_step for access in accesses]
-                assert steps == sorted(steps)
-                assert all(access.address == address for access in accesses)
+    def test_accesses_at_groups_in_step_order(self, index):
+        """``accesses_at`` partitions a region's plain accesses by
+        address, each group in step order, as ``(step, is_write, value,
+        static_id)`` rows."""
+        for ordinal, region in enumerate(index.regions):
+            accesses = index.region_accesses(region)
+            grouped = {
+                address: index.accesses_at(ordinal, address)
+                for address in index.addresses_of(ordinal)
+            }
+            assert sum(len(rows) for rows in grouped.values()) == len(accesses)
+            for address, rows in grouped.items():
+                assert rows == [
+                    (
+                        access.thread_step,
+                        access.is_write,
+                        access.value,
+                        access.static_id,
+                    )
+                    for access in accesses
+                    if access.address == address
+                ]
+                assert all(type(row[1]) is bool for row in rows)
+
+    def test_accesses_at_is_cached_until_retired(self, index):
+        ordinal = next(
+            ordinal
+            for ordinal in range(index.region_count)
+            if index.addresses_of(ordinal)
+        )
+        address = index.addresses_of(ordinal)[0]
+        rows = index.accesses_at(ordinal, address)
+        assert index.accesses_at(ordinal, address) is rows
+        index.retire(ordinal)
+        again = index.accesses_at(ordinal, address)
+        assert again == rows and again is not rows
 
     def test_regions_touching(self, ordered, index):
         x = ordered.program.data_address("x")
@@ -246,7 +269,7 @@ class TestFromCaptured:
         for ordinal in bare:
             start, end = index.region_slice(ordinal)
             assert start == end
-            assert index.by_address(ordinal) == {}
+            assert index.accesses_at(ordinal, 0) == []
             assert index.region_accesses(index.regions[ordinal]) == []
 
     def test_single_region_address_postings(self):

@@ -149,6 +149,28 @@ class TestDetect:
             assert err.count("\n") == 1 and "Traceback" not in err
 
 
+    def test_unknown_container_version_is_a_one_line_error(self, tmp_path, capsys):
+        program = tmp_path / "demo.asm"
+        program.write_text(DEMO_SOURCE)
+        log = tmp_path / "demo.rprb"
+        code, _ = run_cli(["record", str(program), "-o", str(log)])
+        assert code == 0
+        data = bytearray(log.read_bytes())
+        data[4] = 99  # the version byte follows the 4-byte magic
+        future = tmp_path / "future.rprb"
+        future.write_bytes(bytes(data))
+        capsys.readouterr()
+        for path_flags in ([], ["--stream"], ["--from-log"]):
+            code, _ = run_cli(["detect", str(future)] + path_flags)
+            err = capsys.readouterr().err
+            assert code == 1
+            assert err.startswith(
+                "error: corrupt replay log: unsupported binary replay-log "
+                "format version: 99"
+            )
+            assert err.count("\n") == 1 and "Traceback" not in err
+
+
 class TestClassify:
     def test_classify_prints_triage(self, recorded):
         _, log, _ = recorded

@@ -230,6 +230,49 @@ class TestCursorSkip:
         )
 
 
+class _Opaque:
+    """A static id that refuses to be compared: claiming rows must
+    decide on the step alone."""
+
+    def __eq__(self, other):
+        raise AssertionError("row static ids compared")
+
+    __lt__ = __gt__ = __le__ = __ge__ = __eq__
+    __hash__ = object.__hash__
+
+
+class TestCursorClaim:
+    def test_rows_at_the_closing_step_wait_for_the_next_region(self):
+        """A region claims the rows below its closing step.  The rows at
+        that step belong to the closing sync instruction: they stay
+        buffered, and the next region drops them as sync stragglers
+        below its start step."""
+        sid = _Opaque()
+        stragglers = [(2, 2, 0x40, 0, sid), (2, 3, 0x40, 1, sid)]
+        first = [(3, 0, 0x10, 5, sid), (4, 1, 0x10, 6, sid), (4, 0, 0x18, 6, sid)]
+        at_close = [(5, 2, 0x40, 1, sid), (5, 3, 0x40, 0, sid), (5, 2, 0x48, 0, sid)]
+        second = [(6, 1, 0x10, 7, sid), (6, 0, 0x18, 7, sid)]
+        cursor = SegmentCursor()
+        cursor.add(0, "t", 1, [(2, 1, "lock"), (5, 3, "unlock")], stragglers + first + at_close)
+        assert cursor._threads["t"].rows == at_close
+        cursor.add(1, "t", 1, [(7, 5, "lock")], second)
+        assert cursor._threads["t"].rows == []
+        released = cursor.finish()
+        assert [(region.start_step, region.end_step) for region, _ in released] == [
+            (3, 5),
+            (6, 7),
+        ]
+        assert [rows for _, rows in released] == [first, second]
+
+    def test_plain_row_below_the_window_is_refused(self):
+        cursor = SegmentCursor()
+        with pytest.raises(LogViewUnavailable, match="below its region window"):
+            cursor.add(
+                0, "t", 1, [(2, 1, "lock"), (5, 3, "unlock")],
+                [(2, 0, 0x10, 0, None), (3, 0, 0x10, 0, None)],
+            )
+
+
 class TestCursorErrors:
     def test_out_of_order_segments_name_segment_and_step(self):
         _, log = _recorded()
@@ -431,3 +474,57 @@ class TestTruncatedContainers:
                 read(truncated)
             assert info.value.offset is not None
             assert info.value.offset <= len(cut)
+
+
+class TestContainerHeader:
+    """One header check fronts every binary reader: a foreign file, a
+    cut header and an unknown version byte are each one
+    :class:`LogFormatError`, carrying the rejected ``version``."""
+
+    @staticmethod
+    def _readers(tmp_path):
+        def mapped(data):
+            path = tmp_path / "header.rprb"
+            path.write_bytes(data)
+            MappedSegmentedReader(path).close()
+
+        return (decode_log, decode_log_sections, read_segmented_header, mapped)
+
+    def test_bad_magic(self, tmp_path):
+        _, log = _recorded()
+        data = b"NOPE" + encode_log_segmented(log)[len(MAGIC) :]
+        for read in self._readers(tmp_path):
+            with pytest.raises(LogFormatError) as info:
+                read(data)
+            assert info.value.version is None
+            assert info.value.offset == 0
+            assert "bad magic" in str(info.value)
+
+    @pytest.mark.parametrize("version", (0, SEGMENTED_FORMAT_VERSION + 1, 99))
+    def test_unknown_version(self, tmp_path, version):
+        _, log = _recorded()
+        data = bytearray(encode_log_segmented(log))
+        data[len(MAGIC)] = version
+        for read in self._readers(tmp_path):
+            with pytest.raises(LogFormatError) as info:
+                read(bytes(data))
+            assert info.value.version == version
+            assert info.value.offset == len(MAGIC)
+            assert "unsupported binary replay-log format version: %d" % version in str(
+                info.value
+            )
+
+    def test_cut_before_the_version_byte(self, tmp_path):
+        for read in self._readers(tmp_path):
+            with pytest.raises(LogFormatError, match="truncated container header"):
+                read(MAGIC)
+
+    def test_known_monolithic_version_is_no_format_error(self, tmp_path):
+        """A valid v3 container is not corrupt: the segmented readers
+        refuse it with a plain ``ValueError`` naming the version gap."""
+        _, log = _recorded()
+        data = encode_log(log, version=3)
+        for read in self._readers(tmp_path)[2:]:
+            with pytest.raises(ValueError, match="predates") as info:
+                read(data)
+            assert not isinstance(info.value, LogFormatError)
