@@ -58,6 +58,12 @@ MEMORY_TOUCHING_KINDS = frozenset(
     (K_LOAD, K_STORE, K_LOCK, K_UNLOCK, K_ATOM_ADD, K_ATOM_XCHG, K_CAS)
 )
 
+#: Kinds whose instructions are sequencer points (``spec.is_sequencer_point``):
+#: the syscalls and the sync instructions.  A replay region ends on one.
+SEQUENCER_KINDS = frozenset(
+    (K_SYSCALL, K_LOCK, K_UNLOCK, K_ATOM_ADD, K_ATOM_XCHG, K_CAS, K_FENCE)
+)
+
 
 def _alu_fn(opcode: str) -> Callable[[int, int], int]:
     """The raw two-word ALU callable for a (possibly immediate-form) opcode.
@@ -206,5 +212,6 @@ def predecode_block(block) -> List[DecodedRecord]:
 __all__ = [name for name in list(globals()) if name.startswith("K_")] + [
     "DecodedRecord",
     "MEMORY_TOUCHING_KINDS",
+    "SEQUENCER_KINDS",
     "predecode_block",
 ]

@@ -36,15 +36,32 @@ Replay failures (§4.2.1) surface as :class:`ReplayFailure`:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..isa.instructions import Instruction
-from ..isa.operands import Imm, Mem
+from ..isa.operands import WORD_MASK, to_unsigned
+from ..isa.predecode import (
+    K_ALU_RI,
+    K_ALU_RR,
+    K_BRANCH1,
+    K_BRANCH2,
+    K_HALT,
+    K_JMP,
+    K_LI,
+    K_LOAD,
+    K_MOV,
+    K_STORE,
+    SEQUENCER_KINDS,
+)
 from ..isa.program import CodeBlock, Program, StaticInstructionId
-from ..vm import alu
-from ..vm.registers import RegisterFile
 from .errors import ReplayFailure, ReplayFailureKind
+
+#: The step budget of a region run with no stop short of its end.
+_NO_STOP = sys.maxsize
+#: Steps a thread runs before spin-cycle detection engages (almost every
+#: replay finishes well under this, so the common case pays nothing).
+_SPIN_CHECK_AFTER = 64
 
 
 @dataclass
@@ -63,7 +80,7 @@ class VPConfig:
     allow_unrecorded_control_flow: bool = False
     allow_unknown_addresses: bool = False
     #: Prove STEP_LIMIT early when a live thread provably spins forever
-    #: (see :meth:`VirtualProcessor._run_to_region_end`).  Same verdicts,
+    #: (see :meth:`VirtualProcessor._run_region`).  Same verdicts,
     #: without interpreting up to ``step_limit`` instructions first.
     detect_spin_cycles: bool = True
 
@@ -156,42 +173,49 @@ def same_state(
 
 
 class _VPThread:
-    """Mutable per-thread execution state inside the VP.
+    """Mutable per-thread execution state inside the VP: a pc, a step
+    count and a plain register list, plus the racing value and the
+    executed static ids the outcome reports.
 
     ``follow_log`` marks a thread whose *entire* region replays from the
     recorded load values — the original-order replay, which by definition
     is the recording itself.  A live thread follows the log only up to its
-    racing operation and then runs against the VP memory.
+    racing operation and then runs against the VP memory; ``logged_until``
+    is the step bound of its logged loads.  ``footprint`` is ``None`` when
+    the pc footprint check is off (log-following threads, and the
+    ``allow_unrecorded_control_flow`` extension).
     """
 
-    def __init__(self, spec: VPThreadSpec, follow_log: bool):
+    __slots__ = (
+        "spec", "name", "pc", "registers", "steps", "executed", "racing_value",
+        "follow_log", "logged_until", "footprint",
+    )
+
+    def __init__(
+        self, spec: VPThreadSpec, follow_log: bool, fast_forward: bool,
+        allow_unrecorded_control_flow: bool,
+    ):
         self.spec = spec
         self.name = spec.thread_name
-        self.block = spec.block
-        self.pc = spec.start_pc
-        self.registers = RegisterFile(spec.registers)
-        self.steps = 0
-        self.done = False
         self.follow_log = follow_log
-        self.executed: List[StaticInstructionId] = []
+        if fast_forward:
+            # Land on the recorded state just before the racing op.
+            self.pc = spec.racing_pc
+            self.steps = spec.racing_step_offset
+            self.executed: List[StaticInstructionId] = list(spec.prefix_static_ids)
+            registers = spec.racing_registers
+        else:
+            self.pc, self.steps, self.executed = spec.start_pc, 0, []
+            registers = spec.registers
+        self.registers = [to_unsigned(value) for value in registers]
         self.racing_value: Optional[int] = None
-
-    def load_is_logged(self) -> bool:
-        """Should the load at the current step come from the log?"""
-        if self.spec.recorded_loads is None:
-            return False
-        if self.follow_log:
-            return True
-        return self.steps < self.spec.racing_step_offset
-
-    def at_region_end(self) -> bool:
-        """True when the next instruction closes the region."""
-        if self.done:
-            return True
-        if self.pc >= len(self.block):
-            return True
-        instruction = self.block.instruction_at(self.pc)
-        return instruction.spec.is_sequencer_point
+        if spec.recorded_loads is None:
+            self.logged_until = 0
+        else:
+            self.logged_until = _NO_STOP if follow_log else spec.racing_step_offset
+        self.footprint: Optional[Set[int]] = (
+            None if follow_log or allow_unrecorded_control_flow else spec.pc_footprint
+        )
 
 
 class _VPMemory:
@@ -200,31 +224,18 @@ class _VPMemory:
     Values read in (from logs or the live-in image) only feed later reads;
     the *live-out* state the classifier compares consists solely of the
     addresses actually written (:meth:`dirty`), so two replays that merely
-    read different subsets of memory do not spuriously differ.
+    read different subsets of memory do not spuriously differ.  A logged
+    load's value seeds ``values`` but never overwrites a written address:
+    the canonical phase schedule replays one thread's suffix after the
+    other's, so a logged load can observe a *stale* recorded past after a
+    store that canonically already happened — the store stays the truth.
     """
 
-    __slots__ = ("values", "written", "store_count")
+    __slots__ = ("values", "written")
 
     def __init__(self) -> None:
         self.values: Dict[int, int] = {}
         self.written: Set[int] = set()
-        self.store_count = 0
-
-    def seed(self, address: int, value: int) -> None:
-        """Record an observed (read) value without marking it written.
-
-        A seed never overwrites a written value: the canonical phase
-        schedule replays one thread's suffix after the other's, so a
-        logged load can observe a *stale* recorded past after a store that
-        canonically already happened — the store stays the truth.
-        """
-        if address not in self.written:
-            self.values[address] = value
-
-    def store(self, address: int, value: int) -> None:
-        self.values[address] = value & ((1 << 64) - 1)
-        self.written.add(address)
-        self.store_count += 1
 
     def clone(self) -> "_VPMemory":
         """An independent copy (the cached prefix-seed image is cloned per
@@ -232,7 +243,6 @@ class _VPMemory:
         copy = _VPMemory.__new__(_VPMemory)
         copy.values = dict(self.values)
         copy.written = set(self.written)
-        copy.store_count = self.store_count
         return copy
 
     def dirty(self) -> Dict[int, int]:
@@ -295,158 +305,262 @@ class VirtualProcessor:
         *alternative* replay, which may leave the recorded envelope and
         raise :class:`ReplayFailure` (§4.2.1).
         """
-        thread_a = _VPThread(self.spec_a, follow_log)
-        thread_b = _VPThread(self.spec_b, follow_log)
+        spec_a, spec_b = self.spec_a, self.spec_b
+        if first not in (spec_a.thread_name, spec_b.thread_name):
+            raise ValueError("unknown first thread %r" % first)
+        allow_unrecorded = self.config.allow_unrecorded_control_flow
 
         # Phase 1: prefixes, in fixed thread order.  Both replays' prefixes
         # follow the log, so when the specs carry the precomputed prefix
         # state the threads fast-forward to their racing ops and only the
         # divergent window executes live.
-        if (
+        fast_forward = (
             not follow_log
-            and self.spec_a.racing_registers is not None
-            and self.spec_b.racing_registers is not None
-        ):
-            memory = self._fast_forward_pair()
+            and spec_a.racing_registers is not None
+            and spec_b.racing_registers is not None
+        )
+        memory = self._fast_forward_pair() if fast_forward else _VPMemory()
+        thread_a = _VPThread(spec_a, follow_log, fast_forward, allow_unrecorded)
+        thread_b = _VPThread(spec_b, follow_log, fast_forward, allow_unrecorded)
+        if not fast_forward:
             for thread in (thread_a, thread_b):
-                self._install_prefix(thread)
-        else:
-            memory = _VPMemory()
-            for thread in (thread_a, thread_b):
-                self._run_to_racing_op(thread, memory)
+                spec = thread.spec
+                self._run_region(thread, memory, spec.racing_step_offset)
+                if thread.steps < spec.racing_step_offset:
+                    raise ReplayFailure(
+                        ReplayFailureKind.DIVERGENCE,
+                        "%s reached region end before its racing op" % thread.name,
+                    )
+                static_here = (
+                    spec.block.static_id(thread.pc)
+                    if thread.pc < len(spec.block)
+                    else None
+                )
+                if static_here != spec.racing_static_id:
+                    raise ReplayFailure(
+                        ReplayFailureKind.DIVERGENCE,
+                        "%s arrived at %s, expected racing op %s"
+                        % (thread.name, static_here, spec.racing_static_id),
+                    )
 
-        # Phase 2: the racing pair, in the requested order.
+        # Phase 2: the racing pair, in the requested order.  Each thread
+        # stands on its racing op — a plain load or store inside its block
+        # — so a one-step budget runs exactly that instruction.
         ordered = (
             (thread_a, thread_b) if first == thread_a.name else (thread_b, thread_a)
         )
-        if first not in (thread_a.name, thread_b.name):
-            raise ValueError("unknown first thread %r" % first)
         for thread in ordered:
-            self._step(thread, memory)
+            self._run_region(thread, memory, thread.steps + 1)
 
-        # Phase 3: suffixes to region end, in fixed thread order.
+        # Phase 3: suffixes to region end, in fixed thread order.  A
+        # log-following thread's loads are keyed by step number, so a
+        # repeated (pc, registers) state does *not* imply repetition;
+        # spin-cycle detection is sound only for live threads.
+        spin = self.config.detect_spin_cycles and not follow_log
         for thread in (thread_a, thread_b):
-            self._run_to_region_end(thread, memory)
+            self._run_region(thread, memory, _NO_STOP, spin)
 
+        threads = (thread_a, thread_b)
         return VPOutcome(
-            registers={
-                thread_a.name: thread_a.registers.snapshot(),
-                thread_b.name: thread_b.registers.snapshot(),
-            },
+            registers={thread.name: tuple(thread.registers) for thread in threads},
             dirty_memory=memory.dirty(),
-            end_pcs={thread_a.name: thread_a.pc, thread_b.name: thread_b.pc},
-            steps={thread_a.name: thread_a.steps, thread_b.name: thread_b.steps},
-            executed={
-                thread_a.name: list(thread_a.executed),
-                thread_b.name: list(thread_b.executed),
-            },
-            racing_values={
-                thread_a.name: thread_a.racing_value,
-                thread_b.name: thread_b.racing_value,
-            },
+            end_pcs={thread.name: thread.pc for thread in threads},
+            steps={thread.name: thread.steps for thread in threads},
+            executed={thread.name: thread.executed for thread in threads},
+            racing_values={thread.name: thread.racing_value for thread in threads},
         )
 
     # ------------------------------------------------------------------
-    # Phases.
+    # The region kernel.
     # ------------------------------------------------------------------
 
-    def _run_to_racing_op(self, thread: _VPThread, memory: "_VPMemory") -> None:
-        while thread.steps < thread.spec.racing_step_offset:
-            if thread.at_region_end():
-                raise ReplayFailure(
-                    ReplayFailureKind.DIVERGENCE,
-                    "%s reached region end before its racing op" % thread.name,
-                )
-            self._step(thread, memory)
-        static_here = thread.block.static_id(thread.pc) if thread.pc < len(thread.block) else None
-        if static_here != thread.spec.racing_static_id:
-            raise ReplayFailure(
-                ReplayFailureKind.DIVERGENCE,
-                "%s arrived at %s, expected racing op %s"
-                % (thread.name, static_here, thread.spec.racing_static_id),
-            )
+    def _run_region(
+        self, thread: _VPThread, memory: _VPMemory, stop: int, spin: bool = False
+    ) -> None:
+        """Run ``thread`` until its region ends or its step count reaches
+        ``stop``: the processor's one execution loop, over the block's
+        predecoded dispatch records (:meth:`CodeBlock.decoded`).
 
-    #: Steps a thread runs before spin-cycle detection engages (almost every
-    #: replay finishes well under this, so the common case pays nothing).
-    _SPIN_CHECK_AFTER = 64
+        Each step checks, in order:
 
-    def _run_to_region_end(self, thread: _VPThread, memory: "_VPMemory") -> None:
-        if not self.config.detect_spin_cycles or thread.follow_log:
-            # A log-following thread's loads are keyed by step number, so a
-            # repeated (pc, registers) state does *not* imply repetition;
-            # cycle detection is sound only for live threads.
-            while not thread.at_region_end():
-                self._step(thread, memory)
-            return
+        1. a pc past the block, or a sequencer point, ends the region with
+           the instruction unexecuted;
+        2. with ``spin`` (a live suffix), past :data:`_SPIN_CHECK_AFTER`
+           steps, a revisited (pc, registers) state with no store in
+           between fails with the step limit's ``STEP_LIMIT``: every input
+           to every later instruction is unchanged, so the trajectory
+           repeats forever and *would* exhaust the limit;
+        3. the step limit;
+        4. the recorded pc footprint (``UNRECORDED_CONTROL_FLOW``);
+
+        then executes the instruction.  A logged load must match its log
+        record (``DIVERGENCE``) and seeds the memory; a live load is
+        address-checked and copied on read from the live-in image
+        (``UNKNOWN_ADDRESS`` unless ``allow_unknown_addresses``); a live
+        thread's stores are address-checked.  ``halt`` retires and ends
+        the region with the pc on it.
+        """
+        spec = thread.spec
+        name = thread.name
+        decoded = spec.block.decoded()
+        block_len = len(decoded)
+        racing_offset = spec.racing_step_offset
+        recorded_loads = spec.recorded_loads
+        logged_until = thread.logged_until
+        footprint = thread.footprint
+        check_stores = not thread.follow_log
+        live_in = self.live_in
+        freed = self.freed
+        check_address = self._check_address
+        allow_unknown = self.config.allow_unknown_addresses
+        step_limit = self.config.step_limit
+        spin_from = _SPIN_CHECK_AFTER if spin else _NO_STOP
+        check_from = min(spin_from, step_limit)
+        values = memory.values
+        written = memory.written
+        regs = thread.registers
+        executed = thread.executed
+        racing_value = thread.racing_value
+        pc = thread.pc
+        steps = thread.steps
+        # States visited since the last store (spin-cycle detection).
         seen: Optional[Set[Tuple[int, Tuple[int, ...]]]] = None
-        stores_seen = -1
-        while not thread.at_region_end():
-            if thread.steps >= self._SPIN_CHECK_AFTER:
-                # Past the racing op a live thread reads only VP memory, and
-                # values there change only on stores.  So if it revisits a
-                # (pc, registers) state with no store in between, every
-                # input to every subsequent instruction is unchanged: the
-                # trajectory repeats verbatim, forever.  That replay *will*
-                # exhaust the step limit — raise its exact failure now.
-                if memory.store_count != stores_seen:
-                    stores_seen = memory.store_count
-                    seen = set()
-                state = (thread.pc, thread.registers.snapshot())
-                if state in seen:
-                    raise ReplayFailure(
-                        ReplayFailureKind.STEP_LIMIT,
-                        "%s exceeded %d steps"
-                        % (thread.name, self.config.step_limit),
-                    )
-                seen.add(state)
-            self._step(thread, memory)
+        while steps < stop:
+            if pc >= block_len:
+                break
+            record = decoded[pc]
+            kind = record[0]
+            if kind in SEQUENCER_KINDS:
+                break
+            if steps >= check_from:
+                if steps >= spin_from:
+                    if seen is None:
+                        seen = set()
+                    state = (pc, tuple(regs))
+                    if state in seen:
+                        raise _step_limit_failure(name, step_limit)
+                    seen.add(state)
+                if steps >= step_limit:
+                    raise _step_limit_failure(name, step_limit)
+            if footprint is not None and pc not in footprint:
+                raise ReplayFailure(
+                    ReplayFailureKind.UNRECORDED_CONTROL_FLOW,
+                    "%s reached pc %d of block %r, never executed in the recording"
+                    % (name, pc, spec.block.name),
+                )
+            executed.append(record[1])
+            next_pc = pc + 1
+            if kind == K_ALU_RI:
+                regs[record[3]] = record[2](regs[record[4]], record[5]) & WORD_MASK
+            elif kind == K_LOAD:
+                base = record[3]
+                address = (regs[base] if base is not None else 0) + record[4]
+                if steps < logged_until:
+                    # Replay the load from the log (iDNA semantics: the
+                    # whole original-order replay, and every live replay's
+                    # pre-race prefix).  The recorded value also seeds the
+                    # VP memory so later live reads stay consistent with
+                    # the recording.
+                    recorded = recorded_loads.get(steps)
+                    if recorded is None or recorded[0] != address:
+                        raise ReplayFailure(
+                            ReplayFailureKind.DIVERGENCE,
+                            "%s logged load at step %d has no matching log record"
+                            % (name, steps),
+                        )
+                    value = recorded[1]
+                    if address not in written:
+                        values[address] = value
+                else:
+                    if address <= 0 or freed:
+                        check_address(address)
+                    value = values.get(address)
+                    if value is None:
+                        value = live_in.get(address)
+                        if value is None:
+                            if not allow_unknown:
+                                raise ReplayFailure(
+                                    ReplayFailureKind.UNKNOWN_ADDRESS,
+                                    "load of address %#x absent from the recorded"
+                                    " live-in image" % address,
+                                )
+                            # §4.2.1 extension: treat the address as
+                            # zero-filled memory (what the machine would
+                            # return for a never-written word).
+                            value = 0
+                        values[address] = value
+                if steps == racing_offset:
+                    racing_value = value
+                regs[record[2]] = value & WORD_MASK
+            elif kind == K_BRANCH1:
+                if record[2](regs[record[3]]):
+                    next_pc = record[4]
+            elif kind == K_STORE:
+                value = regs[record[2]]
+                if steps == racing_offset:
+                    racing_value = value
+                base = record[3]
+                address = (regs[base] if base is not None else 0) + record[4]
+                # A log-following store is legal by the recording.
+                if check_stores and (address <= 0 or freed):
+                    check_address(address)
+                values[address] = value
+                written.add(address)
+                seen = None
+            elif kind == K_ALU_RR:
+                regs[record[3]] = (
+                    record[2](regs[record[4]], regs[record[5]]) & WORD_MASK
+                )
+            elif kind == K_LI:
+                regs[record[2]] = record[3]
+            elif kind == K_BRANCH2:
+                if record[2](regs[record[3]], regs[record[4]]):
+                    next_pc = record[5]
+            elif kind == K_MOV:
+                regs[record[2]] = regs[record[3]]
+            elif kind == K_JMP:
+                next_pc = record[2]
+            elif kind == K_HALT:
+                steps += 1
+                break
+            pc = next_pc
+            steps += 1
+        thread.pc = pc
+        thread.steps = steps
+        thread.racing_value = racing_value
 
-    def _fast_forward_pair(self) -> "_VPMemory":
+    def _fast_forward_pair(self) -> _VPMemory:
         """The seeded prefix memory, built once per spec pair and cloned.
 
-        Matches running :meth:`_run_to_racing_op` on thread A then B step
-        for step: each prefix's loads seed the VP memory with their
-        recorded values and its stores write through, in program order
-        (and a store blocks later stale seeds of the same address, which
-        is why the A-then-B application order is part of the contract).
-        The step-limit failures the interpreter would raise mid-prefix are
-        reproduced up front, A first.  The built image depends only on the
-        two specs, so it lives in the :attr:`_prefix_seed` holder shared
-        across :meth:`rebind` clones and is cloned for each run — phases
-        2/3 mutate the clone, never the seed.
+        Matches running phase 1 on thread A then B step for step: each
+        prefix's loads seed the VP memory with their recorded values and
+        its stores write through, in program order (and a store blocks
+        later stale seeds of the same address, which is why the A-then-B
+        application order is part of the contract).  The step-limit
+        failures the interpreter would raise mid-prefix are reproduced up
+        front, A first.  The built image depends only on the two specs, so
+        it lives in the :attr:`_prefix_seed` holder shared across
+        :meth:`rebind` clones and is cloned for each run — phases 2/3
+        mutate the clone, never the seed.
         """
         for spec in (self.spec_a, self.spec_b):
             if spec.racing_step_offset > self.config.step_limit:
-                raise ReplayFailure(
-                    ReplayFailureKind.STEP_LIMIT,
-                    "%s exceeded %d steps"
-                    % (spec.thread_name, self.config.step_limit),
-                )
+                raise _step_limit_failure(spec.thread_name, self.config.step_limit)
         seed = self._prefix_seed[0]
         if seed is None:
             seed = _VPMemory()
             for spec in (self.spec_a, self.spec_b):
                 for access in spec.prefix_accesses:
                     if access.is_write:
-                        seed.store(access.address, access.value)
-                    else:
-                        seed.seed(access.address, access.value)
+                        seed.values[access.address] = access.value & WORD_MASK
+                        seed.written.add(access.address)
+                    elif access.address not in seed.written:
+                        seed.values[access.address] = access.value
             self._prefix_seed[0] = seed
         return seed.clone()
 
-    def _install_prefix(self, thread: _VPThread) -> None:
-        """Land one thread on the recorded state before its racing op."""
-        spec = thread.spec
-        thread.pc = spec.racing_pc
-        thread.registers = RegisterFile(spec.racing_registers)
-        thread.steps = spec.racing_step_offset
-        thread.executed = list(spec.prefix_static_ids)
-
-    # ------------------------------------------------------------------
-    # Copy-on-read memory.
-    # ------------------------------------------------------------------
-
     def _check_address(self, address: int) -> None:
+        """Fail a live access to null, a negative address or freed memory."""
         if address == 0:
             raise ReplayFailure(ReplayFailureKind.MEMORY_FAULT, "null dereference")
         if address < 0:
@@ -460,137 +574,8 @@ class VirtualProcessor:
                     "use-after-free at %#x (freed allocation %#x)" % (address, base),
                 )
 
-    def _read(self, address: int, memory: "_VPMemory") -> int:
-        self._check_address(address)
-        if address in memory.values:
-            return memory.values[address]
-        if address in self.live_in:
-            memory.values[address] = self.live_in[address]
-            return memory.values[address]
-        if self.config.allow_unknown_addresses:
-            # §4.2.1 extension: treat the address as zero-filled memory
-            # (what the machine would return for a never-written word).
-            memory.values[address] = 0
-            return 0
-        raise ReplayFailure(
-            ReplayFailureKind.UNKNOWN_ADDRESS,
-            "load of address %#x absent from the recorded live-in image" % address,
-        )
 
-    def _write(self, address: int, value: int, memory: "_VPMemory") -> None:
-        self._check_address(address)
-        memory.store(address, value)
-
-    # ------------------------------------------------------------------
-    # Instruction execution.
-    # ------------------------------------------------------------------
-
-    def _step(self, thread: _VPThread, memory: "_VPMemory") -> None:
-        if thread.done:
-            return
-        if thread.steps >= self.config.step_limit:
-            raise ReplayFailure(
-                ReplayFailureKind.STEP_LIMIT,
-                "%s exceeded %d steps" % (thread.name, self.config.step_limit),
-            )
-        pc = thread.pc
-        if pc >= len(thread.block) or pc < 0:
-            thread.done = True
-            return
-        if (
-            pc not in thread.spec.pc_footprint
-            and not thread.follow_log
-            and not self.config.allow_unrecorded_control_flow
-        ):
-            raise ReplayFailure(
-                ReplayFailureKind.UNRECORDED_CONTROL_FLOW,
-                "%s reached pc %d of block %r, never executed in the recording"
-                % (thread.name, pc, thread.block.name),
-            )
-        instruction = thread.block.instruction_at(pc)
-        if instruction.spec.is_sequencer_point:
-            # Region boundary: never execute the boundary instruction.
-            thread.done = True
-            return
-        thread.executed.append(thread.block.static_id(pc))
-        thread.pc = self._execute(instruction, thread, memory)
-        thread.steps += 1
-
-    def _execute(
-        self, instruction: Instruction, thread: _VPThread, memory: "_VPMemory"
-    ) -> int:
-        opcode = instruction.opcode
-        operands = instruction.operands
-        registers = thread.registers
-        pc = thread.pc
-
-        def reg(operand) -> int:
-            return registers.read(operand.index)
-
-        def mem_address(operand: Mem) -> int:
-            base = registers.read(operand.base) if operand.base is not None else 0
-            return base + operand.offset
-
-        if opcode == "li":
-            registers.write(operands[0].index, operands[1].value)
-        elif opcode == "mov":
-            registers.write(operands[0].index, reg(operands[1]))
-        elif alu.is_binary_op(opcode):
-            rhs = (
-                operands[2].value
-                if isinstance(operands[2], Imm)
-                else reg(operands[2])
-            )
-            registers.write(
-                operands[0].index, alu.binary_op(opcode, reg(operands[1]), rhs)
-            )
-        elif opcode == "load":
-            address = mem_address(operands[1])
-            if thread.load_is_logged():
-                # Replay the load from the log (iDNA semantics: the whole
-                # original-order replay, and every live replay's pre-race
-                # prefix).  The recorded value also seeds the VP memory so
-                # later live reads stay consistent with the recording.
-                recorded = thread.spec.recorded_loads.get(thread.steps)
-                if recorded is None or recorded[0] != address:
-                    raise ReplayFailure(
-                        ReplayFailureKind.DIVERGENCE,
-                        "%s logged load at step %d has no matching log record"
-                        % (thread.name, thread.steps),
-                    )
-                value = recorded[1]
-                memory.seed(address, value)
-            else:
-                value = self._read(address, memory)
-            if thread.steps == thread.spec.racing_step_offset:
-                thread.racing_value = value
-            registers.write(operands[0].index, value)
-        elif opcode == "store":
-            value = reg(operands[0])
-            if thread.steps == thread.spec.racing_step_offset:
-                thread.racing_value = value
-            address = mem_address(operands[1])
-            if thread.follow_log:
-                # The recording proves this store was legal; skip checks.
-                memory.store(address, value)
-            else:
-                self._write(address, value, memory)
-        elif opcode == "jmp":
-            return operands[0].value
-        elif opcode in ("beq", "bne", "blt", "bge"):
-            if alu.branch_taken(opcode, reg(operands[0]), reg(operands[1])):
-                return operands[2].value
-        elif opcode in ("beqz", "bnez"):
-            if alu.branch_taken(opcode, reg(operands[0])):
-                return operands[1].value
-        elif opcode == "halt":
-            thread.done = True
-            return pc
-        elif opcode == "nop":
-            pass
-        else:  # pragma: no cover - sequencer points are intercepted in _step
-            raise ReplayFailure(
-                ReplayFailureKind.DIVERGENCE,
-                "sequencer-point opcode %r reached _execute" % opcode,
-            )
-        return pc + 1
+def _step_limit_failure(thread_name: str, step_limit: int) -> ReplayFailure:
+    return ReplayFailure(
+        ReplayFailureKind.STEP_LIMIT, "%s exceeded %d steps" % (thread_name, step_limit)
+    )

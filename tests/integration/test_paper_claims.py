@@ -12,12 +12,16 @@ our corpus:
 4. Races classified potentially benign are all really benign (the
    Potentially-Benign/Real-Harmful cell is zero).
 5. Many instances map to few unique races.
+6. The round-0 per-instance verdict counts behind Table 1 stay fixed.
 """
+
+from collections import Counter
 
 import pytest
 
 from repro.analysis import analyze_suite, build_table1, build_table2, run_suite
 from repro.analysis.figures import build_figure3, build_figure4, build_figure5
+from repro.race.classifier import ClassifierConfig
 from repro.race.outcomes import Classification, InstanceOutcome
 from repro.workloads import GroundTruth, clean_suite, paper_suite
 
@@ -156,3 +160,39 @@ class TestFigureShapes:
         assert not (three & five)
         assert not (four & five)
         assert len(three | four | five) == suite.unique_race_count
+
+
+def _verdict_structure(suite):
+    entries = [entry for analysis in suite.executions for entry in analysis.classified]
+    outcomes = Counter(entry.outcome.name for entry in entries)
+    failures = Counter(
+        entry.failure_kind.name for entry in entries if entry.failure_kind is not None
+    )
+    return dict(outcomes), dict(failures)
+
+
+class TestVerdictStructure:
+    """The round-0 per-instance verdict counts behind Table 1, pinned: a
+    change to replay or classification that moves any of them is a change
+    to the paper's result, not an optimisation."""
+
+    def test_default_config(self, suite):
+        assert _verdict_structure(suite) == (
+            {"NO_STATE_CHANGE": 524, "STATE_CHANGE": 406, "REPLAY_FAILURE": 100},
+            {
+                "UNRECORDED_CONTROL_FLOW": 87,
+                "STEP_LIMIT": 8,
+                "DIVERGENCE": 4,
+                "MEMORY_FAULT": 1,
+            },
+        )
+
+    def test_continuing_through_unrecorded_control_flow(self):
+        suite = analyze_suite(
+            paper_suite(),
+            classifier_config=ClassifierConfig(allow_unrecorded_control_flow=True),
+        )
+        assert _verdict_structure(suite) == (
+            {"NO_STATE_CHANGE": 548, "STATE_CHANGE": 469, "REPLAY_FAILURE": 13},
+            {"STEP_LIMIT": 8, "DIVERGENCE": 4, "MEMORY_FAULT": 1},
+        )

@@ -1,5 +1,7 @@
 """Unit tests for the both-orders virtual processor."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.isa import assemble
@@ -108,6 +110,18 @@ class TestBothOrders:
 
     def test_unknown_first_thread_rejected(self):
         program, instance, live_in, processor = setup_vp(RACY_RMW)
+        with pytest.raises(ValueError):
+            processor.run(first="ghost")
+
+    def test_unknown_first_thread_rejected_before_replaying(self):
+        """A bad ``first`` is a programming error, never a replay failure:
+        it is rejected even when phase 1 would fail."""
+        program, instance, live_in, processor = setup_vp(RACY_RMW)
+        # A racing op past the region end: phase 1 runs off the region.
+        processor.spec_a = replace(processor.spec_a, racing_step_offset=10_000)
+        with pytest.raises(ReplayFailure) as failure:
+            processor.run(first=processor.spec_a.thread_name)
+        assert failure.value.kind is ReplayFailureKind.DIVERGENCE
         with pytest.raises(ValueError):
             processor.run(first="ghost")
 
