@@ -7,11 +7,10 @@ numbers behind EXPERIMENTS.md are regenerable with one command:
 
     pytest benchmarks/ --benchmark-only
 
-The scaling benchmarks (``bench_record_scaling``, ``bench_replay_scaling``,
-``bench_detect_parallel``) additionally share
-their workload-size ladders, the min-of-repeats timer, the JSON artifact
-writer and the ``--quick``/``--output`` CLI scaffolding from here, so a
-new scaling benchmark only supplies its workload and its gate.
+The scaling benchmarks (``bench_detect_parallel``, ``bench_fleet_absorb``)
+additionally share the recording seed, the min-of-repeats timer, the JSON
+artifact writer and the ``--quick``/``--output`` CLI scaffolding from
+here, so a new scaling benchmark only supplies its workload and its gate.
 """
 
 from __future__ import annotations
@@ -31,10 +30,6 @@ RESULTS_DIR = Path(__file__).parent / "results"
 # --- the shared scaling ladders --------------------------------------
 #: Seed every scaling benchmark records with (one seed, comparable runs).
 SCALING_SEED = 15
-#: Iteration ladder for interpreter-bound benchmarks (record/replay):
-#: per-iteration cost is flat, so the sizes run much larger.
-INTERP_SIZES = (200, 1000, 3000)
-INTERP_QUICK_SIZES = (100, 300)
 
 
 @pytest.fixture(scope="session")

@@ -93,8 +93,6 @@ class AccessIndex:
         # (the equivalence tests compare both paths), so every downstream
         # analysis is oblivious to the source.
         captured = getattr(ordered.log, "captured", None)
-        if not getattr(ordered, "_fast_path", True):
-            captured = None  # generic reference path: no columnar shortcuts
         self._build(
             regions=[
                 region for region in ordered.all_regions() if not region.is_empty

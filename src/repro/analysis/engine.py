@@ -666,9 +666,6 @@ class EngineConfig:
     #: Directory of the content-addressed record cache (None = no cache).
     #: A string (not a Path) so the config pickles cheaply to pool workers.
     cache_dir: Optional[str] = None
-    #: Replay threads through the predecoded fast path (False forces the
-    #: generic reference replayer; equivalence tests compare both).
-    replay_fast_path: bool = True
 
 
 class ClassificationEngine:
@@ -811,7 +808,6 @@ class ClassificationEngine:
             classifier_factory=self._classifier_factory,
             perf=stats,
             cache=self._record_cache,
-            replay_fast_path=self.config.replay_fast_path,
         )
         self._finish_analysis(analysis, stats, snapshot, verdict_key)
         return analysis
@@ -847,7 +843,6 @@ class ClassificationEngine:
             max_pairs_per_location=self.config.max_pairs_per_location,
             classifier_factory=self._classifier_factory,
             perf=stats,
-            replay_fast_path=self.config.replay_fast_path,
             detector_factory=detector_factory,
         )
         self._finish_analysis(analysis, stats, snapshot, verdict_key)
@@ -888,7 +883,6 @@ class ClassificationEngine:
             max_pairs_per_location=self.config.max_pairs_per_location,
             classifier_factory=self._classifier_factory,
             perf=stats,
-            replay_fast_path=self.config.replay_fast_path,
             segment_bytes=segment_bytes,
             log=log,
         )

@@ -73,16 +73,12 @@ class PerfStats:
     record_cache_hits: int = 0
     #: Executions that had to be recorded (cache enabled but cold/stale).
     record_cache_misses: int = 0
-    #: Threads replayed through the predecoded fast path.
+    #: Threads replayed through the predecoded thread replayer.
     replay_threads_fast: int = 0
-    #: Threads replayed through the generic reference interpreter.
-    replay_threads_generic: int = 0
     #: ReplayedAccess objects materialized from columnar rows on demand.
     replay_accesses_materialized: int = 0
-    #: Register snapshots reconstructed lazily (fast path, on first query).
+    #: Register snapshots reconstructed lazily (on first query).
     replay_snapshots_lazy: int = 0
-    #: Register snapshots taken eagerly (generic path, every region/step).
-    replay_snapshots_eager: int = 0
     #: Ordered replays whose walk + index ran entirely off captured columns.
     replay_captured_handoffs: int = 0
     #: Detect passes served by the zero-replay log view (no thread replay,
@@ -164,10 +160,8 @@ class PerfStats:
         self.record_cache_hits += other.record_cache_hits
         self.record_cache_misses += other.record_cache_misses
         self.replay_threads_fast += other.replay_threads_fast
-        self.replay_threads_generic += other.replay_threads_generic
         self.replay_accesses_materialized += other.replay_accesses_materialized
         self.replay_snapshots_lazy += other.replay_snapshots_lazy
-        self.replay_snapshots_eager += other.replay_snapshots_eager
         self.replay_captured_handoffs += other.replay_captured_handoffs
         self.detect_log_native += other.detect_log_native
         self.stream_jobs += other.stream_jobs
@@ -289,10 +283,8 @@ class PerfStats:
             "record_cache_misses": self.record_cache_misses,
             "record_cache_hit_rate": round(self.record_cache_hit_rate, 4),
             "replay_threads_fast": self.replay_threads_fast,
-            "replay_threads_generic": self.replay_threads_generic,
             "replay_accesses_materialized": self.replay_accesses_materialized,
             "replay_snapshots_lazy": self.replay_snapshots_lazy,
-            "replay_snapshots_eager": self.replay_snapshots_eager,
             "replay_captured_handoffs": self.replay_captured_handoffs,
             "detect_log_native": self.detect_log_native,
             "stream_jobs": self.stream_jobs,
@@ -355,26 +347,14 @@ class PerfStats:
                     100.0 * self.record_cache_hit_rate,
                 )
             )
-        if (
-            self.replay_threads_fast
-            or self.replay_threads_generic
-            or self.replay_captured_handoffs
-        ):
+        if self.replay_threads_fast or self.replay_captured_handoffs:
             lines.append(
-                "  replay: %d threads fast / %d generic, %d captured handoffs"
-                % (
-                    self.replay_threads_fast,
-                    self.replay_threads_generic,
-                    self.replay_captured_handoffs,
-                )
+                "  replay: %d threads, %d captured handoffs"
+                % (self.replay_threads_fast, self.replay_captured_handoffs)
             )
             lines.append(
-                "  replay lazy: %d accesses materialized, %d snapshots lazy / %d eager"
-                % (
-                    self.replay_accesses_materialized,
-                    self.replay_snapshots_lazy,
-                    self.replay_snapshots_eager,
-                )
+                "  replay lazy: %d accesses materialized, %d snapshots lazy"
+                % (self.replay_accesses_materialized, self.replay_snapshots_lazy)
             )
         if self.detect_log_native:
             lines.append(

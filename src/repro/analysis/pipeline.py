@@ -103,7 +103,6 @@ def analyze_execution(
     detector_factory=None,
     perf: Optional[PerfStats] = None,
     cache=None,
-    replay_fast_path: bool = True,
 ) -> ExecutionAnalysis:
     """Record and fully analyse one execution of a workload.
 
@@ -114,8 +113,7 @@ def analyze_execution(
     reference); ``perf`` accumulates per-stage wall time and work
     counters; ``cache`` (a :class:`repro.analysis.cache.SuiteCache`)
     serves the record stage by content address when the same execution
-    was recorded before; ``replay_fast_path=False`` forces the generic
-    reference replayer (equivalence tests compare both).
+    was recorded before.
     """
     workload = execution.workload
     program = workload.program()
@@ -149,9 +147,7 @@ def analyze_execution(
             stats.record_events += log.captured.total_events
             stats.record_predicted_loads += log.captured.predicted_loads
     with stats.stage("replay"):
-        ordered = OrderedReplay(
-            log, program, fast_path=replay_fast_path, perf=stats
-        )
+        ordered = OrderedReplay(log, program, perf=stats)
     with stats.stage("detect"):
         if detector_factory is None:
             detector = HappensBeforeDetector(
@@ -204,7 +200,6 @@ def analyze_log(
     classifier_factory=None,
     detector_factory=None,
     perf: Optional[PerfStats] = None,
-    replay_fast_path: bool = True,
 ) -> ExecutionAnalysis:
     """Fully analyse an already-recorded log: replay → detect → classify.
 
@@ -226,7 +221,7 @@ def analyze_log(
     stats = perf if perf is not None else PerfStats()
     program = workload.program()
     with stats.stage("replay"):
-        ordered = OrderedReplay(log, program, fast_path=replay_fast_path, perf=stats)
+        ordered = OrderedReplay(log, program, perf=stats)
     with stats.stage("detect"):
         if detector_factory is None:
             detector = HappensBeforeDetector(
@@ -265,7 +260,6 @@ def analyze_log_stream(
     max_pairs_per_location: Optional[int] = 256,
     classifier_factory=None,
     perf: Optional[PerfStats] = None,
-    replay_fast_path: bool = True,
     segment_bytes: Optional[int] = None,
     log: Optional[ReplayLog] = None,
 ) -> ExecutionAnalysis:
@@ -311,7 +305,7 @@ def analyze_log_stream(
         execution_id = default_execution_id(log)
     program = workload.program()
     with stats.stage("replay"):
-        ordered = OrderedReplay(log, program, fast_path=replay_fast_path, perf=stats)
+        ordered = OrderedReplay(log, program, perf=stats)
     if classifier_factory is None:
         classifier = RaceClassifier(
             ordered, config=classifier_config, execution_id=execution_id
@@ -823,7 +817,6 @@ def analyze_suite(
     memoize: bool = False,
     perf: Optional[PerfStats] = None,
     cache_dir=None,
-    replay_fast_path: bool = True,
     batching: bool = True,
 ) -> SuiteAnalysis:
     """Analyse a corpus and merge per-static-race results across executions.
@@ -846,7 +839,6 @@ def analyze_suite(
                 classifier_config=classifier_config,
                 max_pairs_per_location=max_pairs_per_location,
                 cache_dir=str(cache_dir) if cache_dir is not None else None,
-                replay_fast_path=replay_fast_path,
                 batching=batching,
             )
         )
@@ -864,7 +856,6 @@ def analyze_suite(
                 max_pairs_per_location=max_pairs_per_location,
                 perf=perf,
                 cache=cache,
-                replay_fast_path=replay_fast_path,
             )
             for execution in executions
         ]

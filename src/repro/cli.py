@@ -98,11 +98,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="print the record-stage breakdown (steps, events, elisions)",
     )
     record.add_argument(
-        "--no-fast-path",
-        action="store_true",
-        help="record through the generic reference interpreter",
-    )
-    record.add_argument(
         "--segment-bytes",
         type=int,
         default=None,
@@ -117,12 +112,7 @@ def _build_parser() -> argparse.ArgumentParser:
     replay.add_argument(
         "--perf",
         action="store_true",
-        help="print the replay-stage breakdown (fast/generic threads, laziness)",
-    )
-    replay.add_argument(
-        "--no-fast-path",
-        action="store_true",
-        help="replay through the generic reference interpreter",
+        help="print the replay-stage breakdown (threads, handoffs, laziness)",
     )
 
     detect = sub.add_parser("detect", help="happens-before race detection")
@@ -566,7 +556,6 @@ def _cmd_record(args, out) -> int:
                 destination,
                 scheduler=_make_scheduler(args),
                 seed=args.seed,
-                fast_path=not args.no_fast_path,
                 segment_bytes=args.segment_bytes,
             )
     else:
@@ -575,7 +564,6 @@ def _cmd_record(args, out) -> int:
                 program,
                 scheduler=_make_scheduler(args),
                 seed=args.seed,
-                fast_path=not args.no_fast_path,
             )
         save_log(log, destination)
     stats = compression_stats(log)
@@ -606,9 +594,7 @@ def _cmd_replay(args, out) -> int:
     log = load_log(args.log)
     perf = PerfStats()
     with perf.stage("replay"):
-        ordered = OrderedReplay(
-            log, fast_path=not args.no_fast_path, perf=perf
-        )
+        ordered = OrderedReplay(log, perf=perf)
         replayed = {
             name: ordered.thread_replays[name] for name in log.threads
         }
@@ -665,6 +651,9 @@ def _cmd_detect(args, out) -> int:
     source = analysis.source
     path = analysis.path
     unique = {instance.static_key for instance in instances}
+    # Pair the log with its program before printing anything, so a log
+    # the program cannot describe fails with one error line.
+    program = source.program
     print(
         "%d race instance(s), %d unique static race(s)"
         % (len(instances), len(unique)),
@@ -674,8 +663,8 @@ def _cmd_detect(args, out) -> int:
         print(
             "  %s  <->  %s"
             % (
-                source.program.describe_instruction(key[0]),
-                source.program.describe_instruction(key[1]),
+                program.describe_instruction(key[0]),
+                program.describe_instruction(key[1]),
             ),
             file=out,
         )

@@ -1,4 +1,4 @@
-"""Predecoded dispatch records: the interpreter fast path's input.
+"""Predecoded dispatch records: the input of every interpreter loop.
 
 ``Machine.run``'s hot loop originally re-derived everything about an
 instruction on every step: it constructed a fresh
@@ -12,14 +12,16 @@ Each instruction becomes one dense tuple whose first element is a small
 integer *kind* and whose second is the precomputed static id; the
 remaining slots are kind-specific, fully resolved operand fields
 (register indices, unsigned immediates, bound ALU/branch callables,
-branch target indices).  The fast interpreter in
-:mod:`repro.vm.thread` dispatches on the kind with an int if-chain — no
-string work, no operand objects, no per-step allocation.
+branch target indices).  The machine (:mod:`repro.vm.thread`), the
+thread replayer and the virtual processor dispatch on the kind with an
+int if-chain — no string work, no operand objects, no per-step
+allocation.
 
 Predecoding is semantics-free by construction: every field is copied or
-resolved from the same tables the generic dispatcher consults
+resolved from the same tables a string dispatcher consults
 (:mod:`repro.vm.alu`, the opcode specs), and the equivalence tests
-assert that fast and generic execution produce byte-identical logs.
+assert that the predecoded loops and the string-dispatch test oracles
+produce byte-identical logs and replays.
 """
 
 from __future__ import annotations
@@ -52,8 +54,8 @@ K_HALT = 17  # (kind, sid)
 DecodedRecord = Tuple
 
 #: Kinds whose instructions touch memory (``spec.touches_memory``).  The
-#: replay fast path keys its lazy per-step register snapshots on this:
-#: the generic replayer snapshots registers exactly before these kinds.
+#: thread replayer keys its lazy per-step register snapshots on this: an
+#: eager replay snapshots registers exactly before these kinds.
 MEMORY_TOUCHING_KINDS = frozenset(
     (K_LOAD, K_STORE, K_LOCK, K_UNLOCK, K_ATOM_ADD, K_ATOM_XCHG, K_CAS)
 )

@@ -92,7 +92,7 @@ class CodeBlock:
         return StaticInstructionId(self.name, index)
 
     def static_ids(self) -> Tuple[StaticInstructionId, ...]:
-        """All static ids of this block, built once (fast-path id source)."""
+        """All static ids of this block, built once (replayer id source)."""
         if self._static_ids is None:
             self._static_ids = tuple(
                 StaticInstructionId(self.name, index)

@@ -77,7 +77,7 @@ class ThreadAccessColumns:
     ``heap_*`` are a second set of parallel arrays recording heap
     lifecycle syscalls (``heap_kinds`` holds ``"alloc"`` or ``"free"``),
     mirroring the :class:`~repro.replay.events.HeapEvent` stream the
-    generic replayer derives — the ordered-replay walk needs them to
+    thread replayer derives — the ordered-replay walk needs them to
     zero fresh allocations and track freed ranges without replaying.
     """
 

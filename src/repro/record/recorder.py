@@ -426,19 +426,16 @@ def record_run(
     max_steps: int = 200_000,
     capture_global_order: bool = True,
     extra_observers=(),
-    fast_path: bool = True,
     sink=None,
 ):
     """Run ``program`` under recording; returns ``(MachineResult, ReplayLog)``.
 
     The convenience entry point used throughout the examples and the
     analysis pipeline: one call replaces "deploy iDNA and run the test
-    scenario" from the paper's usage model.  ``fast_path=False`` forces the
-    generic reference interpreter (the logs are identical either way).
-    ``sink`` streams the recording into a
-    :class:`~repro.record.binary_format.SegmentedLogWriter` as segments
-    fill (see :func:`record_run_segmented` for the file-path wrapper);
-    the returned log then has ``captured=None``.
+    scenario" from the paper's usage model.  ``sink`` streams the
+    recording into a :class:`~repro.record.binary_format.SegmentedLogWriter`
+    as segments fill (see :func:`record_run_segmented` for the file-path
+    wrapper); the returned log then has ``captured=None``.
     """
     from ..vm.machine import Machine
 
@@ -456,7 +453,6 @@ def record_run(
         seed=seed,
         max_steps=max_steps,
         observers=[recorder, *extra_observers],
-        fast_path=fast_path,
     )
     result = machine.run()
     return result, recorder.finish()
@@ -470,7 +466,6 @@ def record_run_segmented(
     max_steps: int = 200_000,
     capture_global_order: bool = True,
     extra_observers=(),
-    fast_path: bool = True,
     segment_bytes: Optional[int] = None,
 ):
     """Record straight into a v4 segmented container at ``path``.
@@ -504,6 +499,5 @@ def record_run_segmented(
             max_steps=max_steps,
             capture_global_order=capture_global_order,
             extra_observers=extra_observers,
-            fast_path=fast_path,
             sink=sink,
         )

@@ -72,3 +72,20 @@ class ReplayFailure(ReplayError):
         if detail:
             message += ": " + detail
         super().__init__(message)
+
+
+def thread_block(program, thread_name: str, block_name: str):
+    """The code block a logged thread runs, looked up in ``program``.
+
+    Every place a log is paired with a program resolves its threads'
+    blocks through here, so a log whose thread names a block the program
+    lacks fails with one :class:`ReplayDivergence` instead of a bare
+    ``KeyError`` from deep inside replay or report rendering.
+    """
+    block = program.blocks.get(block_name)
+    if block is None:
+        raise ReplayDivergence(
+            "thread %r runs block %r, which the embedded program lacks"
+            % (thread_name, block_name)
+        )
+    return block

@@ -1,7 +1,7 @@
 """Event model produced by replaying one thread from its log.
 
-The fast replay path (:meth:`ThreadReplayer.run_fast`) produces the same
-:class:`ThreadReplay` shape but backed by lazy views: accesses live in
+The thread replayer (:meth:`ThreadReplayer.run`) produces a
+:class:`ThreadReplay` backed by lazy views: accesses live in
 columnar parallel arrays and become :class:`ReplayedAccess` objects only
 when indexed (:class:`LazyAccessList`), per-step static ids are a view
 over the block's table (:class:`StaticIdView`), and register snapshots
@@ -35,10 +35,10 @@ class ReplayedAccess:
 class StaticIdView:
     """Per-step static ids as a view: ``block.static_ids()[pcs[step]]``.
 
-    The generic replayer builds one list entry per retired instruction;
-    the fast path already has the pc trace, so the table lookup is done
-    on demand instead.  Supports indexing (int and slice), iteration,
-    ``len`` and equality against any sequence.
+    The replayer already has the pc trace, so the table lookup is done on
+    demand instead of storing one entry per retired instruction.  Supports
+    indexing (int and slice), iteration, ``len`` and equality against any
+    sequence.
     """
 
     __slots__ = ("_table", "_pcs")
@@ -161,8 +161,8 @@ class LazyRegisterDict(dict):
     :class:`~repro.replay.thread_replayer.RegisterReconstructor`) and
     cached.  Validity is either an explicit ``valid_steps`` set (region
     boundaries) or — when ``valid_steps`` is ``None`` — "the step's
-    instruction touches memory", matching which steps the generic
-    replayer snapshots.  Invalid keys raise :class:`KeyError` exactly
+    instruction touches memory", matching which steps an eager replay
+    snapshots.  Invalid keys raise :class:`KeyError` exactly
     like a plain dict, so callers' divergence handling is unchanged.
     """
 
@@ -252,12 +252,6 @@ class ThreadReplay:
     _access_steps: Optional[List[int]] = field(
         default=None, repr=False, compare=False
     )
-    _writes_by_step: Optional[Dict[int, List[ReplayedAccess]]] = field(
-        default=None, repr=False, compare=False
-    )
-    _heap_by_step: Optional[Dict[int, List[HeapEvent]]] = field(
-        default=None, repr=False, compare=False
-    )
 
     def accesses_in_steps(self, start_step: int, end_step: int) -> List[ReplayedAccess]:
         """All accesses with ``start_step <= thread_step < end_step``."""
@@ -275,31 +269,11 @@ class ThreadReplay:
                 return access
         return None
 
-    def writes_at_step(self, thread_step: int) -> List[ReplayedAccess]:
-        """The write accesses retired at one step (indexed once, O(1) after)."""
-        if self._writes_by_step is None:
-            index: Dict[int, List[ReplayedAccess]] = {}
-            for access in self.accesses:
-                if access.is_write:
-                    index.setdefault(access.thread_step, []).append(access)
-            self._writes_by_step = index
-        return self._writes_by_step.get(thread_step, [])
-
-    def heap_events_at_step(self, thread_step: int) -> List[HeapEvent]:
-        """The heap events retired at one step (indexed once, O(1) after)."""
-        if self._heap_by_step is None:
-            index: Dict[int, List[HeapEvent]] = {}
-            for event in self.heap_events:
-                index.setdefault(event.thread_step, []).append(event)
-            self._heap_by_step = index
-        return self._heap_by_step.get(thread_step, [])
-
     def materialized(self) -> "ThreadReplay":
         """A fully-eager copy: lazy views become plain lists and dicts.
 
-        Fast-path and generic replays of the same thread materialize to
-        equal objects; the equivalence tests rely on this to compare the
-        two paths byte for byte.  A generic replay materializes to a copy
+        The equivalence tests compare this against the eager replay of the
+        test oracle byte for byte.  An eager replay materializes to a copy
         equal to itself.
         """
 

@@ -34,6 +34,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..record.binary_format import decode_log_sections, is_binary_log
 from ..record.log import ReplayLog
+from .errors import thread_block
 from .regions import SequencingRegion, regions_of_thread
 
 #: Why a log cannot serve the zero-replay path, by cause.
@@ -193,7 +194,10 @@ class LogView:
         if self._program is None:
             from ..isa.assembler import assemble
 
-            self._program = assemble(self.program_source, name=self.program_name)
+            program = assemble(self.program_source, name=self.program_name)
+            for name, thread in self.threads.items():
+                thread_block(program, name, thread.block)
+            self._program = program
         return self._program
 
 

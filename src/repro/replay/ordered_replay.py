@@ -33,8 +33,8 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from ..isa.program import Program
 from ..record.log import ReplayLog, SequencerRecord
-from .errors import ReplayDivergence
-from .events import LazyAccessList, ReplayedAccess, ThreadReplay
+from .errors import ReplayDivergence, thread_block
+from .events import ReplayedAccess, ThreadReplay
 from .regions import SequencingRegion, regions_of_thread
 from .thread_replayer import ThreadReplayer
 
@@ -82,7 +82,7 @@ class _LazyThreadReplays(Mapping):
 class _ColumnarWalkSource:
     """Feeds the ordered walk from columnar access rows — either the
     recorder's :class:`~repro.record.log.ThreadAccessColumns` (captured
-    handoff: no instruction is re-interpreted) or a fast replay's access
+    handoff: no instruction is re-interpreted) or a thread replay's access
     columns.  ``steps`` is non-decreasing, so row ranges are bisects."""
 
     __slots__ = ("_steps", "_addresses", "_values", "_flags", "_heap_by_step")
@@ -120,35 +120,6 @@ class _ColumnarWalkSource:
 
     def heap_events_at(self, step: int):
         return self._heap_by_step.get(step, ())
-
-
-class _ReplayWalkSource:
-    """Feeds the ordered walk from a materialized thread replay (the
-    generic path, and the fallback when no columns are available)."""
-
-    __slots__ = ("_replay",)
-
-    def __init__(self, replay: ThreadReplay):
-        self._replay = replay
-
-    def writes_in_steps(self, start_step: int, end_step: int):
-        return [
-            (access.address, access.value)
-            for access in self._replay.accesses_in_steps(start_step, end_step)
-            if access.is_write
-        ]
-
-    def writes_at(self, step: int):
-        return [
-            (access.address, access.value)
-            for access in self._replay.writes_at_step(step)
-        ]
-
-    def heap_events_at(self, step: int):
-        return [
-            (event.kind, event.base, event.size)
-            for event in self._replay.heap_events_at_step(step)
-        ]
 
 
 class VersionedImage:
@@ -268,9 +239,17 @@ class OrderedReplay:
         fast_path: bool = True,
         perf=None,
     ):
+        # The keyword stays only because the pipeline benchmark
+        # (benchmarks/pipeline/runners.py) passes ``fast_path=True``; there
+        # is no other replay path to select.
+        if fast_path is not True:
+            raise ValueError(
+                "OrderedReplay has one replay path; fast_path must be True"
+            )
         self.log = log
         self.program = program if program is not None else log.reassemble_program()
-        self._fast_path = fast_path
+        for name, thread_log in log.threads.items():
+            thread_block(self.program, name, thread_log.block)
         self._perf = perf
         #: Lazy mapping: each thread is replayed on first access (the walk
         #: and index usually run off ``log.captured`` columns instead).
@@ -314,19 +293,8 @@ class OrderedReplay:
     # ------------------------------------------------------------------
 
     def _replay_thread(self, name: str) -> ThreadReplay:
-        """Replay one thread (fast or generic path), with perf accounting."""
-        replayer = ThreadReplayer(self.program, self.log, name)
-        if self._fast_path:
-            return replayer.run_fast(self._perf)
-        replay = replayer.run()
-        if self._perf is not None:
-            self._perf.replay_threads_generic += 1
-            self._perf.replay_snapshots_eager += (
-                len(replay.region_start_registers)
-                + len(replay.region_end_registers)
-                + len(replay.registers_at_step)
-            )
-        return replay
+        """Replay one thread, with perf accounting."""
+        return ThreadReplayer(self.program, self.log, name).run(self._perf)
 
     # ------------------------------------------------------------------
     # The region-ordered walk.
@@ -358,12 +326,11 @@ class OrderedReplay:
         """The cheapest equivalent row source for one thread's walk events.
 
         Captured recorder columns when present (no re-interpretation at
-        all), a fast replay's access columns otherwise, and the
-        materialized replay object as the final (generic-path) fallback.
-        Returns ``(source, served_from_capture)``.
+        all), the thread replay's access columns otherwise.  Returns
+        ``(source, served_from_capture)``.
         """
         captured = self.log.captured
-        if self._fast_path and captured is not None:
+        if captured is not None:
             columns = captured.threads.get(name)
             if columns is not None:
                 return (
@@ -383,21 +350,19 @@ class OrderedReplay:
                 )
         replay = self.thread_replays[name]
         accesses = replay.accesses
-        if isinstance(accesses, LazyAccessList):
-            return (
-                _ColumnarWalkSource(
-                    accesses._steps,
-                    accesses._addresses,
-                    accesses._values,
-                    accesses._flags,
-                    (
-                        (event.thread_step, event.kind, event.base, event.size)
-                        for event in replay.heap_events
-                    ),
+        return (
+            _ColumnarWalkSource(
+                accesses._steps,
+                accesses._addresses,
+                accesses._values,
+                accesses._flags,
+                (
+                    (event.thread_step, event.kind, event.base, event.size)
+                    for event in replay.heap_events
                 ),
-                False,
-            )
-        return _ReplayWalkSource(replay), False
+            ),
+            False,
+        )
 
     def _walk(self) -> None:
         image: Dict[int, int] = dict(self.program.initial_memory())

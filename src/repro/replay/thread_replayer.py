@@ -11,10 +11,9 @@ machine run.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Tuple
 
-from ..isa.instructions import Instruction
-from ..isa.operands import Imm, Mem, WORD_MASK, to_unsigned
+from ..isa.operands import WORD_MASK, to_unsigned
 from ..isa.predecode import (
     K_ALU_RI,
     K_ALU_RR,
@@ -37,20 +36,17 @@ from ..isa.predecode import (
     MEMORY_TOUCHING_KINDS,
 )
 from ..isa.program import CodeBlock, Program
-from ..vm import alu
-from ..vm.registers import RegisterFile
-from .errors import ReplayDivergence
+from .errors import ReplayDivergence, thread_block
 from .events import (
     HeapEvent,
     LazyAccessList,
     LazyRegisterDict,
-    ReplayedAccess,
     StaticIdView,
     ThreadReplay,
 )
 from ..record.log import ReplayLog, ThreadLog
 
-#: Steps between the register checkpoints the fast path takes; bounds how
+#: Steps between the register checkpoints the replayer takes; bounds how
 #: far a lazy snapshot reconstruction has to re-execute.
 CHECKPOINT_INTERVAL = 1024
 
@@ -58,7 +54,7 @@ CHECKPOINT_INTERVAL = 1024
 class RegisterReconstructor:
     """Targeted partial re-execution: register state just before any step.
 
-    Holds the sparse checkpoints :meth:`ThreadReplayer.run_fast` took
+    Holds the sparse checkpoints :meth:`ThreadReplayer.run` took
     every :data:`CHECKPOINT_INTERVAL` steps plus the columnar replay
     products (pc trace, access value column, syscall records).
     ``state_before(k)`` replays *register effects only* forward from the
@@ -89,7 +85,7 @@ class RegisterReconstructor:
         self._perf = perf
 
     def is_memory_step(self, step) -> bool:
-        """Does the generic replayer snapshot registers before ``step``?"""
+        """Is ``step`` a memory-touching step (one ``registers_at_step`` keeps)?"""
         pcs = self._pcs
         if not isinstance(step, int) or isinstance(step, bool):
             return False
@@ -158,68 +154,24 @@ class ThreadReplayer:
         self.program = program
         self.log = log
         self.thread_log: ThreadLog = log.threads[thread_name]
-        self.block: CodeBlock = program.blocks[self.thread_log.block]
+        self.block: CodeBlock = thread_block(
+            program, thread_name, self.thread_log.block
+        )
         self.thread_name = thread_name
 
-    def run(self) -> ThreadReplay:
-        """Replay every recorded step; returns the full :class:`ThreadReplay`."""
-        thread_log = self.thread_log
-        registers = RegisterFile(thread_log.initial_registers)
-        local_view: Dict[int, int] = {}
-        replay = ThreadReplay(
-            name=self.thread_name, tid=thread_log.tid, steps=thread_log.steps
-        )
-        snapshot_steps: Set[int] = {
-            sequencer.thread_step + 1 for sequencer in thread_log.sequencers
-        }
-        boundary_steps: Set[int] = {
-            sequencer.thread_step
-            for sequencer in thread_log.sequencers
-            if sequencer.thread_step >= 0
-        }
-        pc = 0
-        for step in range(thread_log.steps):
-            if step in snapshot_steps:
-                replay.region_start_registers[step] = registers.snapshot()
-                replay.region_start_pcs[step] = pc
-            if step in boundary_steps:
-                # Live-out of the region this boundary closes: the state
-                # just before the sequencer-point instruction executes.
-                replay.region_end_registers[step] = registers.snapshot()
-                replay.region_end_pcs[step] = pc
-            if pc >= len(self.block):
-                raise ReplayDivergence(
-                    "thread %r ran past the end of block %r at step %d"
-                    % (self.thread_name, self.block.name, step)
-                )
-            instruction = self.block.instruction_at(pc)
-            replay.pcs.append(pc)
-            replay.static_ids.append(self.block.static_id(pc))
-            if instruction.spec.touches_memory:
-                replay.registers_at_step[step] = registers.snapshot()
-            pc = self._execute(instruction, pc, step, registers, local_view, replay)
-        replay.final_registers = registers.snapshot()
-        replay.final_pc = pc
-        if thread_log.steps in boundary_steps:
-            # Thread-end sequencers sit one past the last retired step.
-            replay.region_end_registers[thread_log.steps] = registers.snapshot()
-            replay.region_end_pcs[thread_log.steps] = pc
-        return replay
-
-    def run_fast(self, perf=None) -> ThreadReplay:
+    def run(self, perf=None) -> ThreadReplay:
         """Replay every recorded step through the predecoded dispatch records.
 
-        Semantically identical to :meth:`run` — the equivalence tests
-        assert ``run_fast(...).materialized() == run()`` bit for bit —
-        but an order of magnitude lighter per step: one dense-tuple fetch
-        and an int if-chain instead of operand-object dispatch, accesses
+        One dense-tuple fetch and an int if-chain per step; accesses are
         appended to columnar parallel arrays instead of one
-        :class:`ReplayedAccess` per event, and register snapshots *not*
-        taken at all — only sparse checkpoints every
+        :class:`ReplayedAccess` per event, and register snapshots are
+        *not* taken at all — only sparse checkpoints every
         :data:`CHECKPOINT_INTERVAL` steps, from which the lazy views on
         the returned :class:`ThreadReplay` reconstruct any snapshot a
         downstream consumer (usually the classifier, for the handful of
-        racy regions) actually asks for.
+        racy regions) actually asks for.  The equivalence tests assert
+        ``run().materialized()`` equals the eager replay of the generic
+        string-dispatch oracle (``tests/reference_interp.py``) bit for bit.
         """
         thread_log = self.thread_log
         block = self.block
@@ -461,14 +413,6 @@ class ThreadReplayer:
             perf.replay_threads_fast += 1
         return replay
 
-    # ------------------------------------------------------------------
-    # Single-instruction replay.
-    # ------------------------------------------------------------------
-
-    def _mem_address(self, operand: Mem, registers: RegisterFile) -> int:
-        base = registers.read(operand.base) if operand.base is not None else 0
-        return base + operand.offset
-
     def _replay_load(
         self,
         step: int,
@@ -493,137 +437,6 @@ class ThreadReplayer:
                 % (self.thread_name, step, address)
             )
         return local_view[address]
-
-    def _execute(
-        self,
-        instruction: Instruction,
-        pc: int,
-        step: int,
-        registers: RegisterFile,
-        local_view: Dict[int, int],
-        replay: ThreadReplay,
-    ) -> int:
-        opcode = instruction.opcode
-        operands = instruction.operands
-        static_id = self.block.static_id(pc)
-
-        def reg(operand) -> int:
-            return registers.read(operand.index)
-
-        def note_access(address: int, value: int, is_write: bool, is_sync: bool) -> None:
-            replay.accesses.append(
-                ReplayedAccess(
-                    thread_step=step,
-                    static_id=static_id,
-                    address=address,
-                    value=value,
-                    is_write=is_write,
-                    is_sync=is_sync,
-                )
-            )
-
-        if opcode == "li":
-            registers.write(operands[0].index, operands[1].value)
-        elif opcode == "mov":
-            registers.write(operands[0].index, reg(operands[1]))
-        elif alu.is_binary_op(opcode):
-            rhs = (
-                operands[2].value
-                if isinstance(operands[2], Imm)
-                else reg(operands[2])
-            )
-            registers.write(
-                operands[0].index, alu.binary_op(opcode, reg(operands[1]), rhs)
-            )
-        elif opcode == "load":
-            address = self._mem_address(operands[1], registers)
-            value = self._replay_load(step, address, local_view, sync=False)
-            note_access(address, value, is_write=False, is_sync=False)
-            registers.write(operands[0].index, value)
-        elif opcode == "store":
-            address = self._mem_address(operands[1], registers)
-            value = reg(operands[0])
-            local_view[address] = value
-            note_access(address, value, is_write=True, is_sync=False)
-        elif opcode == "jmp":
-            return operands[0].value
-        elif opcode in ("beq", "bne", "blt", "bge"):
-            if alu.branch_taken(opcode, reg(operands[0]), reg(operands[1])):
-                return operands[2].value
-        elif opcode in ("beqz", "bnez"):
-            if alu.branch_taken(opcode, reg(operands[0])):
-                return operands[1].value
-        elif opcode == "lock":
-            address = self._mem_address(operands[0], registers)
-            value = self._replay_load(step, address, local_view, sync=True)
-            note_access(address, value, is_write=False, is_sync=True)
-            local_view[address] = 1
-            note_access(address, 1, is_write=True, is_sync=True)
-        elif opcode == "unlock":
-            address = self._mem_address(operands[0], registers)
-            value = self._replay_load(step, address, local_view, sync=True)
-            note_access(address, value, is_write=False, is_sync=True)
-            local_view[address] = 0
-            note_access(address, 0, is_write=True, is_sync=True)
-        elif opcode in ("atom_add", "atom_xchg"):
-            address = self._mem_address(operands[1], registers)
-            old = self._replay_load(step, address, local_view, sync=True)
-            note_access(address, old, is_write=False, is_sync=True)
-            operand_value = reg(operands[2])
-            new = (
-                alu.binary_op("add", old, operand_value)
-                if opcode == "atom_add"
-                else operand_value
-            )
-            local_view[address] = new
-            note_access(address, new, is_write=True, is_sync=True)
-            registers.write(operands[0].index, old)
-        elif opcode == "cas":
-            address = self._mem_address(operands[1], registers)
-            old = self._replay_load(step, address, local_view, sync=True)
-            note_access(address, old, is_write=False, is_sync=True)
-            if old == reg(operands[2]):
-                new = reg(operands[3])
-                local_view[address] = new
-                note_access(address, new, is_write=True, is_sync=True)
-            registers.write(operands[0].index, old)
-        elif instruction.spec.is_syscall:
-            self._replay_syscall(opcode, operands, step, registers, replay)
-        elif opcode in ("nop", "fence", "halt"):
-            pass
-        else:  # pragma: no cover - dispatch kept in sync with the opcode table
-            raise NotImplementedError("unhandled opcode %r" % opcode)
-        return pc + 1
-
-    def _replay_syscall(
-        self, opcode: str, operands, step: int, registers: RegisterFile, replay
-    ) -> None:
-        record = self.thread_log.syscall_at(step)
-        if record is None or record.name != opcode:
-            raise ReplayDivergence(
-                "thread %r step %d: expected logged syscall %r, log has %r"
-                % (self.thread_name, step, opcode, record and record.name)
-            )
-        result = record.result
-        if opcode in ("sys_getpid", "sys_time", "sys_rand"):
-            registers.write(operands[0].index, result)
-        elif opcode == "sys_alloc":
-            size = registers.read(operands[1].index)
-            replay.heap_events.append(
-                HeapEvent(thread_step=step, kind="alloc", base=result, size=size)
-            )
-            registers.write(operands[0].index, result)
-        elif opcode == "sys_free":
-            base = registers.read(operands[0].index)
-            replay.heap_events.append(
-                HeapEvent(thread_step=step, kind="free", base=base, size=0)
-            )
-        elif opcode == "sys_print":
-            replay.output.append((self.thread_name, result))
-        elif opcode == "sys_yield":
-            pass
-        else:  # pragma: no cover
-            raise NotImplementedError("unhandled syscall %r" % opcode)
 
 
 def replay_thread(program: Program, log: ReplayLog, thread_name: str) -> ThreadReplay:

@@ -86,7 +86,6 @@ class ServiceConfig:
     max_steps: int = 200_000
     capture_global_order: bool = True
     memoize: bool = True
-    replay_fast_path: bool = True
     #: Batch classification by shared region content (see
     #: :class:`repro.analysis.engine.BatchingClassifier`).
     batching: bool = True

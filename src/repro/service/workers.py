@@ -107,7 +107,6 @@ def _worker_init(config_dict: dict) -> None:
             max_steps=config.max_steps,
             capture_global_order=config.capture_global_order,
             cache_dir=config.cache_dir,
-            replay_fast_path=config.replay_fast_path,
             batching=config.batching,
             incremental=config.incremental,
         )

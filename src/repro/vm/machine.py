@@ -79,14 +79,12 @@ class Machine:
         seed: int = 0,
         max_steps: int = 200_000,
         observers: Sequence[Observer] = (),
-        fast_path: bool = True,
     ):
         self.program = program
         self.scheduler = scheduler or RoundRobinScheduler()
         self.seed = seed
         self.max_steps = max_steps
         self.observers: List[Observer] = list(observers)
-        self.fast_path = fast_path
 
         self.memory = Memory(program.initial_memory())
         self.locks = LockTable()
@@ -95,9 +93,6 @@ class Machine:
             ThreadState(tid, name, program.block_for_thread(name))
             for tid, name in enumerate(program.threads)
         ]
-        if fast_path:
-            for thread in self.threads:
-                thread.attach_decoded()
         self.global_step = 0
         self._sequencer_clock = 0
         self._last_tid: Optional[int] = None
@@ -224,70 +219,17 @@ class Machine:
                 observer.on_thread_start(thread.tid, thread.name, thread.block.name)
             self.emit_sequencer(thread, kind="thread_start", static_id=None, thread_step=-1)
 
-        if self.fast_path:
-            self._run_fast()
-        else:
-            self._run_generic()
+        self._loop()
         return self._result()
 
-    def _run_generic(self) -> None:
-        """The seed interpreter loop: rebuilds the runnable list every
-        iteration and dispatches through :meth:`ThreadState.step`'s generic
-        operand resolution.  Kept as the reference implementation the fast
-        path is tested against."""
-        iterations = 0
-        iteration_limit = self.max_steps * 2
-        while True:
-            runnable = [
-                thread.tid
-                for thread in self.threads
-                if thread.status is ThreadStatus.RUNNABLE
-            ]
-            if not runnable:
-                if any(
-                    thread.status is ThreadStatus.BLOCKED for thread in self.threads
-                ):
-                    raise DeadlockError(
-                        "all live threads are blocked: %s"
-                        % {
-                            thread.name: thread.blocked_on
-                            for thread in self.threads
-                            if thread.status is ThreadStatus.BLOCKED
-                        }
-                    )
-                break
-            candidates = runnable
-            if self._yielded_tid is not None:
-                others = [tid for tid in runnable if tid != self._yielded_tid]
-                if others:
-                    candidates = others
-                self._yielded_tid = None
-            tid = self.scheduler.pick(candidates, self._last_tid, self.global_step)
-            if tid not in candidates:
-                raise ScheduleError("scheduler picked non-runnable thread %d" % tid)
-            thread = self.threads[tid]
-            self._current_tid = tid
-            outcome = thread.step(self)
-            self._current_tid = None
-            if outcome is StepOutcome.RETIRED:
-                self._last_tid = tid
-            elif outcome is StepOutcome.BLOCKED:
-                self._last_tid = None
-            if self.global_step > self.max_steps:
-                raise StepLimitError(
-                    "exceeded max_steps=%d (runaway schedule?)" % self.max_steps
-                )
-            iterations += 1
-            if iterations > iteration_limit:
-                raise StepLimitError("exceeded iteration limit (livelock?)")
+    def _loop(self) -> None:
+        """Schedule and step threads until every one has ended.
 
-    def _run_fast(self) -> None:
-        """The predecoded loop.  Equivalent to :meth:`_run_generic` step for
-        step — same runnable ordering (tid-ascending), same yield filter,
-        same scheduler calls and limit checks — but the runnable list is
+        Runnable threads are offered to the scheduler in tid-ascending
+        order, minus a thread that just yielded.  The runnable list is
         maintained incrementally (rebuilt only when a lifecycle hook flips
         a thread's status) and dispatch goes through
-        :meth:`ThreadState.step_fast`."""
+        :meth:`ThreadState.step`."""
         threads = self.threads
         scheduler_pick = self.scheduler.pick
         max_steps = self.max_steps
@@ -327,7 +269,7 @@ class Machine:
                 raise ScheduleError("scheduler picked non-runnable thread %d" % tid)
             thread = threads[tid]
             self._current_tid = tid
-            outcome = thread.step_fast(self)
+            outcome = thread.step(self)
             self._current_tid = None
             if outcome is StepOutcome.RETIRED:
                 self._last_tid = tid
@@ -370,7 +312,6 @@ def run_program(
     seed: int = 0,
     max_steps: int = 200_000,
     observers: Sequence[Observer] = (),
-    fast_path: bool = True,
 ) -> MachineResult:
     """Convenience: construct a machine and run it to completion."""
     machine = Machine(
@@ -379,6 +320,5 @@ def run_program(
         seed=seed,
         max_steps=max_steps,
         observers=observers,
-        fast_path=fast_path,
     )
     return machine.run()

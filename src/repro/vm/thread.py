@@ -17,8 +17,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import TYPE_CHECKING, Optional
 
-from ..isa.instructions import Instruction
-from ..isa.operands import WORD_MASK, Imm, Mem, Reg
+from ..isa.operands import WORD_MASK
 from ..isa.predecode import (
     K_ALU_RI,
     K_ALU_RR,
@@ -40,7 +39,6 @@ from ..isa.predecode import (
     K_UNLOCK,
 )
 from ..isa.program import CodeBlock, StaticInstructionId
-from . import alu
 from .errors import MemoryFault
 from .registers import RegisterFile
 
@@ -74,126 +72,20 @@ class ThreadState:
         self.status = ThreadStatus.RUNNABLE
         self.blocked_on: Optional[int] = None
         self.fault: Optional[MemoryFault] = None
-        #: Predecoded dispatch records, attached by fast-path machines.
-        self._records: Optional[list] = None
+        #: Predecoded dispatch records of the block (cached on the block).
+        self._records: list = block.decoded()
         #: Direct alias of the register value list (identity is stable —
-        #: RegisterFile mutates in place), bound alongside the records so
-        #: the fast dispatch skips two attribute hops per step.
-        self._regs: Optional[list] = None
-
-    def attach_decoded(self) -> None:
-        """Bind this thread to its block's predecoded dispatch records."""
-        self._records = self.block.decoded()
-        self._regs = self.registers._values
+        #: RegisterFile mutates in place), so the dispatch skips two
+        #: attribute hops per step.
+        self._regs: list = self.registers._values
 
     # ------------------------------------------------------------------
-    # Helpers.
-    # ------------------------------------------------------------------
-
-    def current_static_id(self) -> StaticInstructionId:
-        return self.block.static_id(self.pc)
-
-    def _mem_address(self, operand: Mem) -> int:
-        base = self.registers.read(operand.base) if operand.base is not None else 0
-        return base + operand.offset
-
-    def _reg(self, operand: Reg) -> int:
-        return self.registers.read(operand.index)
-
-    # ------------------------------------------------------------------
-    # Execution.
+    # Execution.  ``tests/reference_interp.py`` keeps a string-dispatch
+    # oracle of this loop; the record-equivalence tests assert both yield
+    # identical logs.
     # ------------------------------------------------------------------
 
     def step(self, machine: "Machine") -> StepOutcome:
-        """Execute one instruction against ``machine``'s shared state."""
-        if self.pc >= len(self.block):
-            machine.end_thread(self, reason="fell-off-end")
-            return StepOutcome.ENDED
-        instruction = self.block.instruction_at(self.pc)
-        try:
-            return self._dispatch(machine, instruction)
-        except MemoryFault as fault:
-            machine.fault_thread(self, fault)
-            return StepOutcome.ENDED
-
-    def _dispatch(self, machine: "Machine", instruction: Instruction) -> StepOutcome:
-        opcode = instruction.opcode
-        operands = instruction.operands
-        static_id = self.current_static_id()
-
-        if opcode == "li":
-            self.registers.write(operands[0].index, operands[1].value)
-        elif opcode == "mov":
-            self.registers.write(operands[0].index, self._reg(operands[1]))
-        elif alu.is_binary_op(opcode):
-            rhs = (
-                operands[2].value
-                if isinstance(operands[2], Imm)
-                else self._reg(operands[2])
-            )
-            result = alu.binary_op(opcode, self._reg(operands[1]), rhs)
-            self.registers.write(operands[0].index, result)
-        elif opcode == "load":
-            address = self._mem_address(operands[1])
-            value = machine.memory.read(address)
-            machine.notify_load(self, static_id, address, value, is_sync=False)
-            self.registers.write(operands[0].index, value)
-        elif opcode == "store":
-            address = self._mem_address(operands[1])
-            value = self._reg(operands[0])
-            old = machine.memory.write(address, value)
-            machine.notify_store(self, static_id, address, old, value, is_sync=False)
-        elif opcode == "jmp":
-            return self._retire_branch(machine, static_id, operands[0].value)
-        elif opcode in ("beq", "bne", "blt", "bge"):
-            taken = alu.branch_taken(opcode, self._reg(operands[0]), self._reg(operands[1]))
-            target = operands[2].value if taken else self.pc + 1
-            return self._retire_branch(machine, static_id, target)
-        elif opcode in ("beqz", "bnez"):
-            taken = alu.branch_taken(opcode, self._reg(operands[0]))
-            target = operands[1].value if taken else self.pc + 1
-            return self._retire_branch(machine, static_id, target)
-        elif opcode == "lock":
-            return self._do_lock(machine, static_id, operands[0])
-        elif opcode == "unlock":
-            self._do_unlock(machine, static_id, operands[0])
-        elif opcode in ("atom_add", "atom_xchg"):
-            self._do_atomic_rmw(machine, static_id, opcode, operands)
-        elif opcode == "cas":
-            self._do_cas(machine, static_id, operands)
-        elif opcode == "fence":
-            machine.emit_sequencer(self, kind="fence", static_id=static_id)
-        elif instruction.spec.is_syscall:
-            self._do_syscall(machine, static_id, opcode, operands)
-        elif opcode == "nop":
-            pass
-        elif opcode == "halt":
-            machine.retire(self, static_id)
-            self.pc += 1
-            self.steps += 1
-            machine.end_thread(self, reason="halt")
-            return StepOutcome.ENDED
-        else:  # pragma: no cover - opcode table and dispatch kept in sync
-            raise NotImplementedError("unhandled opcode %r" % opcode)
-
-        return self._retire_branch(machine, static_id, self.pc + 1)
-
-    def _retire_branch(
-        self, machine: "Machine", static_id: StaticInstructionId, next_pc: int
-    ) -> StepOutcome:
-        machine.retire(self, static_id)
-        self.pc = next_pc
-        self.steps += 1
-        return StepOutcome.RETIRED
-
-    # ------------------------------------------------------------------
-    # Predecoded fast path.  Mirrors step/_dispatch exactly — same event
-    # order, same fault points, same retire bookkeeping — but dispatches
-    # on dense records instead of re-parsing operands every step.  The
-    # record-equivalence tests assert both paths yield identical logs.
-    # ------------------------------------------------------------------
-
-    def step_fast(self, machine: "Machine") -> StepOutcome:
         """Execute one instruction via the predecoded dispatch records.
 
         Dispatch is inlined here (not delegated to a helper) so the hot
@@ -248,7 +140,7 @@ class ThreadState:
             elif kind == K_JMP:
                 next_pc = record[2]
             elif kind == K_SYSCALL:
-                self._do_syscall_fast(machine, record, static_id)
+                self._do_syscall(machine, record, static_id)
             elif kind == K_LOCK:
                 base = record[2]
                 address = (regs[base] if base is not None else 0) + record[3]
@@ -329,7 +221,7 @@ class ThreadState:
         self.steps = steps + 1
         return StepOutcome.RETIRED
 
-    def _do_syscall_fast(
+    def _do_syscall(
         self, machine: "Machine", record: tuple, static_id: StaticInstructionId
     ) -> None:
         opcode = record[2]
@@ -345,98 +237,4 @@ class ThreadState:
         if dest is not None:
             self.registers.write(dest, result)
         if record[6]:
-            machine.note_yield()
-
-    # ------------------------------------------------------------------
-    # Synchronization and syscalls.
-    # ------------------------------------------------------------------
-
-    def _do_lock(
-        self, machine: "Machine", static_id: StaticInstructionId, operand: Mem
-    ) -> StepOutcome:
-        address = self._mem_address(operand)
-        machine.memory.read(address)  # fault check (e.g. lock in freed memory)
-        if not machine.locks.try_acquire(self.tid, address):
-            machine.block_thread(self, address)
-            return StepOutcome.BLOCKED
-        machine.emit_sequencer(self, kind="lock", static_id=static_id)
-        machine.notify_load(self, static_id, address, 0, is_sync=True)
-        old = machine.memory.write(address, 1)
-        machine.notify_store(self, static_id, address, old, 1, is_sync=True)
-        return self._retire_branch(machine, static_id, self.pc + 1)
-
-    def _do_unlock(
-        self, machine: "Machine", static_id: StaticInstructionId, operand: Mem
-    ) -> None:
-        address = self._mem_address(operand)
-        machine.emit_sequencer(self, kind="unlock", static_id=static_id)
-        to_wake = machine.locks.release(self.tid, address)
-        machine.notify_load(self, static_id, address, 1, is_sync=True)
-        old = machine.memory.write(address, 0)
-        machine.notify_store(self, static_id, address, old, 0, is_sync=True)
-        if to_wake is not None:
-            machine.wake_thread(to_wake)
-
-    def _do_atomic_rmw(
-        self,
-        machine: "Machine",
-        static_id: StaticInstructionId,
-        opcode: str,
-        operands,
-    ) -> None:
-        address = self._mem_address(operands[1])
-        machine.emit_sequencer(self, kind=opcode, static_id=static_id)
-        old = machine.memory.read(address)
-        machine.notify_load(self, static_id, address, old, is_sync=True)
-        operand_value = self._reg(operands[2])
-        new = (
-            alu.binary_op("add", old, operand_value)
-            if opcode == "atom_add"
-            else operand_value
-        )
-        machine.memory.write(address, new)
-        machine.notify_store(self, static_id, address, old, new, is_sync=True)
-        self.registers.write(operands[0].index, old)
-
-    def _do_cas(
-        self, machine: "Machine", static_id: StaticInstructionId, operands
-    ) -> None:
-        address = self._mem_address(operands[1])
-        machine.emit_sequencer(self, kind="cas", static_id=static_id)
-        old = machine.memory.read(address)
-        machine.notify_load(self, static_id, address, old, is_sync=True)
-        expected = self._reg(operands[2])
-        if old == expected:
-            new = self._reg(operands[3])
-            machine.memory.write(address, new)
-            machine.notify_store(self, static_id, address, old, new, is_sync=True)
-        self.registers.write(operands[0].index, old)
-
-    def _do_syscall(
-        self,
-        machine: "Machine",
-        static_id: StaticInstructionId,
-        opcode: str,
-        operands,
-    ) -> None:
-        machine.emit_sequencer(self, kind=opcode, static_id=static_id)
-        arg: Optional[int] = None
-        dest: Optional[int] = None
-        if opcode in ("sys_getpid", "sys_time"):
-            dest = operands[0].index
-        elif opcode == "sys_rand":
-            dest = operands[0].index
-            arg = operands[1].value
-        elif opcode == "sys_alloc":
-            dest = operands[0].index
-            arg = self._reg(operands[1])
-        elif opcode in ("sys_free", "sys_print"):
-            arg = self._reg(operands[0])
-        result = machine.syscalls.execute(
-            opcode, self.tid, self.name, machine.global_step, arg
-        )
-        machine.notify_syscall(self, static_id, opcode, result, arg)
-        if dest is not None:
-            self.registers.write(dest, result)
-        if opcode == "sys_yield":
             machine.note_yield()

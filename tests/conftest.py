@@ -52,6 +52,56 @@ loop:
 """
 
 
+#: Four threads in two independent racy pairs, with straight-line ALU
+#: work per iteration and a per-iteration syscall, so steps, sequencers
+#: and regions all scale with ``iters``.  The record and replay
+#: equivalence tests run it through the production loops and the oracle.
+RACY_LOOP_TEMPLATE = """
+.data
+x: .word 0
+y: .word 0
+.thread a b
+    li r1, {iters}
+al:
+    load r2, [x]
+    addi r2, r2, 1
+    muli r3, r2, 7
+    xori r3, r3, 21
+    andi r3, r3, 1023
+    store r2, [x]
+    sys_rand r4, 3
+    subi r1, r1, 1
+    bnez r1, al
+    halt
+.thread c d
+    li r1, {iters}
+cl:
+    load r2, [y]
+    addi r2, r2, 2
+    muli r3, r2, 5
+    ori r3, r3, 9
+    shri r3, r3, 2
+    store r2, [y]
+    sys_rand r4, 3
+    subi r1, r1, 1
+    bnez r1, cl
+    halt
+"""
+
+
+def record_racy_loop(iters, run=record_run, seed=15):
+    """Record :data:`RACY_LOOP_TEMPLATE` at ``iters`` through ``run``
+    (``record_run`` or the oracle's); returns ``(program, result, log)``."""
+    program = assemble(RACY_LOOP_TEMPLATE.format(iters=iters), name="racyloop%d" % iters)
+    result, log = run(
+        program,
+        scheduler=RandomScheduler(seed=seed, switch_probability=0.3),
+        seed=seed,
+        max_steps=2_000_000,
+    )
+    return program, result, log
+
+
 @pytest.fixture
 def racy_program():
     """A program with a locked counter and an unlocked stats counter."""

@@ -1,15 +1,17 @@
-"""The record-stage fast path and suite cache must not change anything.
+"""The predecoded recorder and the suite cache must not change anything.
 
 The predecoded interpreter, the columnar recorder, and the
 content-addressed record cache are pure performance work: a recording
 made through any combination of them must be *identical* — same
 ``ReplayLog``, same machine result, same race instances, same verdicts —
-to one made by the retained generic reference interpreter.  These tests
-enforce that over the full paper suite.
+to one made by the generic string-dispatch oracle
+(``tests/reference_interp.py``).  These tests enforce that over the full
+paper suite.
 """
 
 import pytest
 
+import reference_interp
 from repro.analysis.cache import SuiteCache, execution_cache_key
 from repro.analysis.perf import PerfStats
 from repro.analysis.pipeline import analyze_execution, analyze_suite
@@ -17,16 +19,17 @@ from repro.record import record_run
 from repro.vm import RandomScheduler
 from repro.workloads.suite import clean_suite, paper_suite
 
+from conftest import record_racy_loop
 
-def _record(execution, fast_path):
-    return record_run(
+
+def _record(execution, oracle=False):
+    return (reference_interp.record_run if oracle else record_run)(
         execution.workload.program(),
         scheduler=RandomScheduler(
             seed=execution.seed, switch_probability=execution.switch_probability
         ),
         seed=execution.seed,
         max_steps=200_000,
-        fast_path=fast_path,
     )
 
 
@@ -54,11 +57,12 @@ def aggregates(suite):
 
 
 def test_fast_path_recordings_byte_identical():
-    """Fast vs generic interpreter: same log, same machine result, on
-    every execution of the paper suite plus the clean controls."""
+    """Predecoded interpreter vs the oracle: same log, same machine
+    result, on every execution of the paper suite plus the clean
+    controls."""
     for execution in list(paper_suite()) + list(clean_suite()):
-        fast_result, fast_log = _record(execution, fast_path=True)
-        slow_result, slow_log = _record(execution, fast_path=False)
+        fast_result, fast_log = _record(execution)
+        slow_result, slow_log = _record(execution, oracle=True)
         assert fast_log == slow_log, execution.execution_id
         assert fast_result.output == slow_result.output
         assert fast_result.memory == slow_result.memory
@@ -67,15 +71,34 @@ def test_fast_path_recordings_byte_identical():
         assert fast_result.sequencer_count == slow_result.sequencer_count
 
 
+@pytest.mark.parametrize("iters", [100, 300])
+def test_racy_loop_recordings_match_the_oracle(iters, tmp_path):
+    """The racy-loop scaling program: the predecoded interpreter and the
+    oracle record the same log and the same machine result, and the
+    suite cache serves that log back unchanged."""
+    _, result, log = record_racy_loop(iters)
+    _, oracle_result, oracle_log = record_racy_loop(
+        iters, run=reference_interp.record_run
+    )
+    assert log == oracle_log
+    assert result == oracle_result
+    cache = SuiteCache(tmp_path)
+    cache.store("racy-loop", result, log)
+    cached = cache.load("racy-loop")
+    assert cached is not None
+    assert cached[1] == log
+    assert cached[0] == result
+
+
 def test_verdicts_identical_on_generic_recordings(tmp_path):
-    """Verdicts from the default path (fast interpreter + columnar access
-    index) equal verdicts computed over generic-reference recordings
-    served through the cache (which strips the captured columns, forcing
-    the replay-derived access index)."""
+    """Verdicts from the default path (predecoded interpreter + columnar
+    access index) equal verdicts computed over oracle recordings served
+    through the cache (which strips the captured columns, forcing the
+    replay-derived access index)."""
     subset = paper_suite()[:8]
     cache = SuiteCache(tmp_path / "slow-recordings")
     for execution in subset:
-        slow_result, slow_log = _record(execution, fast_path=False)
+        slow_result, slow_log = _record(execution, oracle=True)
         cache.store(execution_cache_key(execution, 200_000, True), slow_result, slow_log)
 
     for execution in subset:
@@ -158,7 +181,7 @@ def test_corrupt_cache_entry_degrades_to_miss(tmp_path):
     execution = paper_suite()[0]
     cache = SuiteCache(tmp_path)
     key = execution_cache_key(execution, 200_000, True)
-    result, log = _record(execution, fast_path=True)
+    result, log = _record(execution)
     cache.store(key, result, log)
 
     for path in tmp_path.iterdir():

@@ -1,24 +1,30 @@
-"""The replay-stage fast path must not change anything.
+"""The predecoded replayer must not change anything.
 
 The predecoded thread replayer, the captured-columns handoff, and the
 lazy region materialization are pure performance work: every observable
 the analyses read from an :class:`OrderedReplay` — materialized thread
 replays, region snapshots, program output, final memory, race instances
 and verdicts — must be *identical* whether the replay ran through the
-fast path (with or without captured columns) or the retained generic
-reference interpreter.  These tests enforce that over the full paper
-suite plus the clean controls.
+predecoded replayer (with or without captured columns) or the generic
+string-dispatch oracle (``tests/reference_interp.py``).  These tests
+enforce that over the full paper suite plus the clean controls.
 """
 
-import dataclasses
+from types import SimpleNamespace
 
+import pytest
+
+from reference_interp import ReferenceOrderedReplay, stripped as _stripped
 from repro.analysis.perf import PerfStats
 from repro.analysis.pipeline import analyze_execution
-from repro.race.happens_before import find_races
+from repro.race.classifier import RaceClassifier
+from repro.race.happens_before import HappensBeforeDetector, find_races
 from repro.record import record_run
 from repro.replay.ordered_replay import OrderedReplay
 from repro.vm import RandomScheduler
 from repro.workloads.suite import clean_suite, paper_suite
+
+from conftest import record_racy_loop
 
 
 def _record(execution):
@@ -30,14 +36,6 @@ def _record(execution):
         seed=execution.seed,
         max_steps=200_000,
     )
-
-
-def _stripped(log):
-    """The same log without its captured columns (the deserialized-JSON /
-    suite-cache shape), forcing the replay-derived fallback."""
-    clone = dataclasses.replace(log)
-    clone.captured = None
-    return clone
 
 
 def _race_keys(ordered):
@@ -75,15 +73,38 @@ def _region_observables(ordered):
     return observables
 
 
+def _analyze_on_oracle(execution, log):
+    """``analyze_execution``'s detect and classify stages, run over the
+    oracle's ordered replay of ``log`` (captured columns stripped)."""
+    ordered = ReferenceOrderedReplay(_stripped(log), execution.workload.program())
+    instances = HappensBeforeDetector(ordered, max_pairs_per_location=256).detect()
+    classifier = RaceClassifier(ordered, execution_id=execution.execution_id)
+    return SimpleNamespace(
+        instances=instances, classified=classifier.classify_all(instances)
+    )
+
+
+def _index_columns(ordered):
+    index = ordered.access_index()
+    return (
+        list(index.steps),
+        list(index.addresses),
+        list(index.values),
+        bytes(index.write_flags),
+        list(index.region_of),
+        index.postings,
+    )
+
+
 class TestFastVsGenericReplay:
     def test_thread_replays_byte_identical(self):
-        """Fast vs generic replay of every thread of every suite
+        """Predecoded vs oracle replay of every thread of every suite
         execution: the materialized replays are equal, snapshots and all."""
         for execution in list(paper_suite()) + list(clean_suite()):
             _, log = _record(execution)
             program = execution.workload.program()
-            fast = OrderedReplay(log, program, fast_path=True)
-            generic = OrderedReplay(_stripped(log), program, fast_path=False)
+            fast = OrderedReplay(log, program)
+            generic = ReferenceOrderedReplay(_stripped(log), program)
             for name in log.threads:
                 fast_replay = fast.thread_replays[name].materialized()
                 generic_replay = generic.thread_replays[name].materialized()
@@ -94,23 +115,24 @@ class TestFastVsGenericReplay:
 
     def test_ordered_observables_identical(self):
         """Output, final memory, region snapshots and race sets agree
-        between the fast and generic paths on every suite execution."""
+        between the predecoded replayer and the oracle on every suite
+        execution."""
         for execution in list(paper_suite()) + list(clean_suite()):
             _, log = _record(execution)
             program = execution.workload.program()
-            fast = OrderedReplay(log, program, fast_path=True)
-            generic = OrderedReplay(_stripped(log), program, fast_path=False)
+            fast = OrderedReplay(log, program)
+            generic = ReferenceOrderedReplay(_stripped(log), program)
             assert fast.output() == generic.output(), execution.execution_id
             assert fast.final_memory() == generic.final_memory()
             assert _region_observables(fast) == _region_observables(generic)
             assert _race_keys(fast) == _race_keys(generic), execution.execution_id
 
     def test_verdicts_identical(self):
-        """End-to-end analysis with the fast path off reproduces every
-        instance and every verdict of the default path."""
+        """Detection and classification over the oracle's ordered replay
+        reproduce every instance and every verdict of the default path."""
         for execution in paper_suite()[:8]:
             default = analyze_execution(execution)
-            generic = analyze_execution(execution, replay_fast_path=False)
+            generic = _analyze_on_oracle(execution, default.log)
 
             def instance_keys(analysis):
                 return [
@@ -146,10 +168,8 @@ class TestCapturedHandoff:
             program = execution.workload.program()
 
             with_capture_perf = PerfStats()
-            with_capture = OrderedReplay(
-                log, program, fast_path=True, perf=with_capture_perf
-            )
-            without_capture = OrderedReplay(_stripped(log), program, fast_path=True)
+            with_capture = OrderedReplay(log, program, perf=with_capture_perf)
+            without_capture = OrderedReplay(_stripped(log), program)
 
             assert with_capture_perf.replay_captured_handoffs == 1
             # The handoff never interprets a thread for the walk/index.
@@ -180,9 +200,29 @@ class TestCapturedHandoff:
         assert round_tripped.captured is not None
 
         perf = PerfStats()
-        from_disk = OrderedReplay(round_tripped, program, fast_path=True, perf=perf)
-        fresh = OrderedReplay(log, program, fast_path=True)
+        from_disk = OrderedReplay(round_tripped, program, perf=perf)
+        fresh = OrderedReplay(log, program)
         assert perf.replay_captured_handoffs == 1
         assert from_disk.output() == fresh.output()
         assert from_disk.final_memory() == fresh.final_memory()
         assert _race_keys(from_disk) == _race_keys(fresh)
+
+
+@pytest.mark.parametrize("iters", [100, 300])
+def test_racy_loop_replay_stage_matches_the_oracle(iters):
+    """The racy-loop scaling program: the full replay stage (ordered walk
+    plus access index) agrees with the oracle on every observable — index
+    columns, output, final memory, races and thread replays."""
+    program, _, log = record_racy_loop(iters)
+    assert log.captured is not None
+    fast = OrderedReplay(log, program)
+    oracle = ReferenceOrderedReplay(_stripped(log), program)
+    assert _index_columns(fast) == _index_columns(oracle)
+    assert fast.output() == oracle.output()
+    assert fast.final_memory() == oracle.final_memory()
+    assert _race_keys(fast) == _race_keys(oracle)
+    for name in log.threads:
+        assert (
+            fast.thread_replays[name].materialized()
+            == oracle.thread_replays[name].materialized()
+        ), name

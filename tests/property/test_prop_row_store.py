@@ -6,8 +6,9 @@ recorded programs:
 
 * **One answer per (region, address)** — ``accesses_at`` returns the
   same ``(step, is_write, value, static_id)`` rows from the
-  captured-column :class:`AccessIndex`, the replay-built one
-  (``_fast_path=False``) and the :class:`StreamingAccessWindow`, and
+  captured-column :class:`AccessIndex`, the one built over the generic
+  replay oracle (``tests/reference_interp.py``) and the
+  :class:`StreamingAccessWindow`, and
   they equal the oracle's per-address grouping of the replayed accesses
   (``tests/reference_detector.py``).
 * **Sync rows inside a region are dropped** — recordings never put a
@@ -37,6 +38,7 @@ from repro.replay.log_view import SegmentCursor
 from repro.vm import RandomScheduler
 
 from reference_detector import NaiveHappensBeforeDetector
+from reference_interp import ReferenceOrderedReplay, stripped
 from strategies import programs, seeds
 
 _SETTINGS = settings(
@@ -161,7 +163,7 @@ class TestAccessesAt:
         program, log = _recording(source, seed)
         expected = _oracle(OrderedReplay(log, program))
         captured = LogView.from_bytes(encode_log(log)).access_index()
-        replay_built = OrderedReplay(log, program, fast_path=False).access_index()
+        replay_built = ReferenceOrderedReplay(stripped(log), program).access_index()
         assert _index_answers(captured) == expected
         assert _index_answers(replay_built) == expected
         windowed = _window_answers(_streamed(log))
@@ -202,7 +204,7 @@ class TestCap:
                 LogView.from_bytes(encode_log(log)), max_pairs_per_location=cap
             ),
             HappensBeforeDetector(
-                OrderedReplay(log, program, fast_path=False),
+                ReferenceOrderedReplay(stripped(log), program),
                 max_pairs_per_location=cap,
             ),
         ]

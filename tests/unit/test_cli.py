@@ -170,6 +170,32 @@ class TestDetect:
             )
             assert err.count("\n") == 1 and "Traceback" not in err
 
+    def test_thread_block_missing_from_program_is_a_one_line_error(
+        self, tmp_path, capsys
+    ):
+        from repro.record.binary_format import decode_log, encode_log
+
+        program = tmp_path / "demo.asm"
+        program.write_text(DEMO_SOURCE)
+        log = tmp_path / "demo.rprb"
+        code, _ = run_cli(["record", str(program), "-o", str(log)])
+        assert code == 0
+        decoded = decode_log(log.read_bytes())
+        assert decoded.captured is not None
+        decoded.threads["w1"].block = "nope"
+        mismatched = tmp_path / "nope.rprb"
+        mismatched.write_bytes(encode_log(decoded))
+        capsys.readouterr()
+        for command in ("detect", "analyze", "replay"):
+            code, text = run_cli([command, str(mismatched)])
+            err = capsys.readouterr().err
+            assert code == 1, command
+            assert text == "", command
+            assert err == (
+                "error: thread 'w1' runs block 'nope', "
+                "which the embedded program lacks\n"
+            ), command
+
 
 class TestClassify:
     def test_classify_prints_triage(self, recorded):

@@ -277,6 +277,20 @@ class TestPerfStats:
         assert payload["cache_hit_rate"] == 0.2
         assert payload["pool_workers"] == 2
 
+    def test_from_json_loads_payloads_with_retired_counters(self):
+        # Stats written before the generic replayer was retired carry two
+        # counters that no longer exist; they load and are dropped.
+        payload = PerfStats(jobs=2).to_json()
+        payload["replay_threads_fast"] = 3
+        payload["replay_threads_generic"] = 0
+        payload["replay_snapshots_eager"] = 0
+        stats = PerfStats.from_json(payload)
+        assert stats.replay_threads_fast == 3
+        assert not hasattr(stats, "replay_threads_generic")
+        assert not hasattr(stats, "replay_snapshots_eager")
+        assert "replay_threads_generic" not in stats.to_json()
+        assert "replay_snapshots_eager" not in stats.to_json()
+
 
 class TestEngineConfig:
     def test_engine_without_memoization_uses_plain_classifier(self):

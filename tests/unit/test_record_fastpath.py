@@ -4,14 +4,16 @@ The predecoded interpreter, the columnar recorder, and the v2 binary
 elision each have corners the paper suite never exercises: faulting
 threads, threads that retire zero steps, regions containing nothing but
 sequencers, and logs whose load values actually repeat.  Each test pins
-the fast path to the generic reference (or to a hand-built expectation)
-on one such corner.
+the predecoded interpreter to the generic oracle
+(``tests/reference_interp.py``) or to a hand-built expectation on one
+such corner.
 """
 
 import dataclasses
 
 import pytest
 
+import reference_interp
 from repro.analysis.access_index import AccessIndex
 from repro.isa import assemble
 from repro.record import Recorder, record_run
@@ -28,8 +30,8 @@ from repro.vm import ExplicitScheduler, RandomScheduler
 
 
 def _both_paths(program, **kwargs):
-    fast = record_run(program, fast_path=True, **kwargs)
-    slow = record_run(program, fast_path=False, **kwargs)
+    fast = record_run(program, **kwargs)
+    slow = reference_interp.record_run(program, **kwargs)
     return fast, slow
 
 
@@ -90,12 +92,10 @@ class TestFastPathEdgeCases:
             fast = record_run(
                 program,
                 scheduler=RandomScheduler(seed=seed, switch_probability=0.5),
-                fast_path=True,
             )
-            slow = record_run(
+            slow = reference_interp.record_run(
                 program,
                 scheduler=RandomScheduler(seed=seed, switch_probability=0.5),
-                fast_path=False,
             )
             assert fast[1] == slow[1]
             assert fast[0].threads == slow[0].threads

@@ -12,6 +12,7 @@ import pickle
 
 import pytest
 
+from reference_interp import ReferenceOrderedReplay, stripped
 from repro.isa import assemble
 from repro.record import record_run
 from repro.record.binary_format import decode_log, encode_log
@@ -71,20 +72,18 @@ x: .word 0
 """
 
 
-def _replayed(source, seed=7, fast_path=True, name="fastpath"):
+def _replayed(source, seed=7, name="fastpath"):
     program = assemble(source, name=name)
     result, log = record_run(
         program,
         scheduler=RandomScheduler(seed=seed, switch_probability=0.4),
         seed=seed,
     )
-    return program, result, log, OrderedReplay(log, program, fast_path=fast_path)
+    return program, result, log, OrderedReplay(log, program)
 
 
 def _generic(log, program):
-    stripped = dataclasses.replace(log)
-    stripped.captured = None
-    return OrderedReplay(stripped, program, fast_path=False)
+    return ReferenceOrderedReplay(stripped(log), program)
 
 
 class TestRegionForStepBisect:
@@ -171,6 +170,18 @@ class TestLazySnapshotEdges:
         first_access_step = replay.accesses[0].thread_step
         replay.registers_at_step[first_access_step]
         assert dict.__len__(replay.registers_at_step) == 1
+
+
+class TestOnePath:
+    def test_fast_path_false_is_rejected(self):
+        """``fast_path`` survives only as a True-only keyword: there is no
+        other replay path to select."""
+        program, _, log, _ = _replayed(RACY)
+        with pytest.raises(ValueError):
+            OrderedReplay(log, program, fast_path=False)
+        assert OrderedReplay(log, program, fast_path=True).output() == (
+            OrderedReplay(log, program).output()
+        )
 
 
 class TestStrictOutput:

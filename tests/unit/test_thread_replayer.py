@@ -1,7 +1,13 @@
-"""Unit tests for isolated per-thread replay."""
+"""Unit tests for isolated per-thread replay.
+
+Fidelity and snapshot cases run the production replayer and pin it to
+the generic oracle (``tests/reference_interp.py``); the divergence cases
+run the production replayer alone.
+"""
 
 import pytest
 
+from reference_interp import ReferenceThreadReplayer
 from repro.isa import assemble
 from repro.record import record_run
 from repro.replay import ReplayDivergence, ThreadReplayer, replay_thread
@@ -20,6 +26,9 @@ def roundtrip(source, seed=3, scheduler=None):
     replays = {
         name: replay_thread(program, log, name) for name in log.threads
     }
+    for name, replay in replays.items():
+        oracle = ReferenceThreadReplayer(program, log, name).run()
+        assert replay.materialized() == oracle, name
     return program, result, log, replays
 
 
