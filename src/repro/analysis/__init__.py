@@ -21,8 +21,6 @@ from .experiments import (
 from .engine import (
     ClassificationEngine,
     EngineConfig,
-    MemoizingClassifier,
-    TrackingImage,
     VerdictCache,
 )
 from .figures import FigurePoint, FigureSeries, build_figure3, build_figure4, build_figure5
@@ -45,9 +43,7 @@ __all__ = [
     "build_access_index",
     "ClassificationEngine",
     "EngineConfig",
-    "MemoizingClassifier",
     "PerfStats",
-    "TrackingImage",
     "VerdictCache",
     "EXPERIMENTS",
     "ContinueAblation",

@@ -159,7 +159,7 @@ def instance_batch_key(ordered, instance: RaceInstance) -> Dict:
 class PlannedBatch:
     """One group of instances that share a full structural key."""
 
-    #: The structural key every member shares (see MemoizingClassifier).
+    #: The structural key every member shares (see BatchingClassifier).
     key: tuple
     #: ``(input position, canonicalized instance)`` in input order; the
     #: first member is the batch leader (it replays, the rest fan out).
@@ -199,11 +199,9 @@ class BatchPlan:
 def plan_batches(classifier, instances: Sequence[RaceInstance]) -> BatchPlan:
     """Group instances by structural key, preserving input order.
 
-    ``classifier`` is a :class:`~repro.analysis.engine.MemoizingClassifier`
-    (or subclass): its canonicalization and key construction are reused so
-    the plan interns region contents in exactly the order the per-instance
-    memoized path would — the resulting keys, cache entries and verdicts
-    are therefore identical between the two paths.
+    ``classifier`` is a :class:`~repro.analysis.engine.BatchingClassifier`:
+    its canonicalization and key construction build the keys, interning
+    region contents in input order.
     """
     batches: Dict[tuple, PlannedBatch] = {}
     for position, instance in enumerate(instances):

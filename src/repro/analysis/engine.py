@@ -22,7 +22,7 @@ was originally first, (d) the freed-range set, and (e) the pair-snapshot
 live-in values the replay *reads*.  Components (a)–(c) form the structural
 key — (a) is interned once per region so per-instance keys are tuples of
 small ints; (d)–(e) cannot be known up front, so the first classification
-runs with a :class:`TrackingImage` that records every live-in probe
+runs with a :class:`TrackingView` that records every live-in probe
 (including misses), and the probe set + values are stored with the
 verdict.  A later instance hits only when its own live-in agrees on every
 probed address — and since the replay is deterministic in exactly those
@@ -55,7 +55,7 @@ from .pipeline import (
 )
 
 
-class TrackingImage(dict):
+class TrackingView:
     """A live-in image that records every probe, *including misses*.
 
     The classifier and virtual processor only ever read the live-in image
@@ -64,48 +64,15 @@ class TrackingImage(dict):
     non-negative ints, so ``None`` is unambiguous).  Misses matter: a
     replay that faulted on an absent address must not hit a cached verdict
     computed when the address was present, and vice versa.
-    """
 
-    __slots__ = ("probes",)
-
-    _MISS = object()
-
-    def __init__(self, *args) -> None:
-        super().__init__(*args)
-        self.probes: Dict[int, Optional[int]] = {}
-
-    def _probe(self, key):
-        value = super().get(key, self._MISS)
-        self.probes[key] = None if value is self._MISS else value
-        return value
-
-    def get(self, key, default=None):
-        value = self._probe(key)
-        return default if value is self._MISS else value
-
-    def __contains__(self, key) -> bool:
-        return self._probe(key) is not self._MISS
-
-    def __getitem__(self, key):
-        value = self._probe(key)
-        if value is self._MISS:
-            raise KeyError(key)
-        return value
-
-
-class TrackingView:
-    """A :class:`TrackingImage` over a lazy live-in reader.
-
-    Same probe-recording contract, but backed by any read-only mapping
-    (``.get`` suffices — misses stay misses) instead of a materialized
-    dict, so the batched classifier can track probes against
-    :meth:`OrderedReplay.pair_live_in`'s lazy view without copying or
-    reconstructing the pair image.
+    The backing is any read-only mapping (``.get`` suffices), so the
+    classifier tracks probes against :meth:`OrderedReplay.pair_live_in`'s
+    lazy view without copying or reconstructing the pair image.
     """
 
     __slots__ = ("_backing", "probes")
 
-    _MISS = TrackingImage._MISS
+    _MISS = object()
 
     def __init__(self, backing) -> None:
         self._backing = backing
@@ -437,42 +404,37 @@ class VerdictCache:
         return normalized, portable_key, (shapes, probes, freed, template)
 
 
-class MemoizingClassifier(RaceClassifier):
-    """A :class:`RaceClassifier` that consults a shared verdict cache."""
+class BatchingClassifier(RaceClassifier):
+    """A :class:`RaceClassifier` that plans whole batches against a shared
+    verdict cache.
+
+    :meth:`classify_all` groups the instances by full structural key
+    (:func:`repro.analysis.batching.plan_batches`) and walks each batch:
+    the first member that misses the verdict cache replays (the batch
+    *leader*), and every later member is served by a cache lookup — from
+    the leader's stored verdict when its live-in agrees on the probed
+    addresses (``batch_fanout``), or by its own replay through the
+    leader's rebound processor on probe divergence (``batch_fallbacks``).
+    A cached verdict is a deterministic function of the inputs its key
+    and probe set pin down, so verdicts are byte-identical to the plain
+    :class:`RaceClassifier` — the equivalence tests assert it.
+
+    Per fanned-out member the batch path skips the pair-snapshot dict
+    copies (``pair_live_in`` resolves one probed address at a time), and
+    fallback members reuse the leader's thread specs and seeded prefix
+    image instead of re-deriving them.
+    """
 
     def __init__(self, *args, cache: Optional[VerdictCache] = None, **kwargs):
         super().__init__(*args, **kwargs)
         self.cache = cache if cache is not None else VerdictCache()
         #: (tid, region index) -> interned region-content id.
         self._region_ids: Dict[Tuple[int, int], int] = {}
-
-    def classify_instance(self, instance: RaceInstance) -> ClassifiedInstance:
-        if self.config.store_replay_outcomes:
-            # Callers wanting the raw VPOutcomes need the real replay.
-            return super().classify_instance(instance)
-        instance = self._canonicalize(instance)
-        live_in, freed = self.ordered.pair_snapshot(
-            instance.region_a, instance.region_b
-        )
-        key = self._structural_key(instance)
-        template = self.cache.lookup(key, live_in, freed)
-        if template is not None:
-            return self._from_template(instance, template)
-        tracking = TrackingImage(live_in)
-        result = self._classify_with_state(instance, tracking, freed)
-        self.cache.store(
-            key,
-            tracking.probes,
-            freed,
-            (
-                result.outcome,
-                result.original_first == instance.access_a.thread_name,
-                result.pre_value,
-                result.failure_kind,
-                result.failure_detail,
-            ),
-        )
-        return result
+        self.batches_planned = 0
+        self.batch_fanout = 0
+        self.batch_fallbacks = 0
+        #: batch size -> number of batches of that size (this classifier).
+        self.batch_sizes: Dict[int, int] = {}
 
     def _from_template(
         self, instance: RaceInstance, template: _VerdictTemplate
@@ -533,36 +495,9 @@ class MemoizingClassifier(RaceClassifier):
             self._original_first(instance) == access_a.thread_name,
         )
 
-
-class BatchingClassifier(MemoizingClassifier):
-    """A memoizing classifier that plans whole batches up front.
-
-    :meth:`classify_all` groups the instances by full structural key
-    (:func:`repro.analysis.batching.plan_batches`) and walks each batch:
-    the first member that misses the verdict cache replays (the batch
-    *leader*), and every later member is served by the same cache lookup
-    the per-instance memoized path would do — from the leader's stored
-    verdict when its live-in agrees on the probed addresses
-    (``batch_fanout``), or by its own replay through the leader's rebound
-    processor on probe divergence (``batch_fallbacks``).  Because members
-    share the full structural key and the cache-store order matches the
-    per-instance path's, verdicts are byte-identical to
-    :class:`MemoizingClassifier` — the equivalence tests assert it.
-
-    The win over plain memoization is constant-factor but large on
-    instance-heavy regions: per fanned-out member the batch path skips
-    the pair-snapshot dict copies (``pair_snapshot_view``), and fallback
-    members reuse the leader's thread specs and seeded prefix image
-    instead of re-deriving them.
-    """
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.batches_planned = 0
-        self.batch_fanout = 0
-        self.batch_fallbacks = 0
-        #: batch size -> number of batches of that size (this classifier).
-        self.batch_sizes: Dict[int, int] = {}
+    # ------------------------------------------------------------------
+    # The batch walk.
+    # ------------------------------------------------------------------
 
     def classify_all(self, instances: List[RaceInstance]) -> List[ClassifiedInstance]:
         if self.config.store_replay_outcomes or not instances:
@@ -593,9 +528,8 @@ class BatchingClassifier(MemoizingClassifier):
             # Lazy pair live-in: cache probes and virtual-processor loads
             # resolve one address at a time, so no member ever pays for a
             # full pair-image reconstruction or copy.  Values are
-            # address-identical to ``pair_snapshot``'s, so the stored
-            # probes — and hence every verdict — match the per-instance
-            # path byte for byte.
+            # address-identical to ``pair_snapshot``'s, so every verdict
+            # matches the plain classifier's byte for byte.
             live_in, freed = self.ordered.pair_live_in(
                 member.region_a, member.region_b
             )
@@ -647,12 +581,10 @@ class EngineConfig:
 
     #: Worker processes; 1 analyses in-process (no pool).
     jobs: int = 1
-    #: Serve structurally identical race instances from the verdict cache.
+    #: Classify through :class:`BatchingClassifier` and the verdict cache;
+    #: False runs the plain :class:`RaceClassifier` (the test oracle and
+    #: the paper-table path).  Verdicts are byte-identical either way.
     memoize: bool = True
-    #: Plan classification in batches of structurally identical instances
-    #: (one replay per batch, fanned out).  Requires ``memoize``; verdicts
-    #: are byte-identical either way.
-    batching: bool = True
     #: Splice verdicts from a prior analysis of the same program: absorb
     #: the ``prior=`` index passed to :meth:`analyze_execution` /
     #: :meth:`analyze_log`, and (with ``cache_dir``) persist and reload
@@ -696,10 +628,7 @@ class ClassificationEngine:
             return RaceClassifier(
                 ordered, config=classifier_config, execution_id=execution_id
             )
-        classifier_class = (
-            BatchingClassifier if self.config.batching else MemoizingClassifier
-        )
-        return classifier_class(
+        return BatchingClassifier(
             ordered,
             config=classifier_config,
             execution_id=execution_id,

@@ -254,13 +254,13 @@ def measure_overheads(
     classifier = RaceClassifier(ordered)
     classified, classify_seconds = _time(lambda: classifier.classify_all(instances))
 
-    # The same classification through the memoizing engine classifier, on a
-    # fresh region-ordered replay so warmed snapshot caches don't flatter it.
-    from .engine import MemoizingClassifier, VerdictCache
+    # The same classification through the engine's batching classifier, on
+    # a fresh region-ordered replay so warmed snapshot caches don't flatter it.
+    from .engine import BatchingClassifier, VerdictCache
 
     fresh = OrderedReplay(log, program)
     cache = VerdictCache()
-    engine_classifier = MemoizingClassifier(fresh, cache=cache)
+    engine_classifier = BatchingClassifier(fresh, cache=cache)
     _, engine_classify_seconds = _time(
         lambda: engine_classifier.classify_all(instances)
     )

@@ -107,7 +107,7 @@ def analyze_execution(
     """Record and fully analyse one execution of a workload.
 
     ``classifier_factory(ordered, classifier_config, execution_id)`` lets
-    the classification engine substitute its memoizing classifier;
+    the classification engine substitute its batching classifier;
     ``detector_factory(ordered, max_pairs_per_location)`` substitutes the
     race detector (the equivalence tests pass the retained naive
     reference); ``perf`` accumulates per-stage wall time and work
@@ -596,22 +596,37 @@ class ParallelLogView:
     own those), so there is no real index to hand back.
     """
 
-    __slots__ = ("program_name", "program_source", "seed", "scheduler", "_stats", "_program")
+    __slots__ = (
+        "program_name",
+        "program_source",
+        "seed",
+        "scheduler",
+        "thread_blocks",
+        "_stats",
+        "_program",
+    )
 
-    def __init__(self, header, stats: Dict[str, int]):
+    def __init__(self, header, stats: Dict[str, int], thread_blocks: Dict[str, str]):
         self.program_name = header.program_name
         self.program_source = header.program_source
         self.seed = header.seed
         self.scheduler = header.scheduler
+        self.thread_blocks = dict(thread_blocks)
         self._stats = dict(stats)
         self._program = None
 
     @property
     def program(self):
+        """The embedded program, paired with every thread block the
+        workers' segments name."""
         if self._program is None:
             from ..isa import assemble
+            from ..replay.errors import thread_block
 
-            self._program = assemble(self.program_source, name=self.program_name)
+            program = assemble(self.program_source, name=self.program_name)
+            for name, block in self.thread_blocks.items():
+                thread_block(program, name, block)
+            self._program = program
         return self._program
 
     def access_index(self) -> "ParallelLogView":
@@ -700,7 +715,7 @@ def _detect_parallel(
     stats.instances += len(outcome.instances)
     if jobs > stats.jobs:
         stats.jobs = jobs
-    view = ParallelLogView(outcome.header, outcome.stats)
+    view = ParallelLogView(outcome.header, outcome.stats, outcome.thread_blocks)
     if execution_id is None:
         execution_id = "%s#s%d" % (view.program_name, view.seed)
     return DetectionAnalysis(
@@ -720,8 +735,8 @@ def detection_report(analysis: DetectionAnalysis) -> Dict:
     """The canonical machine-readable document of a detect-only pass.
 
     A deterministic function of the detected race set alone — the
-    ``path`` that produced it is deliberately **excluded**, so the CI
-    equivalence job can diff the rendered bytes of a from-log pass
+    ``path`` that produced it is deliberately **excluded**, so the
+    equivalence tests can diff the rendered bytes of a from-log pass
     against a replay pass and "byte-identical race sets" is literal.
     Every instance is listed (canonical detector order), not just
     exemplars: detect-only output feeds triage queues that need the full
@@ -779,7 +794,7 @@ def execution_report(analysis: ExecutionAnalysis, suppressions=None) -> Dict:
         suppressions=suppressions,
         # Batch keys are derived from the recording alone (region contents
         # via the ordered replay), never from which classifier ran — so
-        # batched and unbatched reports stay byte-identical.
+        # batched and plain reports stay byte-identical.
         batch_key_for=lambda entry: instance_batch_key(
             analysis.ordered, entry.instance
         ),
@@ -817,48 +832,30 @@ def analyze_suite(
     memoize: bool = False,
     perf: Optional[PerfStats] = None,
     cache_dir=None,
-    batching: bool = True,
 ) -> SuiteAnalysis:
     """Analyse a corpus and merge per-static-race results across executions.
 
-    ``jobs > 1`` fans the per-execution analyses across a process pool and
-    ``memoize`` reuses verdicts of structurally identical race instances;
-    both delegate to :class:`repro.analysis.engine.ClassificationEngine`
-    and change no verdict (the engine equivalence tests assert identical
-    results).  ``cache_dir`` enables the content-addressed record cache
+    The executions run through :class:`repro.analysis.engine.ClassificationEngine`.
+    ``jobs > 1`` fans them across a process pool and ``memoize`` classifies
+    through the batching classifier and its verdict cache; the default
+    classifies with the plain :class:`RaceClassifier`.  Neither changes a
+    verdict (the engine equivalence tests assert identical results).
+    ``cache_dir`` enables the content-addressed record cache
     (:mod:`repro.analysis.cache`), letting repeated runs skip record for
     unchanged workloads — again with no effect on any result.
     """
-    if jobs != 1 or memoize:
-        from .engine import ClassificationEngine, EngineConfig
+    from .engine import ClassificationEngine, EngineConfig
 
-        engine = ClassificationEngine(
-            EngineConfig(
-                jobs=jobs,
-                memoize=memoize,
-                classifier_config=classifier_config,
-                max_pairs_per_location=max_pairs_per_location,
-                cache_dir=str(cache_dir) if cache_dir is not None else None,
-                batching=batching,
-            )
+    engine = ClassificationEngine(
+        EngineConfig(
+            jobs=jobs,
+            memoize=memoize,
+            classifier_config=classifier_config,
+            max_pairs_per_location=max_pairs_per_location,
+            cache_dir=str(cache_dir) if cache_dir is not None else None,
         )
-        analyses = engine.analyze_executions(list(executions), perf=perf)
-    else:
-        cache = None
-        if cache_dir is not None:
-            from .cache import SuiteCache
-
-            cache = SuiteCache(cache_dir)
-        analyses = [
-            analyze_execution(
-                execution,
-                classifier_config=classifier_config,
-                max_pairs_per_location=max_pairs_per_location,
-                perf=perf,
-                cache=cache,
-            )
-            for execution in executions
-        ]
+    )
+    analyses = engine.analyze_executions(list(executions), perf=perf)
     merged: Dict[StaticRaceKey, StaticRaceResult] = {}
     race_workloads: Dict[StaticRaceKey, Workload] = {}
     for analysis in analyses:

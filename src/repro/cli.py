@@ -130,11 +130,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "captured columns; default picks it automatically when available)",
     )
     detect_path.add_argument(
-        "--full-replay",
-        action="store_true",
-        help="force the historical ordered-replay path",
-    )
-    detect_path.add_argument(
         "--stream",
         action="store_true",
         help="detect segment by segment with bounded resident state "
@@ -187,16 +182,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "verdict memoization, incremental re-analysis)",
     )
     analyze.add_argument("log", type=Path, help="replay log file")
-    analyze.add_argument(
-        "--no-batching",
-        action="store_true",
-        help="classify every instance individually (the pre-batching engine)",
-    )
-    analyze.add_argument(
-        "--no-memoize",
-        action="store_true",
-        help="disable verdict memoization entirely (implies no batching)",
-    )
     analyze.add_argument(
         "--incremental-from",
         type=Path,
@@ -623,19 +608,16 @@ def _cmd_detect(args, out) -> int:
             "--jobs and --stream are mutually exclusive; drop one of them"
         )
     jobs = args.jobs if args.jobs is not None else 1
-    if jobs > 1 and (args.from_log or args.full_replay):
+    if jobs > 1 and args.from_log:
         raise ValueError(
             "--jobs above 1 selects the parallel segment-fanout path and "
-            "cannot be combined with an explicit path flag; drop --jobs or "
-            "the --from-log/--full-replay flag"
+            "cannot be combined with --from-log; drop one of them"
         )
     perf = PerfStats()
     if args.stream:
         mode = "stream"
     elif args.from_log:
         mode = "from-log"
-    elif args.full_replay:
-        mode = "replay"
     elif jobs > 1:
         # Explicitly parallel (not auto) so a container the fanout
         # cannot partition errors loudly instead of silently running
@@ -744,22 +726,12 @@ def _cmd_analyze(args, out) -> int:
     from .analysis.perf import PerfStats
     from .analysis.pipeline import execution_report, render_report
 
-    if args.export_verdicts and args.no_memoize:
-        raise ValueError(
-            "--export-verdicts needs the verdict cache; drop --no-memoize"
-        )
     if args.jobs > 1 and args.stream:
         raise ValueError(
             "--jobs parallelizes the batch detection sweep and cannot be "
             "combined with --stream; drop one of them"
         )
-    config = EngineConfig(
-        jobs=1,
-        memoize=not args.no_memoize,
-        batching=not args.no_batching,
-        cache_dir=args.cache_dir,
-    )
-    engine = ClassificationEngine(config)
+    engine = ClassificationEngine(EngineConfig(cache_dir=args.cache_dir))
     prior = None
     if args.incremental_from is not None:
         if args.incremental_from.suffix == ".json":
@@ -769,9 +741,9 @@ def _cmd_analyze(args, out) -> int:
         else:
             # A replay log: analyse it with a throwaway engine and splice
             # from its verdict index — "re-analyse against that old run".
-            prior = ClassificationEngine(
-                EngineConfig(jobs=1, memoize=True, batching=not args.no_batching)
-            ).analyze_log(load_log(args.incremental_from))
+            prior = ClassificationEngine().analyze_log(
+                load_log(args.incremental_from)
+            )
     perf = PerfStats()
     detector_factory = None
     if args.jobs > 1:

@@ -189,7 +189,7 @@ class RaceClassifier:
 
     # ------------------------------------------------------------------
     # The per-instance analysis, with an injectable live-in state (the
-    # engine's memoizing classifier wraps this entry point).
+    # engine's batching classifier wraps this entry point).
     # ------------------------------------------------------------------
 
     def batch_processor(

@@ -403,6 +403,7 @@ def _partition_worker(task: tuple) -> dict:
                 cursor.skip(name, tid, count, (step, ts, kind))
         kinds: Dict[str, str] = {}
         interned: Dict[str, Dict[int, object]] = {}
+        blocks: Dict[str, str] = {}
         for position in range(s_lo, len(entries)):
             if position >= s_hi:
                 earliest = cursor.earliest_open_ts()
@@ -412,7 +413,8 @@ def _partition_worker(task: tuple) -> dict:
             ordinal, _, last_ts, segment_threads = read_segment_lean(
                 payload, kinds, interned
             )
-            for name, tid, _block, sequencers, rows in segment_threads:
+            for name, tid, block, sequencers, rows in segment_threads:
+                blocks.setdefault(name, block)
                 cursor.add(ordinal, name, tid, sequencers, rows)
             stitches += _sweep_range(
                 detector, cursor.seal(last_ts), range_start, range_end
@@ -427,6 +429,7 @@ def _partition_worker(task: tuple) -> dict:
         "examined": detector.kernel.examined,
         "stitches": stitches,
         "segments": s_hi - s_lo,
+        "blocks": blocks,
         "owned": {
             "regions": window.regions,
             "accesses": window.accesses,
@@ -509,6 +512,8 @@ class ParallelDetectOutcome:
     #: The container's identity section (a
     #: :class:`~repro.record.binary_format.SegmentedHeader`).
     header: object = None
+    #: thread name -> the block it runs, as the workers' segments name it.
+    thread_blocks: Dict[str, str] = field(default_factory=dict)
     #: Per-worker wall clock (inflated by time-sharing when workers
     #: outnumber free cores) and CPU seconds (contention-independent).
     worker_seconds: List[float] = field(default_factory=list)
@@ -558,8 +563,11 @@ def parallel_detect_races(
         examined = sum(result["examined"] for result in results)
         stitches = sum(result["stitches"] for result in results)
         addresses: Set[int] = set()
+        thread_blocks: Dict[str, str] = {}
         for result in results:
             addresses.update(result["owned"]["addresses"])
+            for name, block in result["blocks"].items():
+                thread_blocks.setdefault(name, block)
         stats = {
             "regions": sum(result["owned"]["regions"] for result in results),
             "accesses": sum(result["owned"]["accesses"] for result in results),
@@ -589,6 +597,7 @@ def parallel_detect_races(
         workers=len(tasks),
         boundary_stitches=stitches,
         header=header,
+        thread_blocks=thread_blocks,
         worker_seconds=[result["worker_s"] for result in results],
         worker_cpu_seconds=[result["worker_cpu_s"] for result in results],
         worker_pids=[result["pid"] for result in results],

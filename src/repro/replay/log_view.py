@@ -443,6 +443,8 @@ class StreamingLogView:
         self._segments = segments
         self._perf = perf
         self.cursor = SegmentCursor()
+        #: thread name -> the block it runs, as the fed segments name it.
+        self.thread_blocks: Dict[str, str] = {}
         self._program = None
         self._window = None
         if perf is not None:
@@ -546,6 +548,8 @@ class StreamingLogView:
         classification fires at — holding only the active window
         resident.  Empty windows are skipped.  Single use."""
         for segment in self._segments:
+            for name, thread in segment.threads.items():
+                self.thread_blocks.setdefault(name, thread.block)
             window = self.cursor.feed(segment)
             if window:
                 yield window
@@ -576,9 +580,14 @@ class StreamingLogView:
     @property
     def program(self):
         """The embedded program, assembled on first use (presentation
-        only — streaming detection never touches it)."""
+        only — streaming detection never touches it).  A v4 container
+        names a thread's block only inside its segments, so the pairing
+        checks every block the stream has fed."""
         if self._program is None:
             from ..isa.assembler import assemble
 
-            self._program = assemble(self.program_source, name=self.program_name)
+            program = assemble(self.program_source, name=self.program_name)
+            for name, block in self.thread_blocks.items():
+                thread_block(program, name, block)
+            self._program = program
         return self._program

@@ -85,10 +85,6 @@ class ServiceConfig:
     max_pairs_per_location: Optional[int] = 256
     max_steps: int = 200_000
     capture_global_order: bool = True
-    memoize: bool = True
-    #: Batch classification by shared region content (see
-    #: :class:`repro.analysis.engine.BatchingClassifier`).
-    batching: bool = True
     #: Splice verdicts from the persisted per-program verdict index on
     #: resubmissions (requires ``cache_dir``); dedup near-miss jobs then
     #: replay only content-changed instances.

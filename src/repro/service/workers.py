@@ -102,12 +102,10 @@ def _worker_init(config_dict: dict) -> None:
     engine = ClassificationEngine(
         EngineConfig(
             jobs=1,
-            memoize=config.memoize,
             max_pairs_per_location=config.max_pairs_per_location,
             max_steps=config.max_steps,
             capture_global_order=config.capture_global_order,
             cache_dir=config.cache_dir,
-            batching=config.batching,
             incremental=config.incremental,
         )
     )

@@ -186,8 +186,7 @@ class TestFromLogEquivalence:
     @pytest.mark.parametrize("seed", range(4))
     def test_detection_reports_byte_identical(self, seed):
         """detect_only's rendered report is the same bytes whichever
-        path materializes the detector input — the CI equivalence job
-        literally diffs these."""
+        path materializes the detector input."""
         _, log = log_for(seed)
         data = encode_log(log)
         via_view = detect_only(data, mode="from-log")

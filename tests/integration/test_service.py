@@ -258,14 +258,19 @@ class TestBackpressure:
         try:
             client.submit_workload(WORKLOAD, seed=100)
             client.submit_workload(WORKLOAD, seed=101)
-            with pytest.raises(QueueFullError) as caught:
-                client.submit_workload(WORKLOAD, seed=102)
-            assert caught.value.status == 429
+            # Every overflow submission is rejected at once, never queued
+            # and never left waiting for a slot.
+            started = time.perf_counter()
+            for seed in (102, 103, 104):
+                with pytest.raises(QueueFullError) as caught:
+                    client.submit_workload(WORKLOAD, seed=seed)
+                assert caught.value.status == 429
+            assert time.perf_counter() - started < 5.0
             # Resubmitting existing work still deduplicates — no slot
             # needed, so no 429.
             again = client.submit_workload(WORKLOAD, seed=100)
             assert not again.created
-            assert client.metrics()["queue"]["rejections"] == 1
+            assert client.metrics()["queue"]["rejections"] == 3
             # The rejected submission left no journaled job behind:
             # only the two admitted jobs exist, both still queued.
             assert client.metrics()["jobs"]["queued"] == 2

@@ -2,8 +2,7 @@
 
 For random recorded programs, the batched engine and a warm incremental
 re-analysis spliced from its verdict index must both render the exact
-report bytes of the per-instance paths — the plain (unmemoized)
-classifier and the per-instance memoized engine.  This is the
+report bytes of the plain (unmemoized) per-instance classifier.  This is the
 whole-pipeline version of the unit equivalence tests: any drift in
 canonicalization, batch planning, lazy live-in resolution, probe
 tracking or index splicing shows up as a byte diff here.
@@ -41,10 +40,8 @@ def _report(analysis):
     return render_report(execution_report(analysis))
 
 
-def _engine(batching):
-    return ClassificationEngine(
-        EngineConfig(jobs=1, memoize=True, batching=batching)
-    )
+def _engine():
+    return ClassificationEngine(EngineConfig(jobs=1, memoize=True))
 
 
 class TestBatchedEngineEquivalence:
@@ -57,16 +54,13 @@ class TestBatchedEngineEquivalence:
         ).analyze_log(log)
         reference = _report(naive)
 
-        memoized = _engine(batching=False).analyze_log(log)
-        assert _report(memoized) == reference
-
-        batched = _engine(batching=True).analyze_log(log)
+        batched = _engine().analyze_log(log)
         assert _report(batched) == reference
 
         # A warm engine spliced from the batched run's verdict index
         # must reproduce the same bytes without a single replay.
         warm_stats = PerfStats()
-        warm = _engine(batching=True).analyze_log(
+        warm = _engine().analyze_log(
             log, perf=warm_stats, prior=batched
         )
         assert _report(warm) == reference

@@ -1,8 +1,8 @@
 """Unit tests: batch planning, lazy pair live-in, the portable index.
 
-The batched classifier must be a pure execution-plan change: same cache
-entries, same verdicts, byte for byte.  These tests pin the pieces that
-make that true — the planner's grouping, the lazy live-in view's
+The batched classifier must be a pure execution-plan change: the same
+verdicts as the plain classifier, byte for byte.  These tests pin the
+pieces that make that true — the planner's grouping, the lazy live-in view's
 address-for-address agreement with ``pair_snapshot``, the probe tracking,
 the probe-divergence fallback, and the portable verdict index's
 defensive absorb / collision guard.
@@ -25,8 +25,6 @@ from repro.analysis.engine import (
     BatchingClassifier,
     ClassificationEngine,
     EngineConfig,
-    MemoizingClassifier,
-    TrackingImage,
     TrackingView,
     VerdictCache,
 )
@@ -158,16 +156,14 @@ class TestPlanBatches:
 
 class TestBatchedVerdictEquivalence:
     def test_batched_matches_memoized_and_naive(self):
+        # The batching classifier is the memoized path; the plain
+        # classifier is its oracle.
         _, ordered, instances = batchy_pipeline()
         naive = fresh_classifier(RaceClassifier, ordered).classify_all(instances)
-        memoized = fresh_classifier(MemoizingClassifier, ordered).classify_all(
-            instances
-        )
         batched = fresh_classifier(BatchingClassifier, ordered).classify_all(
             instances
         )
         reference = [verdict_tuple(entry) for entry in naive]
-        assert [verdict_tuple(entry) for entry in memoized] == reference
         assert [verdict_tuple(entry) for entry in batched] == reference
 
     def test_fanout_counts_cache_served_members(self):
@@ -186,23 +182,13 @@ class TestBatchedVerdictEquivalence:
         # before any store, then 5 or 7), so some members of a batch
         # diverge on the pre-value probe and must replay individually.
         _, ordered, instances = batchy_pipeline()
-        memoized = fresh_classifier(MemoizingClassifier, ordered).classify_all(
-            instances
-        )
+        plain = fresh_classifier(RaceClassifier, ordered).classify_all(instances)
         classifier = fresh_classifier(BatchingClassifier, ordered)
         batched = classifier.classify_all(instances)
         assert classifier.batch_fallbacks > 0
         assert [verdict_tuple(e) for e in batched] == [
-            verdict_tuple(e) for e in memoized
+            verdict_tuple(e) for e in plain
         ]
-
-    def test_batched_and_memoized_build_identical_cache_entries(self):
-        _, ordered, instances = batchy_pipeline()
-        memoized = fresh_classifier(MemoizingClassifier, ordered)
-        memoized.classify_all(instances)
-        batched = fresh_classifier(BatchingClassifier, ordered)
-        batched.classify_all(instances)
-        assert memoized.cache.export_portable() == batched.cache.export_portable()
 
 
 class TestLazyPairLiveIn:
@@ -237,18 +223,31 @@ class TestLazyPairLiveIn:
         assert swapped[0] is first[0]
 
     def test_tracking_view_records_probes_like_tracking_image(self):
-        backing = {10: 1, 20: 2}
-        image = TrackingImage(backing)
-        view = TrackingView(dict(backing))
+        # Tracking the lazy pair view records exactly the probes that
+        # tracking the materialized pair image does, misses included.
+        _, ordered, instances = batchy_pipeline()
+        instance = instances[0]
+        snapshot, _ = ordered.pair_snapshot(instance.region_a, instance.region_b)
+        lazy, _ = ordered.pair_live_in(instance.region_a, instance.region_b)
+        present = sorted(snapshot)[:2]
+        absent = max(snapshot, default=0) + 1024
+        image = TrackingView(snapshot)
+        view = TrackingView(lazy)
         for tracker in (image, view):
-            assert tracker[10] == 1
-            assert tracker.get(20) == 2
-            assert tracker.get(99) is None
-            assert 98 not in tracker
+            assert tracker[present[0]] == snapshot[present[0]]
+            assert tracker.get(present[1]) == snapshot[present[1]]
+            assert tracker.get(absent) is None
+            assert absent + 1 not in tracker
             with pytest.raises(KeyError):
-                tracker[97]
+                tracker[absent + 2]
         assert view.probes == image.probes
-        assert view.probes == {10: 1, 20: 2, 99: None, 98: None, 97: None}
+        assert view.probes == {
+            present[0]: snapshot[present[0]],
+            present[1]: snapshot[present[1]],
+            absent: None,
+            absent + 1: None,
+            absent + 2: None,
+        }
 
 
 class TestPortableIndex:

@@ -1,6 +1,7 @@
 """Unit tests for the command-line interface."""
 
 import io
+import json
 
 import pytest
 
@@ -173,7 +174,11 @@ class TestDetect:
     def test_thread_block_missing_from_program_is_a_one_line_error(
         self, tmp_path, capsys
     ):
-        from repro.record.binary_format import decode_log, encode_log
+        from repro.record.binary_format import (
+            decode_log,
+            encode_log,
+            encode_log_segmented,
+        )
 
         program = tmp_path / "demo.asm"
         program.write_text(DEMO_SOURCE)
@@ -185,16 +190,44 @@ class TestDetect:
         decoded.threads["w1"].block = "nope"
         mismatched = tmp_path / "nope.rprb"
         mismatched.write_bytes(encode_log(decoded))
+        segmented = tmp_path / "nope.seg.rprb"
+        segmented.write_bytes(encode_log_segmented(decoded, segment_bytes=64))
         capsys.readouterr()
-        for command in ("detect", "analyze", "replay"):
-            code, text = run_cli([command, str(mismatched)])
+        for argv in (
+            ["detect", str(mismatched)],
+            ["analyze", str(mismatched)],
+            ["replay", str(mismatched)],
+            ["detect", str(mismatched), "--stream"],
+            ["detect", str(segmented), "--stream"],
+            ["detect", str(segmented), "--jobs", "2"],
+        ):
+            code, text = run_cli(argv)
             err = capsys.readouterr().err
-            assert code == 1, command
-            assert text == "", command
+            assert code == 1, argv
+            assert text == "", argv
             assert err == (
                 "error: thread 'w1' runs block 'nope', "
                 "which the embedded program lacks\n"
-            ), command
+            ), argv
+
+
+class TestAnalyze:
+    def test_incremental_from_exported_verdicts_is_byte_identical(
+        self, recorded, tmp_path
+    ):
+        _, log, _ = recorded
+        verdicts = tmp_path / "verdicts.json"
+        code, cold = run_cli(
+            ["analyze", str(log), "--export-verdicts", str(verdicts)]
+        )
+        assert code == 0
+        assert json.loads(verdicts.read_text())["entries"]
+        code, warm = run_cli(
+            ["analyze", str(log), "--incremental-from", str(verdicts)]
+        )
+        assert code == 0
+        assert json.loads(cold)["races"]
+        assert warm == cold
 
 
 class TestClassify:

@@ -3,10 +3,10 @@
 import pytest
 
 from repro.analysis.engine import (
+    BatchingClassifier,
     ClassificationEngine,
     EngineConfig,
-    MemoizingClassifier,
-    TrackingImage,
+    TrackingView,
     VerdictCache,
 )
 from repro.analysis.perf import PerfStats
@@ -76,15 +76,17 @@ def verdict_tuple(entry):
 
 
 class TestTrackingImage:
+    """The tracking live-in image (:class:`TrackingView` over a dict)."""
+
     def test_records_hits(self):
-        image = TrackingImage({10: 1, 20: 2})
+        image = TrackingView({10: 1, 20: 2})
         assert image[10] == 1
         assert image.get(20) == 2
         assert 10 in image
         assert image.probes == {10: 1, 20: 2}
 
     def test_records_misses_as_none(self):
-        image = TrackingImage({10: 1})
+        image = TrackingView({10: 1})
         assert image.get(99) is None
         assert 98 not in image
         with pytest.raises(KeyError):
@@ -92,7 +94,7 @@ class TestTrackingImage:
         assert image.probes == {99: None, 98: None, 97: None}
 
     def test_unprobed_addresses_not_recorded(self):
-        image = TrackingImage({10: 1, 20: 2})
+        image = TrackingView({10: 1, 20: 2})
         image.get(10)
         assert 20 not in image.probes
 
@@ -140,12 +142,14 @@ class TestVerdictCache:
 
 
 class TestMemoizingClassifier:
+    """The engine's memoizing classifier (:class:`BatchingClassifier`)."""
+
     def test_identical_recordings_hit_the_cache(self):
         cache = VerdictCache()
         reference = []
         for run in range(2):
             _, ordered, instances = pipeline(RACY_RMW, seed=5)
-            classifier = MemoizingClassifier(
+            classifier = BatchingClassifier(
                 ordered, cache=cache, execution_id="run%d" % run
             )
             classified = classifier.classify_all(instances)
@@ -161,13 +165,13 @@ class TestMemoizingClassifier:
         _, ordered, instances = pipeline(RACY_RMW, seed=5)
         plain = RaceClassifier(ordered, execution_id="x").classify_all(instances)
         _, ordered2, instances2 = pipeline(RACY_RMW, seed=5)
-        memo = MemoizingClassifier(ordered2, execution_id="x").classify_all(instances2)
+        memo = BatchingClassifier(ordered2, execution_id="x").classify_all(instances2)
         assert [verdict_tuple(c) for c in plain] == [verdict_tuple(c) for c in memo]
 
     def test_store_replay_outcomes_bypasses_cache(self):
         _, ordered, instances = pipeline(RACY_RMW, seed=5)
         config = ClassifierConfig(store_replay_outcomes=True)
-        classifier = MemoizingClassifier(ordered, config=config)
+        classifier = BatchingClassifier(ordered, config=config)
         classified = classifier.classify_all(instances)
         assert classifier.cache.hits == 0 and classifier.cache.misses == 0
         assert any(c.original_replay is not None for c in classified)

@@ -368,12 +368,21 @@ class TestFileStore:
     ):
         store = FleetStore.open(tmp_path / "fleet")
         store.absorb_report(export_report(), "job-1", observed_at=1.0)
+        store.absorb_report(detect_report(), "job-2", observed_at=2.0)
         before = store.report_bytes()
         size = store.compact()
-        assert size == len((tmp_path / "fleet" / SNAPSHOT_NAME).read_bytes())
+        snapshot = (tmp_path / "fleet" / SNAPSHOT_NAME).read_bytes()
+        assert size == len(snapshot)
         assert (tmp_path / "fleet" / JOURNAL_NAME).stat().st_size == 0
         assert store.report_bytes() == before
         assert FleetStore.open(tmp_path / "fleet").report_bytes() == before
+        # Re-submitting the same executions leaves the compacted snapshot
+        # byte-identical: it tracks unique races, not traffic.
+        for _ in range(3):
+            store.absorb_report(export_report(), "job-1", observed_at=3.0)
+            store.absorb_report(detect_report(), "job-2", observed_at=4.0)
+        assert store.compact() == size
+        assert (tmp_path / "fleet" / SNAPSHOT_NAME).read_bytes() == snapshot
 
     def test_torn_journal_tail_is_sealed_not_fatal(self, tmp_path):
         store = FleetStore.open(tmp_path / "fleet")

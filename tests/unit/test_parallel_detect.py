@@ -22,7 +22,7 @@ from repro.race.happens_before import (
     parallel_detect_races,
     partition_segment_ranges,
 )
-from repro.record import record_run
+from repro.record import binary_format, record_run
 from repro.record.binary_format import (
     MappedSegmentedReader,
     encode_log,
@@ -285,11 +285,24 @@ class TestCliJobsValidation:
 
 
 class TestParallelDetectRaces:
-    def test_worker_metadata_is_reported(self, tmp_path):
+    def test_worker_metadata_is_reported(self, tmp_path, monkeypatch):
         _, log = _recorded()
         path, data = _segmented_file(tmp_path, log, segment_bytes=64)
         segments = len(read_segment_index(data))
+        # The parent inflates only the header and footer frames; the
+        # workers (separate processes) inflate the segments.
+        inflated = []
+        real_inflate = binary_format._inflate
+
+        def spying_inflate(payload, segment=None):
+            inflated.append(segment)
+            return real_inflate(payload, segment)
+
+        monkeypatch.setattr(binary_format, "_inflate", spying_inflate)
         outcome = parallel_detect_races(path, jobs=3)
+        assert inflated == [None, None]
+        detect_only(path, mode="from-log")
+        assert len(inflated) - 2 >= segments  # the spy sees a serial read
         assert outcome.segments == segments
         assert 1 <= outcome.workers <= 3
         assert len(outcome.worker_seconds) == outcome.workers
