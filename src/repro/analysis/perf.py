@@ -11,17 +11,24 @@ so the counters stay correct across a ``ProcessPoolExecutor`` fan-out.
 from __future__ import annotations
 
 import time
+import typing
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, Iterator, Set
 
 
 @dataclass
 class PerfStats:
-    """Wall-time and work counters for one analysis run."""
+    """Wall-time and work counters for one analysis run.
 
-    #: Worker processes requested (1 = serial in-process analysis).
-    jobs: int = 1
+    Each counter is declared once, here.  :meth:`merge` adds numbers,
+    adds dicts key by key and unions sets; ``metadata`` ``keep`` skips a
+    field, and ``json`` renames its key in :meth:`to_json`.  A counter
+    ``--perf`` should show also needs a row in ``_RENDER``.
+    """
+
+    #: Worker processes requested (1 = serial); merge keeps the receiver's.
+    jobs: int = field(default=1, metadata={"keep": True})
     #: Wall seconds per pipeline stage (record/replay/detect/classify/...).
     stage_seconds: Dict[str, float] = field(default_factory=dict)
     #: Executions analysed.
@@ -38,30 +45,32 @@ class PerfStats:
     originals_synthesized: int = 0
     #: Alternative replays whose logged prefix was fast-forwarded.
     prefixes_fast_forwarded: int = 0
-    #: Batches the batching classifier planned (groups of instances
-    #: sharing a full structural key).
+    #: Batches planned: groups of instances sharing a full structural key.
     classify_batches: int = 0
     #: Verdicts fanned out from a batch leader's replay to later members.
     batch_fanout: int = 0
-    #: Batch members that replayed individually on live-in probe
-    #: divergence (the correctness fallback).
+    #: Batch members replayed alone after a live-in probe diverged.
     batch_fallbacks: int = 0
     #: Batch size -> number of batches of that size.
-    batch_sizes: Dict[int, int] = field(default_factory=dict)
+    batch_sizes: Dict[int, int] = field(
+        default_factory=dict, metadata={"json": "batch_size_histogram"}
+    )
     #: Verdicts spliced from an absorbed prior analysis (incremental).
     incremental_spliced: int = 0
     #: Portable verdict-index entries absorbed for splicing.
     incremental_absorbed: int = 0
     #: Tasks dispatched to the process pool (0 when serial).
     pool_tasks: int = 0
-    #: Distinct worker processes that returned results.
-    pool_workers: Set[int] = field(default_factory=set)
+    #: Distinct worker processes that returned results (JSON: the sorted
+    #: ``pool_worker_ids`` and their count as ``pool_workers``).
+    pool_workers: Set[int] = field(
+        default_factory=set, metadata={"json": "pool_worker_ids"}
+    )
     #: Regions with plain accesses visited by the detect sweep.
     detect_regions: int = 0
     #: Overlapping, address-sharing region pairs the sweep examined.
     detect_pairs_examined: int = 0
-    #: Region pairs the quadratic reference loop would have visited but
-    #: the sweep line never touched.
+    #: Region pairs a quadratic loop would visit that the sweep never touched.
     detect_pairs_pruned: int = 0
     #: Instructions retired by recording machines.
     record_steps: int = 0
@@ -81,32 +90,26 @@ class PerfStats:
     replay_snapshots_lazy: int = 0
     #: Ordered replays whose walk + index ran entirely off captured columns.
     replay_captured_handoffs: int = 0
-    #: Detect passes served by the zero-replay log view (no thread replay,
-    #: no ordered walk — regions and index straight from the log).
+    #: Detect passes whose regions and index came straight from the log.
     detect_log_native: int = 0
-    #: Streaming analyses run (detect --stream / analyze --stream /
-    #: service stream jobs).
+    #: Streaming analyses run (``--stream`` and service stream jobs).
     stream_jobs: int = 0
     #: v4 segments fed through the streaming cursor.
     stream_segments: int = 0
     #: Sealed windows eager classification fired on.
     stream_windows: int = 0
     #: Wall seconds from stream start to the first classified verdict,
-    #: summed over streaming analyses (divide by ``stream_jobs`` for the
-    #: average; the service's ``/metrics`` surfaces it in ms).
+    #: summed over streaming analyses (``/metrics`` shows the average in ms).
     stream_first_verdict_s: float = 0.0
     #: v4 segments fanned out across the parallel detect pool.
     parallel_segments: int = 0
     #: Partition workers the fan-out dispatched (1 = inline, no pool).
     parallel_workers: int = 0
-    #: Cross-boundary regions preloaded into a later worker's active set
-    #: (each is a region still open at a partition cut).
+    #: Regions open at a partition cut, preloaded into the next worker.
     parallel_boundary_stitches: int = 0
-    #: Wall seconds spent stitching and canonically ordering the merged
-    #: race set in the parent.
+    #: Wall seconds the parent spent stitching and ordering merged races.
     parallel_merge_s: float = 0.0
-    #: Summed per-worker wall seconds (decode + sweep); across a real
-    #: pool this exceeds the fan-out stage's wall time.
+    #: Summed per-worker wall seconds (decode + sweep), not fan-out wall time.
     parallel_worker_sweep_s: float = 0.0
     #: Job reports absorbed into the fleet triage store.
     fleet_absorbs: int = 0
@@ -128,94 +131,37 @@ class PerfStats:
             self.stage_seconds[name] = self.stage_seconds.get(name, 0.0) + elapsed
 
     def merge(self, other: "PerfStats") -> None:
-        """Fold another accumulator (e.g. one worker's) into this one.
-
-        Stage times add up: across pool workers they are CPU-seconds of
-        work, not wall time — wall time belongs to the dispatching stage.
-        """
-        for name, seconds in other.stage_seconds.items():
-            self.stage_seconds[name] = self.stage_seconds.get(name, 0.0) + seconds
-        self.executions += other.executions
-        self.instances += other.instances
-        self.cache_hits += other.cache_hits
-        self.cache_misses += other.cache_misses
-        self.vp_runs += other.vp_runs
-        self.originals_synthesized += other.originals_synthesized
-        self.prefixes_fast_forwarded += other.prefixes_fast_forwarded
-        self.classify_batches += other.classify_batches
-        self.batch_fanout += other.batch_fanout
-        self.batch_fallbacks += other.batch_fallbacks
-        for size, count in other.batch_sizes.items():
-            self.batch_sizes[size] = self.batch_sizes.get(size, 0) + count
-        self.incremental_spliced += other.incremental_spliced
-        self.incremental_absorbed += other.incremental_absorbed
-        self.pool_tasks += other.pool_tasks
-        self.pool_workers |= other.pool_workers
-        self.detect_regions += other.detect_regions
-        self.detect_pairs_examined += other.detect_pairs_examined
-        self.detect_pairs_pruned += other.detect_pairs_pruned
-        self.record_steps += other.record_steps
-        self.record_events += other.record_events
-        self.record_predicted_loads += other.record_predicted_loads
-        self.record_cache_hits += other.record_cache_hits
-        self.record_cache_misses += other.record_cache_misses
-        self.replay_threads_fast += other.replay_threads_fast
-        self.replay_accesses_materialized += other.replay_accesses_materialized
-        self.replay_snapshots_lazy += other.replay_snapshots_lazy
-        self.replay_captured_handoffs += other.replay_captured_handoffs
-        self.detect_log_native += other.detect_log_native
-        self.stream_jobs += other.stream_jobs
-        self.stream_segments += other.stream_segments
-        self.stream_windows += other.stream_windows
-        self.stream_first_verdict_s += other.stream_first_verdict_s
-        self.parallel_segments += other.parallel_segments
-        self.parallel_workers += other.parallel_workers
-        self.parallel_boundary_stitches += other.parallel_boundary_stitches
-        self.parallel_merge_s += other.parallel_merge_s
-        self.parallel_worker_sweep_s += other.parallel_worker_sweep_s
-        self.fleet_absorbs += other.fleet_absorbs
-        self.fleet_absorb_duplicates += other.fleet_absorb_duplicates
-        self.fleet_records_new += other.fleet_records_new
-        self.fleet_records_updated += other.fleet_records_updated
+        """Fold another accumulator (e.g. one worker's) into this one.  Stage
+        times add up: across pool workers they are CPU-seconds of work, not
+        wall time — wall time belongs to the dispatching stage."""
+        for name, _, container, _, _ in _MERGED:
+            mine, theirs = getattr(self, name), getattr(other, name)
+            if container is dict:
+                for key, value in theirs.items():
+                    mine[key] = mine.get(key, 0) + value
+            elif container is set:
+                mine |= theirs
+            else:
+                setattr(self, name, mine + theirs)
 
     @classmethod
     def from_json(cls, payload: Dict[str, object]) -> "PerfStats":
-        """Rebuild an accumulator from :meth:`to_json` output.
-
-        The inverse of :meth:`to_json` for every raw counter (derived
-        rates are recomputed, not read back), so stats can cross process
-        or HTTP boundaries as plain JSON and still :meth:`merge`
-        losslessly — the analysis service's workers return their stats
-        this way.  Unknown keys are ignored for forward compatibility;
-        ``pool_workers`` is rebuilt from ``pool_worker_ids`` (the
-        ``pool_workers`` key itself is the derived count).
-        """
+        """The inverse of :meth:`to_json`, so stats can cross process or
+        HTTP boundaries as plain JSON and still :meth:`merge` losslessly
+        (the service's workers return theirs this way).  Only the
+        counters' JSON keys are read; any other key is ignored."""
         stats = cls()
-        derived = {
-            "cache_hit_rate",
-            "detect_prune_rate",
-            "record_cache_hit_rate",
-            "pool_workers",
-            "pool_worker_ids",
-            "stage_seconds",
-            "batch_size_histogram",
-        }
-        for name, value in payload.items():
-            if name in derived or not hasattr(stats, name):
+        for name, key, container, key_type, value_type in _FIELDS:
+            value = payload.get(key)
+            if value is None:
                 continue
+            if container is dict:
+                value = {key_type(k): value_type(v) for k, v in dict(value).items()}
+            elif container is set:
+                value = {value_type(v) for v in value}
+            else:
+                value = value_type(value)
             setattr(stats, name, value)
-        stats.stage_seconds = {
-            str(name): float(seconds)
-            for name, seconds in dict(payload.get("stage_seconds") or {}).items()
-        }
-        stats.pool_workers = set(payload.get("pool_worker_ids") or ())
-        # JSON object keys are strings; batch sizes are ints.
-        stats.batch_sizes = {
-            int(size): int(count)
-            for size, count in dict(
-                payload.get("batch_size_histogram") or {}
-            ).items()
-        }
         return stats
 
     @property
@@ -231,7 +177,11 @@ class PerfStats:
     @property
     def pool_utilization(self) -> float:
         """Distinct workers used over workers requested."""
-        return len(self.pool_workers) / self.jobs if self.jobs else 0.0
+        return self.pool_worker_count / self.jobs if self.jobs else 0.0
+
+    @property
+    def pool_worker_count(self) -> int:
+        return len(self.pool_workers)
 
     @property
     def detect_prune_rate(self) -> float:
@@ -245,172 +195,104 @@ class PerfStats:
         looked_up = self.record_cache_hits + self.record_cache_misses
         return self.record_cache_hits / looked_up if looked_up else 0.0
 
+    @property
+    def largest_batch(self) -> int:
+        return max(self.batch_sizes, default=0)
+
+    @property
+    def stream_first_verdict_avg_s(self) -> float:
+        """Average seconds to the first verdict over streaming analyses."""
+        jobs = self.stream_jobs
+        return self.stream_first_verdict_s / jobs if jobs else 0.0
+
     def to_json(self) -> Dict[str, object]:
-        return {
-            "jobs": self.jobs,
-            "pool_worker_ids": sorted(self.pool_workers),
-            "stage_seconds": {
-                name: round(seconds, 6)
-                for name, seconds in sorted(self.stage_seconds.items())
-            },
-            "executions": self.executions,
-            "instances": self.instances,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "cache_hit_rate": round(self.cache_hit_rate, 4),
-            "vp_runs": self.vp_runs,
-            "originals_synthesized": self.originals_synthesized,
-            "prefixes_fast_forwarded": self.prefixes_fast_forwarded,
-            "classify_batches": self.classify_batches,
-            "batch_fanout": self.batch_fanout,
-            "batch_fallbacks": self.batch_fallbacks,
-            "batch_size_histogram": {
-                str(size): count
-                for size, count in sorted(self.batch_sizes.items())
-            },
-            "incremental_spliced": self.incremental_spliced,
-            "incremental_absorbed": self.incremental_absorbed,
-            "pool_tasks": self.pool_tasks,
-            "pool_workers": len(self.pool_workers),
-            "detect_regions": self.detect_regions,
-            "detect_pairs_examined": self.detect_pairs_examined,
-            "detect_pairs_pruned": self.detect_pairs_pruned,
-            "detect_prune_rate": round(self.detect_prune_rate, 4),
-            "record_steps": self.record_steps,
-            "record_events": self.record_events,
-            "record_predicted_loads": self.record_predicted_loads,
-            "record_cache_hits": self.record_cache_hits,
-            "record_cache_misses": self.record_cache_misses,
-            "record_cache_hit_rate": round(self.record_cache_hit_rate, 4),
-            "replay_threads_fast": self.replay_threads_fast,
-            "replay_accesses_materialized": self.replay_accesses_materialized,
-            "replay_snapshots_lazy": self.replay_snapshots_lazy,
-            "replay_captured_handoffs": self.replay_captured_handoffs,
-            "detect_log_native": self.detect_log_native,
-            "stream_jobs": self.stream_jobs,
-            "stream_segments": self.stream_segments,
-            "stream_windows": self.stream_windows,
-            "stream_first_verdict_s": round(self.stream_first_verdict_s, 6),
-            "parallel_segments": self.parallel_segments,
-            "parallel_workers": self.parallel_workers,
-            "parallel_boundary_stitches": self.parallel_boundary_stitches,
-            "parallel_merge_s": round(self.parallel_merge_s, 6),
-            "parallel_worker_sweep_s": round(self.parallel_worker_sweep_s, 6),
-            "fleet_absorbs": self.fleet_absorbs,
-            "fleet_absorb_duplicates": self.fleet_absorb_duplicates,
-            "fleet_records_new": self.fleet_records_new,
-            "fleet_records_updated": self.fleet_records_updated,
-        }
+        """Every counter under its JSON key, plus ``_JSON_RATES`` to 4
+        places.  Floats keep 6 places, dict keys become sorted strings, and
+        a set is written sorted, with its size under the field's name."""
+        payload: Dict[str, object] = {}
+        for name, key, container, _, _ in _FIELDS:
+            value = getattr(self, name)
+            if container is dict:
+                value = {str(k): _rounded(v) for k, v in sorted(value.items())}
+            elif container is set:
+                payload[name] = len(value)
+                value = sorted(value)
+            else:
+                value = _rounded(value)
+            payload[key] = value
+        for name in _JSON_RATES:
+            payload[name] = round(getattr(self, name), 4)
+        return payload
 
     def render(self) -> str:
-        lines = ["analysis performance (jobs=%d)" % self.jobs]
-        for name, seconds in sorted(self.stage_seconds.items()):
-            lines.append("  %-12s %8.3f s" % (name, seconds))
-        lines.append(
-            "  %d executions, %d instances, %d VP runs" % (self.executions, self.instances, self.vp_runs)
-        )
-        lines.append(
-            "  verdict cache: %d hits / %d misses (%.1f%% hit rate)"
-            % (self.cache_hits, self.cache_misses, 100.0 * self.cache_hit_rate)
-        )
-        lines.append(
-            "  replay reuse: %d originals synthesized, %d prefixes fast-forwarded"
-            % (self.originals_synthesized, self.prefixes_fast_forwarded)
-        )
-        if self.classify_batches:
-            largest = max(self.batch_sizes) if self.batch_sizes else 0
-            lines.append(
-                "  batching: %d batches (largest %d), %d fanned out, %d fallbacks"
-                % (
-                    self.classify_batches,
-                    largest,
-                    self.batch_fanout,
-                    self.batch_fallbacks,
-                )
-            )
-        if self.incremental_spliced or self.incremental_absorbed:
-            lines.append(
-                "  incremental: %d verdicts spliced from %d absorbed entries"
-                % (self.incremental_spliced, self.incremental_absorbed)
-            )
-        if self.record_steps or self.record_cache_hits:
-            lines.append(
-                "  record: %d steps, %d access events, %d predicted loads elided"
-                % (self.record_steps, self.record_events, self.record_predicted_loads)
-            )
-        if self.record_cache_hits or self.record_cache_misses:
-            lines.append(
-                "  record cache: %d hits / %d misses (%.1f%% hit rate)"
-                % (
-                    self.record_cache_hits,
-                    self.record_cache_misses,
-                    100.0 * self.record_cache_hit_rate,
-                )
-            )
-        if self.replay_threads_fast or self.replay_captured_handoffs:
-            lines.append(
-                "  replay: %d threads, %d captured handoffs"
-                % (self.replay_threads_fast, self.replay_captured_handoffs)
-            )
-            lines.append(
-                "  replay lazy: %d accesses materialized, %d snapshots lazy"
-                % (self.replay_accesses_materialized, self.replay_snapshots_lazy)
-            )
-        if self.detect_log_native:
-            lines.append(
-                "  detect: %d zero-replay (log-native) passes" % self.detect_log_native
-            )
-        if self.stream_segments or self.stream_jobs:
-            lines.append(
-                "  stream: %d jobs, %d segments, %d windows"
-                % (self.stream_jobs, self.stream_segments, self.stream_windows)
-            )
-            if self.stream_jobs and self.stream_first_verdict_s:
-                lines.append(
-                    "  stream first verdict: %.3f s avg"
-                    % (self.stream_first_verdict_s / self.stream_jobs)
-                )
-        if self.parallel_segments or self.parallel_workers:
-            lines.append(
-                "  parallel detect: %d segments over %d workers, %d boundary stitches"
-                % (
-                    self.parallel_segments,
-                    self.parallel_workers,
-                    self.parallel_boundary_stitches,
-                )
-            )
-            lines.append(
-                "  parallel detect time: %.3f s worker sweeps, %.3f s merge"
-                % (self.parallel_worker_sweep_s, self.parallel_merge_s)
-            )
-        if self.fleet_absorbs or self.fleet_absorb_duplicates:
-            lines.append(
-                "  fleet: %d absorbed (%d duplicates skipped), %d records new / %d updated"
-                % (
-                    self.fleet_absorbs,
-                    self.fleet_absorb_duplicates,
-                    self.fleet_records_new,
-                    self.fleet_records_updated,
-                )
-            )
-        if self.detect_regions:
-            lines.append(
-                "  detect sweep: %d regions, %d pairs examined, %d pruned (%.1f%%)"
-                % (
-                    self.detect_regions,
-                    self.detect_pairs_examined,
-                    self.detect_pairs_pruned,
-                    100.0 * self.detect_prune_rate,
-                )
-            )
-        if self.pool_tasks:
-            lines.append(
-                "  pool: %d tasks over %d workers (%.0f%% of %d requested)"
-                % (
-                    self.pool_tasks,
-                    len(self.pool_workers),
-                    100.0 * self.pool_utilization,
-                    self.jobs,
-                )
-            )
-        return "\n".join(lines)
+        """The ``--perf`` text: stage times, then the ``_RENDER`` rows."""
+        lines = ["%-12s %8.3f s" % item for item in sorted(self.stage_seconds.items())]
+        for trigger, template in _RENDER:
+            if not trigger or any(getattr(self, name) for name in trigger.split()):
+                lines.extend(template.format(s=self).splitlines())
+        return "\n  ".join(["analysis performance (jobs=%d)" % self.jobs] + lines)
+
+
+def _shape(spec):
+    """``(name, JSON key, container, key type, value type)`` of a counter;
+    a scalar's container is ``None`` and its types are its annotation."""
+    hint = _HINTS[spec.name]
+    args = typing.get_args(hint) or (hint,)
+    key = spec.metadata.get("json", spec.name)
+    return spec.name, key, typing.get_origin(hint), args[0], args[-1]
+
+
+def _rounded(value):
+    return round(value, 6) if isinstance(value, float) else value
+
+
+_HINTS = typing.get_type_hints(PerfStats)
+_FIELDS = tuple(_shape(spec) for spec in fields(PerfStats))
+_MERGED = tuple(_shape(s) for s in fields(PerfStats) if not s.metadata.get("keep"))
+
+#: Derived rates that :meth:`PerfStats.to_json` also reports.
+_JSON_RATES = ("cache_hit_rate", "detect_prune_rate", "record_cache_hit_rate")
+
+#: The ``--perf`` rows after the stage times, in print order.  A row
+#: prints when any attribute its trigger names is non-zero (an empty
+#: trigger always prints).  Its template is formatted with the stats as
+#: ``s``; each line it yields is one indented ``--perf`` line.
+_RENDER = (
+    ("", "{s.executions} executions, {s.instances} instances, {s.vp_runs} VP runs\n"
+     "verdict cache: {s.cache_hits} hits / {s.cache_misses} misses"
+     " ({s.cache_hit_rate:.1%} hit rate)\nreplay reuse: {s.originals_synthesized}"
+     " originals synthesized, {s.prefixes_fast_forwarded} prefixes fast-forwarded"),
+    ("classify_batches", "batching: {s.classify_batches} batches (largest"
+     " {s.largest_batch}), {s.batch_fanout} fanned out, {s.batch_fallbacks} fallbacks"),
+    ("incremental_spliced incremental_absorbed", "incremental:"
+     " {s.incremental_spliced} verdicts spliced from {s.incremental_absorbed}"
+     " absorbed entries"),
+    ("record_steps record_cache_hits", "record: {s.record_steps} steps,"
+     " {s.record_events} access events, {s.record_predicted_loads} predicted loads"
+     " elided"),
+    ("record_cache_hits record_cache_misses", "record cache: {s.record_cache_hits}"
+     " hits / {s.record_cache_misses} misses ({s.record_cache_hit_rate:.1%} hit rate)"),
+    ("replay_threads_fast replay_captured_handoffs", "replay:"
+     " {s.replay_threads_fast} threads, {s.replay_captured_handoffs} captured"
+     " handoffs\nreplay lazy: {s.replay_accesses_materialized} accesses"
+     " materialized, {s.replay_snapshots_lazy} snapshots lazy"),
+    ("detect_log_native", "detect: {s.detect_log_native} zero-replay (log-native)"
+     " passes"),
+    ("stream_segments stream_jobs", "stream: {s.stream_jobs} jobs,"
+     " {s.stream_segments} segments, {s.stream_windows} windows"),
+    ("stream_first_verdict_avg_s", "stream first verdict:"
+     " {s.stream_first_verdict_avg_s:.3f} s avg"),
+    ("parallel_segments parallel_workers", "parallel detect:"
+     " {s.parallel_segments} segments over {s.parallel_workers} workers,"
+     " {s.parallel_boundary_stitches} boundary stitches\nparallel detect time:"
+     " {s.parallel_worker_sweep_s:.3f} s worker sweeps, {s.parallel_merge_s:.3f} s"
+     " merge"),
+    ("fleet_absorbs fleet_absorb_duplicates", "fleet: {s.fleet_absorbs} absorbed"
+     " ({s.fleet_absorb_duplicates} duplicates skipped), {s.fleet_records_new}"
+     " records new / {s.fleet_records_updated} updated"),
+    ("detect_regions", "detect sweep: {s.detect_regions} regions,"
+     " {s.detect_pairs_examined} pairs examined, {s.detect_pairs_pruned} pruned"
+     " ({s.detect_prune_rate:.1%})"),
+    ("pool_tasks", "pool: {s.pool_tasks} tasks over {s.pool_worker_count} workers"
+     " ({s.pool_utilization:.0%} of {s.jobs} requested)"),
+)

@@ -615,9 +615,7 @@ class ShardedWorkerPool:
         stats = PerfStats.from_json(perf_json)
         with self._metrics_lock:
             self.completed += 1
-            jobs = self.perf.jobs
             self.perf.merge(stats)
-            self.perf.jobs = jobs
         for stage, seconds in (perf_json.get("stage_seconds") or {}).items():
             self.histograms.observe(stage, float(seconds))
         if result.get("elapsed_s") is not None:

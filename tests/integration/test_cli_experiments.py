@@ -22,6 +22,18 @@ class TestSuiteCommand:
         assert "Potentially Benign" in text  # Table 1
         assert "Benign reason" in text  # Table 2
 
+    def test_suite_cache_dir_second_run_is_identical_and_all_hits(self, tmp_path):
+        cache = ["--cache-dir", str(tmp_path / "record-cache")]
+        code, first = run_cli(["suite"] + cache)
+        assert code == 0
+        code, second = run_cli(["suite"] + cache)
+        assert code == 0
+        assert second == first
+        code, third = run_cli(["suite", "--perf"] + cache)
+        assert code == 0
+        assert "record cache: 26 hits / 0 misses" in third
+        assert third.startswith(first)
+
 
 class TestExperimentCommand:
     def test_table1(self):
