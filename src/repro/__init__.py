@@ -80,7 +80,6 @@ from .race import (
     RaceInstance,
     RaceReport,
     StaticRaceResult,
-    SuppressionDB,
     aggregate_instances,
     build_report,
     categorize,
@@ -140,7 +139,6 @@ __all__ = [
     "RaceInstance",
     "RaceReport",
     "StaticRaceResult",
-    "SuppressionDB",
     "aggregate_instances",
     "build_report",
     "categorize",

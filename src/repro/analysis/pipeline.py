@@ -773,7 +773,7 @@ def detection_report(analysis: DetectionAnalysis) -> Dict:
     }
 
 
-def execution_report(analysis: ExecutionAnalysis, suppressions=None) -> Dict:
+def execution_report(analysis: ExecutionAnalysis) -> Dict:
     """The canonical machine-readable race report of one analysis.
 
     A deterministic function of the analysis alone (races sorted by key,
@@ -791,7 +791,6 @@ def execution_report(analysis: ExecutionAnalysis, suppressions=None) -> Dict:
         results,
         analysis.program,
         log=analysis.log,
-        suppressions=suppressions,
         # Batch keys are derived from the recording alone (region contents
         # via the ordered replay), never from which classifier ran — so
         # batched and plain reports stay byte-identical.

@@ -5,9 +5,9 @@ Mirrors the paper's usage model as subcommands::
     python -m repro record  prog.asm -o run.replay.bin --seed 7
     python -m repro replay  run.replay.bin
     python -m repro detect  run.replay.bin --perf
-    python -m repro classify run.replay.bin --suppressions triage.json
+    python -m repro classify run.replay.bin --store races/
     python -m repro analyze run.replay.bin --export-verdicts v.json
-    python -m repro mark-benign run.replay.bin --race 'blk:3|blk:5' ...
+    python -m repro mark-benign run.replay.bin --race 'blk:3|blk:5' --store races/
     python -m repro suite                       # the paper-suite tables
     python -m repro experiment table1           # one experiment by id
     python -m repro serve --port 8422           # long-lived analysis service
@@ -18,7 +18,9 @@ self-contained replay log — the versioned binary container by default, or
 the legacy JSON document when the destination ends in ``.json``; every
 log-reading subcommand auto-detects the format.  ``classify`` is the full
 offline analysis: happens-before detection plus the replay-both-orders
-classification, with a prioritized triage report on stdout.
+classification, with a prioritized triage report on stdout.  The race
+database is the fleet store: ``classify``, ``mark-benign`` and ``fleet``
+take its directory as ``--store``, ``serve`` as ``--fleet-dir``.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ from .analysis.pipeline import analyze_suite
 from .isa.assembler import assemble
 from .race.classifier import ClassifierConfig, RaceClassifier
 from .race.happens_before import find_races
-from .race.suppression import SuppressionDB
 from .record.compression import compression_stats
 from .record.metrics import log_metrics
 from .record.recorder import record_run
@@ -157,12 +158,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "replays; error if the log has no captured columns)",
     )
     classify.add_argument(
-        "--suppressions", type=Path, help="suppression database (JSON)"
-    )
-    classify.add_argument(
-        "--database",
+        "--store",
         type=Path,
-        help="persistent race database to accumulate into (JSON)",
+        help="fleet store directory (the fleet --store / serve --fleet-dir "
+        "path): apply its suppression rules and absorb this run's verdicts",
     )
     classify.add_argument(
         "--continue-through-control-flow",
@@ -254,10 +253,10 @@ def _build_parser() -> argparse.ArgumentParser:
     mark.add_argument("--reason", default="", help="why the race is benign")
     mark.add_argument("--by", default="", help="who triaged it")
     mark.add_argument(
-        "--suppressions",
+        "--store",
         type=Path,
         required=True,
-        help="suppression database to update (JSON, created if missing)",
+        help="fleet store directory to write the suppression rule into",
     )
 
     suite = sub.add_parser(
@@ -458,9 +457,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "output", nargs="?", type=Path, default=None, help="file (default stdout)"
     )
     fleet_import = fleet_sub.add_parser(
-        "import", help="merge another host's export into this store"
+        "import", help="merge an export, or a pre-fleet race/suppression file"
     )
-    fleet_import.add_argument("document", type=Path, help="exported JSON file")
+    fleet_import.add_argument("document", type=Path, help="JSON file to merge")
     fleet_absorb = fleet_sub.add_parser(
         "absorb", help="absorb a report JSON (classify --json / detect output)"
     )
@@ -668,11 +667,19 @@ def _cmd_detect(args, out) -> int:
 
 
 def _cmd_classify(args, out) -> int:
-    from .race.database import RaceDatabase
-    from .race.triage import TriageSession
+    import hashlib
+    import json
+    import time
+
+    from .fleet import FleetStore
+    from .race.aggregate import aggregate_instances
+    from .race.exporter import results_to_json
+    from .race.model import static_key_to_text
+    from .race.report import render_triage
 
     log = load_log(args.log)
     ordered = OrderedReplay(log)
+    program = ordered.program
     if args.from_log:
         # Detect on the zero-replay view (errors cleanly when the log has
         # no captured columns); classification below still replays — the
@@ -687,34 +694,51 @@ def _cmd_classify(args, out) -> int:
         allow_unrecorded_control_flow=args.continue_through_control_flow
     )
     classifier = RaceClassifier(ordered, config=config, execution_id=str(args.log))
-    classified = classifier.classify_all(instances)
+    results = aggregate_instances(classifier.classify_all(instances))
 
-    suppressions = (
-        SuppressionDB.load(args.suppressions)
-        if args.suppressions and args.suppressions.exists()
-        else SuppressionDB()
-    )
-    database = (
-        RaceDatabase.load(args.database)
-        if args.database and args.database.exists()
-        else RaceDatabase()
-    )
-    session = TriageSession(suppressions=suppressions, database=database)
-    outcome = session.process(ordered.program, log, classified)
-    print(outcome.render(), file=out)
-    if args.database:
-        database.save(args.database)
-        print("race database updated: %s" % args.database, file=out)
-    if args.json_output:
-        from .race.exporter import export_results
-
-        export_results(
-            args.json_output,
-            outcome.results,
-            ordered.program,
-            log=log,
-            suppressions=suppressions,
+    store = FleetStore.open(args.store) if args.store is not None else None
+    rules = store.suppression_rules() if store is not None else []
+    now = time.time()
+    suppressed = {
+        key
+        for key in results
+        if any(
+            rule.matches(static_key_to_text(key), "", now, program.name)
+            for rule in rules
         )
+    }
+    print(render_triage(results, program, log, suppressed), file=out)
+    # No batch keys: every record this absorbs has the empty digest, one
+    # per static race, so a race benign in one run and harmful in a later
+    # one is one record and its flip is reported.
+    document = results_to_json(results, program, log=log, suppressed=suppressed)
+    if store is not None:
+        # The job is the log plus the classifier config, never the report:
+        # a mark-benign changes its `suppressed` flags, not the execution.
+        config_bytes = b"|continue=%d" % args.continue_through_control_flow
+        job_key = hashlib.sha256(args.log.read_bytes() + config_bytes).hexdigest()
+        outcome = store.absorb_report(
+            document, "classify:" + job_key, observed_at=round(now, 3)
+        )
+        if outcome.reclassified:
+            print("\nRE-CLASSIFIED since earlier sessions:", file=out)
+        for record in map(store.record_document, outcome.reclassified):
+            print(
+                "  %(program)s %(race)s: potentially-benign -> potentially-harmful"
+                % record,
+                "(%d instances over %d execution(s))"
+                % (record["instances"]["total"], len(record["executions"])),
+                file=out,
+            )
+        print(
+            "fleet store updated: %s (%d new, %d updated)"
+            % (args.store, outcome.new_records, outcome.updated_records)
+            if outcome.absorbed
+            else "fleet store %s: log already absorbed" % args.store,
+            file=out,
+        )
+    if args.json_output:
+        args.json_output.write_text(json.dumps(document, indent=2))
         print("machine-readable results: %s" % args.json_output, file=out)
     return 0
 
@@ -828,25 +852,28 @@ def _cmd_inspect(args, out) -> int:
     return 0
 
 
-def _parse_race_key(text: str):
-    from .race.model import static_key_from_text
-
-    return static_key_from_text(text)
-
-
 def _cmd_mark_benign(args, out) -> int:
+    import time
+
+    from .fleet import FleetStore, SuppressionRule
+    from .race.model import static_key_from_text, static_key_to_text
+
+    race = static_key_to_text(static_key_from_text(args.race))
     log = load_log(args.log)
-    database = (
-        SuppressionDB.load(args.suppressions)
-        if args.suppressions.exists()
-        else SuppressionDB()
+    store = FleetStore.open(args.store)
+    store.suppress(
+        SuppressionRule(
+            scope="race",
+            race=race,
+            program=log.program_name,
+            reason=args.reason,
+            created_by=args.by,
+            created_at=round(time.time(), 3),
+        )
     )
-    key = _parse_race_key(args.race)
-    database.mark_benign(log.program_name, key, reason=args.reason, triaged_by=args.by)
-    database.save(args.suppressions)
     print(
-        "marked %s benign for program %s (%d suppression(s) total)"
-        % (args.race, log.program_name, len(database)),
+        "marked %s benign for program %s (%d suppression rule(s) in %s)"
+        % (race, log.program_name, len(store.suppression_rules()), args.store),
         file=out,
     )
     return 0
@@ -1010,7 +1037,9 @@ def _cmd_fleet(args, out) -> int:
         else:
             out.write(body)
     elif command == "import":
-        store.import_document(json.loads(args.document.read_text()))
+        from .fleet.legacy import import_file_document
+
+        store.import_document(import_file_document(args.document.read_bytes()))
         counts = store.counts()
         print(
             "imported %s: now %d unique race(s) over %d absorbed job(s)"

@@ -18,7 +18,9 @@ Layers:
 * :mod:`repro.fleet.backend` — pluggable storage (advisory file lock on
   a shared directory, or in-memory for tests);
 * :mod:`repro.fleet.store` — the store itself: absorb, compact,
-  report, export/import for cross-host merge.
+  report, export/import for cross-host merge;
+* :mod:`repro.fleet.legacy` — ``fleet import``'s converter for the
+  pre-fleet race-database and suppression files.
 """
 
 from .backend import FileLockBackend, MemoryBackend, StoreBackend

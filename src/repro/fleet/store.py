@@ -44,6 +44,20 @@ class AbsorbOutcome:
     absorbed: bool
     new_records: int = 0
     updated_records: int = 0
+    #: Ids of existing records this absorb moved from potentially-benign
+    #: to potentially-harmful — the paper's re-classification events.
+    reclassified: Tuple[str, ...] = ()
+
+
+def _is_benign(record: FleetRecord) -> bool:
+    """``record.classification == BENIGN`` without summing every cell:
+    the scan stops at the first harmful one."""
+    benign = False
+    for cell in record.contributions.values():
+        if cell.state_change or cell.replay_failure:
+            return False
+        benign = benign or bool(cell.no_state_change)
+    return benign
 
 
 class FleetStore:
@@ -131,11 +145,12 @@ class FleetStore:
 
     def _apply_absorb(
         self, job_key: str, observed_at: Optional[float], deltas: List[Dict]
-    ) -> Tuple[int, int]:
+    ) -> AbsorbOutcome:
         if not job_key or job_key in self._absorbed:
-            return (0, 0)
+            return AbsorbOutcome(absorbed=False)
         self._absorbed.add(job_key)
         new_records = updated_records = 0
+        reclassified: List[str] = []
         for delta in deltas:
             key = (delta.get("program", ""), delta["race"], delta.get("digest", ""))
             record = self._records.get(key)
@@ -145,6 +160,9 @@ class FleetStore:
                 new_records += 1
             else:
                 updated_records += 1
+                harmful = delta.get("state_change") or delta.get("replay_failure")
+                if harmful and _is_benign(record):
+                    reclassified.append(record.record_id)
             record.contributions[job_key] = Contribution(
                 no_state_change=int(delta.get("no_state_change", 0)),
                 state_change=int(delta.get("state_change", 0)),
@@ -154,7 +172,9 @@ class FleetStore:
                 classification=delta.get("classification", "detected"),
                 observed_at=observed_at,
             )
-        return (new_records, updated_records)
+        return AbsorbOutcome(
+            True, new_records, updated_records, tuple(sorted(reclassified))
+        )
 
     def absorb_report(
         self,
@@ -187,18 +207,12 @@ class FleetStore:
                     "deltas": deltas,
                 }
             )
-            new_records, updated_records = self._apply_absorb(
-                job_key, observed_at, deltas
-            )
+            outcome = self._apply_absorb(job_key, observed_at, deltas)
             if perf is not None:
                 perf.fleet_absorbs += 1
-                perf.fleet_records_new += new_records
-                perf.fleet_records_updated += updated_records
-            return AbsorbOutcome(
-                absorbed=True,
-                new_records=new_records,
-                updated_records=updated_records,
-            )
+                perf.fleet_records_new += outcome.new_records
+                perf.fleet_records_updated += outcome.updated_records
+            return outcome
 
     # ------------------------------------------------------------------
     # Compaction.
@@ -261,6 +275,11 @@ class FleetStore:
         version = document.get("fleet_version")
         if version != FLEET_VERSION:
             raise ValueError("unsupported fleet export version: %r" % version)
+        # Journaled, a malformed document would fail every later refresh.
+        try:
+            FleetStore()._merge_document(document)
+        except (AttributeError, KeyError, TypeError) as error:
+            raise ValueError("malformed fleet export: %r" % error)
         with self._backend.exclusive():
             self._refresh()
             self._append_event(
@@ -346,7 +365,7 @@ class FleetStore:
             entries: List[Dict] = []
             suppressed_total = 0
             for record in ranked:
-                rule = rules.suppressing(record.race, record.digest, now)
+                rule = rules.suppressing(record, now)
                 if rule is not None:
                     suppressed_total += 1
                     if not include_suppressed:
@@ -396,7 +415,7 @@ class FleetStore:
             self._refresh()
             for record in self._records.values():
                 if record.record_id == record_id:
-                    rule = self._rules.suppressing(record.race, record.digest, now)
+                    rule = self._rules.suppressing(record, now)
                     entry = self._entry_for(record, rule)
                     entry["contributions"] = {
                         job_key: record.contributions[job_key].to_json()

@@ -1,8 +1,8 @@
 """Persisted suppression rules with provenance and expiry.
 
-Promotes the session-scoped :class:`repro.race.suppression.SuppressionDB`
-idea to the fleet: a rule lives in the shared store, says who created it
-and why, optionally expires, and comes in two scopes —
+A developer's benign verdict, kept in the shared store: a rule says who
+created it and why, optionally expires, applies to one ``program`` (or,
+when that is empty, to every program), and comes in two scopes —
 
 * ``exact``: suppress one ``(race, region-content digest)`` record;
 * ``race``: suppress every record of a static race, whatever region
@@ -24,6 +24,7 @@ class SuppressionRule:
     scope: str  # "exact" | "race"
     race: str
     digest: str = ""
+    program: str = ""
     reason: str = ""
     created_by: str = ""
     created_at: Optional[float] = None
@@ -34,9 +35,12 @@ class SuppressionRule:
         """Identity of *what* is suppressed, not who/why.
 
         Excluding provenance means re-suppressing the same race is
-        idempotent — the rule is replaced, never duplicated.
+        idempotent — the rule is replaced, never duplicated.  An empty
+        ``program`` hashes the same body as a rule without one.
         """
         body = "repro-fleet-rule|%s|%s|%s" % (self.scope, self.race, self.digest)
+        if self.program:
+            body += "|%s" % self.program
         return hashlib.sha256(body.encode("utf-8")).hexdigest()[:16]
 
     def is_expired(self, now: Optional[float]) -> bool:
@@ -46,15 +50,17 @@ class SuppressionRule:
             and now >= self.expires_at
         )
 
-    def matches(self, race: str, digest: str, now: Optional[float] = None) -> bool:
+    def matches(
+        self, race: str, digest: str, now: Optional[float] = None, program: str = ""
+    ) -> bool:
         if self.is_expired(now):
             return False
-        if self.race != race:
+        if self.race != race or (self.program and self.program != program):
             return False
         return self.scope == "race" or self.digest == digest
 
     def to_json(self) -> Dict:
-        return {
+        payload = {
             "scope": self.scope,
             "race": self.race,
             "digest": self.digest,
@@ -63,6 +69,9 @@ class SuppressionRule:
             "created_at": self.created_at,
             "expires_at": self.expires_at,
         }
+        if self.program:
+            payload["program"] = self.program
+        return payload
 
     @classmethod
     def from_json(cls, payload: Dict) -> "SuppressionRule":
@@ -70,6 +79,7 @@ class SuppressionRule:
             scope=payload.get("scope", "exact"),
             race=payload["race"],
             digest=payload.get("digest", ""),
+            program=payload.get("program", ""),
             reason=payload.get("reason", ""),
             created_by=payload.get("created_by", ""),
             created_at=payload.get("created_at"),
@@ -97,11 +107,11 @@ class SuppressionSet:
         return self._rules.get(rule_id)
 
     def suppressing(
-        self, race: str, digest: str, now: Optional[float] = None
+        self, record, now: Optional[float] = None
     ) -> Optional[SuppressionRule]:
         """The first live rule matching a record, by rule id for determinism."""
         for rule in self.rules():
-            if rule.matches(race, digest, now):
+            if rule.matches(record.race, record.digest, now, record.program):
                 return rule
         return None
 

@@ -1,10 +1,10 @@
 """The paper's contribution: happens-before detection over sequencing
 regions, replay-both-orders classification, aggregation, reporting,
-benign-reason categorization, triage persistence, and baselines."""
+benign-reason categorization, and baselines.  Triage persistence (the
+race database and the benign marks) is the fleet store, :mod:`repro.fleet`."""
 
 from .aggregate import StaticRaceResult, aggregate_instances, merge_results
 from .classifier import ClassifierConfig, RaceClassifier
-from .database import RaceDatabase, RaceRecord
 from .exporter import export_results, result_to_json, results_to_json
 from .happens_before import HappensBeforeDetector, find_races
 from .heuristics import BenignCategory, categorize, categorize_all
@@ -25,8 +25,6 @@ from .report import (
     build_report,
     render_triage_list,
 )
-from .suppression import SuppressionDB, SuppressionEntry
-from .triage import TriageOutcome, TriageSession
 from .vector_clock import (
     VCRace,
     VectorClock,
@@ -40,8 +38,6 @@ __all__ = [
     "merge_results",
     "ClassifierConfig",
     "RaceClassifier",
-    "RaceDatabase",
-    "RaceRecord",
     "export_results",
     "result_to_json",
     "results_to_json",
@@ -72,10 +68,6 @@ __all__ = [
     "ReplayScenario",
     "build_report",
     "render_triage_list",
-    "SuppressionDB",
-    "SuppressionEntry",
-    "TriageOutcome",
-    "TriageSession",
     "VCRace",
     "VectorClock",
     "VectorClockDetector",

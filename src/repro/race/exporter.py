@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Collection, Dict, List, Optional, Union
 
 from ..isa.program import Program
 from ..record.log import ReplayLog
@@ -19,7 +19,6 @@ from .aggregate import StaticRaceResult
 from .heuristics import categorize
 from .model import StaticRaceKey, static_key_to_text as _key_text
 from .outcomes import InstanceOutcome
-from .suppression import SuppressionDB
 
 EXPORT_VERSION = 1
 
@@ -92,16 +91,16 @@ def results_to_json(
     results: Dict[StaticRaceKey, StaticRaceResult],
     program: Program,
     log: Optional[ReplayLog] = None,
-    suppressions: Optional[SuppressionDB] = None,
+    suppressed: Collection[StaticRaceKey] = (),
     batch_key_for=None,
 ) -> Dict:
-    """A whole analysis round as a JSON-compatible document."""
-    suppressions = suppressions or SuppressionDB()
+    """A whole analysis round as a JSON-compatible document; races in
+    ``suppressed`` (marked benign) are listed but not actionable."""
     races: List[Dict] = [
         result_to_json(
             result,
             program,
-            suppressed=suppressions.is_suppressed(program.name, key),
+            suppressed=key in suppressed,
             batch_key_for=batch_key_for,
         )
         for key, result in sorted(results.items(), key=lambda item: _key_text(item[0]))
@@ -130,8 +129,8 @@ def export_results(
     results: Dict[StaticRaceKey, StaticRaceResult],
     program: Program,
     log: Optional[ReplayLog] = None,
-    suppressions: Optional[SuppressionDB] = None,
+    suppressed: Collection[StaticRaceKey] = (),
 ) -> None:
     """Write :func:`results_to_json` output to ``path``."""
-    document = results_to_json(results, program, log=log, suppressions=suppressions)
+    document = results_to_json(results, program, log=log, suppressed=suppressed)
     Path(path).write_text(json.dumps(document, indent=2))

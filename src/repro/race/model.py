@@ -33,9 +33,9 @@ def static_race_key(
 def static_key_to_text(key: StaticRaceKey) -> str:
     """The canonical ``"block:i|block:j"`` text form of a static race key.
 
-    This is the identity every persistence surface shares — the race
-    database, suppression lists, exported reports and the fleet store
-    all spell a unique race exactly this way, so records written by one
+    This is the identity every persistence surface shares — exported
+    reports, the fleet store's records and its suppression rules all
+    spell a unique race exactly this way, so records written by one
     tool resolve in another.
     """
     return "%s|%s" % (key[0], key[1])

@@ -11,13 +11,15 @@ replayed orders when available.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Collection, Dict, List, Optional, Tuple
 
 from ..isa.program import Program
 from ..record.log import ReplayLog
 from .aggregate import StaticRaceResult
+from .heuristics import categorize
 from .model import StaticRaceKey
 from .outcomes import Classification, ClassifiedInstance, InstanceOutcome
+from .ranking import render_ranking
 
 
 @dataclass
@@ -202,3 +204,33 @@ def render_triage_list(reports: List[RaceReport]) -> str:
         )
     )
     return "\n".join([header] + [report.render() for report in ordered])
+
+
+def render_triage(
+    results: Dict[StaticRaceKey, StaticRaceResult],
+    program: Program,
+    log: ReplayLog,
+    suppressed: Collection[StaticRaceKey] = (),
+) -> str:
+    """``repro classify``'s report: the triage list with suggested benign
+    reasons, then the unsuppressed harmful races ranked by evidence."""
+    reports = []
+    for key, result in results.items():
+        reason = categorize(result, program)
+        reports.append(
+            build_report(
+                result,
+                program,
+                log,
+                suggested_reason=str(reason) if reason else None,
+                suppressed=key in suppressed,
+            )
+        )
+    actionable = {
+        key: result
+        for key, result in results.items()
+        if key not in suppressed
+        and result.classification is Classification.POTENTIALLY_HARMFUL
+    }
+    text = render_triage_list(reports)
+    return text + "\n\n" + render_ranking(actionable) if actionable else text

@@ -1,8 +1,8 @@
 """Integration scenario: the full CLI workflow a developer would run.
 
 Write a service's source to disk; record two nights of executions;
-classify with a persistent race database, suppression file and JSON
-export; triage one race; verify suppression persists; and gate a
+classify into a fleet store with a JSON export; triage one race; verify
+suppression persists and the store accumulates both nights; and gate a
 would-be regression with `compare`.
 """
 
@@ -36,8 +36,7 @@ def service_source():
 def test_full_cli_workflow(tmp_path, service_source):
     program = tmp_path / "service.asm"
     program.write_text(service_source)
-    database = tmp_path / "races.json"
-    suppressions = tmp_path / "triage.json"
+    store = tmp_path / "fleet"
 
     # --- night 1: record, validate, classify -------------------------
     log1 = tmp_path / "night1.replay.json"
@@ -51,10 +50,8 @@ def test_full_cli_workflow(tmp_path, service_source):
         [
             "classify",
             str(log1),
-            "--database",
-            str(database),
-            "--suppressions",
-            str(suppressions),
+            "--store",
+            str(store),
             "--json",
             str(json1),
         ]
@@ -80,13 +77,13 @@ def test_full_cli_workflow(tmp_path, service_source):
             "approximate statistics",
             "--by",
             "alice",
-            "--suppressions",
-            str(suppressions),
+            "--store",
+            str(store),
         ]
     )
     assert code == 0
 
-    # --- night 2: new seed; suppression applies; database accumulates -
+    # --- night 2: new seed; suppression applies; the store accumulates -
     log2 = tmp_path / "night2.replay.json"
     run_cli(["record", str(program), "-o", str(log2), "--seed", "41"])
     json2 = tmp_path / "night2.results.json"
@@ -94,10 +91,8 @@ def test_full_cli_workflow(tmp_path, service_source):
         [
             "classify",
             str(log2),
-            "--database",
-            str(database),
-            "--suppressions",
-            str(suppressions),
+            "--store",
+            str(store),
             "--json",
             str(json2),
         ]
@@ -110,10 +105,14 @@ def test_full_cli_workflow(tmp_path, service_source):
     # The bank bug stays actionable.
     assert document2["summary"]["actionable"] >= 1
 
-    # --- the race database accumulated both nights -------------------
-    stored = json.loads(database.read_text())
-    assert stored["records"]
-    assert any(len(record["executions"]) >= 2 for record in stored["records"])
+    # --- the fleet store accumulated both nights ---------------------
+    code, text = run_cli(
+        ["fleet", "--store", str(store), "report", "--include-suppressed"]
+    )
+    assert code == 0
+    stored = json.loads(text)
+    assert stored["races"]
+    assert any(len(race["executions"]) >= 2 for race in stored["races"])
 
     # --- drift gate: night2 vs night1 (same program: no NEW races) ----
     code, text = run_cli(["compare", str(json1), str(json2), "--gate"])

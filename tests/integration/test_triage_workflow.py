@@ -1,9 +1,10 @@
 """Integration test: the paper's developer triage workflow (Section 1).
 
 1. Record test scenarios; analyse; get a prioritized report with
-   potentially-harmful races first.
-2. The developer triages a flagged race as benign; it is persisted to the
-   suppression database.
+   potentially-harmful races first, and absorb the verdicts into the
+   fleet store.
+2. The developer triages a flagged race as benign; it is persisted as a
+   program-scoped suppression rule in the store.
 3. A later analysis of a new execution suppresses it, keeping developer
    attention on the remaining potentially-harmful races.
 """
@@ -11,14 +12,15 @@
 import pytest
 
 from repro.analysis import analyze_execution
+from repro.fleet import FleetStore, MemoryBackend, SuppressionRule
 from repro.race import (
     Classification,
-    SuppressionDB,
     aggregate_instances,
     build_report,
-    categorize,
-    render_triage_list,
+    results_to_json,
 )
+from repro.race.model import static_key_to_text
+from repro.race.report import render_triage
 from repro.workloads.benign_approximate import stats_counter
 from repro.workloads.harmful_lost_update import lost_update
 from repro.workloads.composite import combine_workloads
@@ -40,28 +42,45 @@ def analyse(service, execution_id, seed):
     return analysis, aggregate_instances(analysis.classified)
 
 
+def suppressed_keys(store, program, results):
+    rules = store.suppression_rules()
+    return {
+        key
+        for key in results
+        if any(
+            rule.matches(static_key_to_text(key), "", program=program.name)
+            for rule in rules
+        )
+    }
+
+
+def mark_benign(store, program, key, reason=""):
+    return store.suppress(
+        SuppressionRule(
+            scope="race",
+            race=static_key_to_text(key),
+            program=program.name,
+            reason=reason,
+            created_by="dev",
+        )
+    )
+
+
 def test_full_triage_cycle(service, tmp_path):
     program = service.program()
     analysis, results = analyse(service, "night1", seed=10)
 
     # --- night 1: everything flagged is reported, harmful first --------
-    database = SuppressionDB()
-    reports = [
-        build_report(
-            result,
-            program,
-            analysis.log,
-            suggested_reason=(
-                str(categorize(result, program))
-                if categorize(result, program)
-                else None
-            ),
-            suppressed=database.is_suppressed(program.name, key),
-        )
-        for key, result in results.items()
-    ]
-    triage = render_triage_list(reports)
+    store = FleetStore(MemoryBackend())
+    triage = render_triage(
+        results, program, analysis.log, suppressed_keys(store, program, results)
+    )
     assert "potentially harmful (triage these)" in triage
+    assert "suggested benign reason:" in triage
+    assert "Triage priority" in triage
+    store.absorb_report(
+        results_to_json(results, program, log=analysis.log), "night1"
+    )
 
     flagged = {
         key: result
@@ -75,24 +94,30 @@ def test_full_triage_cycle(service, tmp_path):
     for key, result in flagged.items():
         addresses = {c.instance.address for c in result.instances}
         if stats_address in addresses:
-            database.mark_benign(
-                program.name, key, reason="approximate statistics", triaged_by="dev"
-            )
-    assert len(database) >= 1
-    database.save(tmp_path / "suppressions.json")
+            mark_benign(store, program, key, reason="approximate statistics")
+    assert len(store.suppression_rules()) >= 1
+    disk = FleetStore.open(tmp_path / "fleet")
+    disk.import_document(store.export_document())
+    disk.close()
 
     # --- night 2: a fresh execution; suppressions persist ---------------
-    database2 = SuppressionDB.load(tmp_path / "suppressions.json")
+    store2 = FleetStore.open(tmp_path / "fleet")
     analysis2, results2 = analyse(service, "night2", seed=37)
+    suppressed2 = suppressed_keys(store2, program, results2)
     reports2 = [
         build_report(
             result,
             program,
             analysis2.log,
-            suppressed=database2.is_suppressed(program.name, key),
+            suppressed=key in suppressed2,
         )
         for key, result in results2.items()
     ]
+    store2.absorb_report(
+        results_to_json(results2, program, log=analysis2.log, suppressed=suppressed2),
+        "night2",
+    )
+    assert store2.counts()["absorbed_jobs"] == 2
     suppressed = [r for r in reports2 if r.suppressed]
     active_harmful = [
         r
@@ -114,8 +139,8 @@ def test_retriage_unmark(service):
     program = service.program()
     _, results = analyse(service, "x", seed=10)
     key = next(iter(results))
-    database = SuppressionDB()
-    database.mark_benign(program.name, key)
-    assert database.is_suppressed(program.name, key)
-    database.unmark(program.name, key)
-    assert not database.is_suppressed(program.name, key)
+    store = FleetStore(MemoryBackend())
+    rule_id = mark_benign(store, program, key)
+    assert suppressed_keys(store, program, results) == {key}
+    assert store.unsuppress(rule_id)
+    assert not suppressed_keys(store, program, results)

@@ -239,8 +239,10 @@ class TestClassify:
         assert "DATA RACE" in text
 
     def test_mark_benign_then_suppressed(self, recorded, tmp_path):
+        from repro.fleet import FleetStore
+
         _, log, _ = recorded
-        suppressions = tmp_path / "triage.json"
+        store = tmp_path / "fleet"
         code, text = run_cli(
             [
                 "mark-benign",
@@ -251,14 +253,16 @@ class TestClassify:
                 "approximate stats",
                 "--by",
                 "alice",
-                "--suppressions",
-                str(suppressions),
+                "--store",
+                str(store),
             ]
         )
-        assert code == 0 and suppressions.exists()
-        code, text = run_cli(
-            ["classify", str(log), "--suppressions", str(suppressions)]
-        )
+        assert code == 0
+        assert "marked w1:6|w1:8 benign for program demo" in text
+        (rule,) = FleetStore.open(store).suppression_rules()
+        assert (rule.scope, rule.race, rule.program) == ("race", "w1:6|w1:8", "demo")
+        assert (rule.reason, rule.created_by) == ("approximate stats", "alice")
+        code, text = run_cli(["classify", str(log), "--store", str(store)])
         assert code == 0
         assert "1 suppressed" in text
 
@@ -308,17 +312,75 @@ class TestInspect:
         assert "no thread" in text
 
 
-class TestDatabaseAccumulation:
-    def test_classify_with_database(self, recorded, tmp_path):
+class TestStoreAccumulation:
+    def test_classify_twice_counts_one_execution(self, recorded, tmp_path):
+        """Re-running classify on one log absorbs it once: the job key is
+        the log's bytes plus the classifier config, never the report."""
+        from repro.fleet import FleetStore
+
         _, log, _ = recorded
-        database = tmp_path / "races.json"
-        code, text = run_cli(["classify", str(log), "--database", str(database)])
+        store = tmp_path / "fleet"
+
+        def instances():
+            document = FleetStore.open(store).report_document(include_suppressed=True)
+            return {race["race"]: race["instances"] for race in document["races"]}
+
+        code, text = run_cli(["classify", str(log), "--store", str(store)])
         assert code == 0
-        assert database.exists()
-        assert "race database updated" in text
-        # Second run accumulates without error.
-        code, _ = run_cli(["classify", str(log), "--database", str(database)])
+        assert "fleet store updated: %s (2 new, 0 updated)" % store in text
+        once = instances()
+        assert once and all(counts["total"] for counts in once.values())
+
+        code, text = run_cli(["classify", str(log), "--store", str(store)])
+        assert code == 0 and "already absorbed" in text
+        assert instances() == once
+
+        # Marking a race benign flips its report's `suppressed` flag, but
+        # the run is still the same execution.
+        code, _ = run_cli(
+            ["mark-benign", str(log), "--race", "w1:6|w1:8", "--store", str(store)]
+        )
         assert code == 0
+        code, text = run_cli(["classify", str(log), "--store", str(store)])
+        assert code == 0
+        assert "1 suppressed" in text and "already absorbed" in text
+        assert instances() == once
+
+    def test_harmful_run_reclassifies_an_earlier_benign_verdict(
+        self, recorded, tmp_path
+    ):
+        from repro.fleet import FleetStore
+
+        _, log, _ = recorded
+        store = tmp_path / "fleet"
+        earlier = {
+            "export_version": 1,
+            "program": "demo",
+            "races": [
+                {
+                    "race": "w1:6|w1:8",
+                    "classification": "potentially-benign",
+                    "instances": {"no_state_change": 2},
+                    "executions": ["earlier"],
+                }
+            ],
+        }
+        FleetStore.open(store).absorb_report(earlier, "earlier-session")
+        code, text = run_cli(["classify", str(log), "--store", str(store)])
+        assert code == 0
+        assert (
+            "RE-CLASSIFIED since earlier sessions:\n"
+            "  demo w1:6|w1:8: potentially-benign -> potentially-harmful "
+            "(10 instances over 2 execution(s))\n"
+        ) in text
+        assert "fleet store updated: %s (1 new, 1 updated)" % store in text
+
+    def test_classify_without_store_touches_no_file(self, recorded, tmp_path):
+        _, log, _ = recorded
+        before = sorted(tmp_path.rglob("*"))
+        code, text = run_cli(["classify", str(log)])
+        assert code == 0 and "fleet store" not in text
+        assert sorted(tmp_path.rglob("*")) == before
 
 
 class TestCompare:

@@ -7,7 +7,6 @@ import pytest
 from repro.isa import assemble
 from repro.race import (
     RaceClassifier,
-    SuppressionDB,
     aggregate_instances,
     export_results,
     find_races,
@@ -78,10 +77,8 @@ class TestResultsToJson:
 
     def test_suppression_state_included(self, analysed):
         program, log, results = analysed
-        suppressions = SuppressionDB()
         key = next(iter(results))
-        suppressions.mark_benign(program.name, key)
-        document = results_to_json(results, program, suppressions=suppressions)
+        document = results_to_json(results, program, suppressed={key})
         suppressed = [race for race in document["races"] if race["suppressed"]]
         assert len(suppressed) == 1
         assert document["summary"]["actionable"] < document["summary"][

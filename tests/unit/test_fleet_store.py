@@ -10,6 +10,7 @@ report adapter, and both backends' crash/replay behaviour.
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -170,6 +171,19 @@ class TestSuppressionRules:
         )
 
 
+    def test_program_scope_leaves_program_less_rules_unchanged(self):
+        plain = SuppressionRule(scope="race", race=RACE_A)
+        scoped = SuppressionRule(scope="race", race=RACE_A, program="alpha")
+        body = "repro-fleet-rule|race|%s|" % RACE_A
+        assert plain.rule_id == hashlib.sha256(body.encode()).hexdigest()[:16]
+        assert "program" not in plain.to_json()
+        assert scoped.rule_id != plain.rule_id
+        assert SuppressionRule.from_json(scoped.to_json()) == scoped
+        assert scoped.matches(RACE_A, "", program="alpha")
+        assert not scoped.matches(RACE_A, "", program="beta")
+        assert plain.matches(RACE_A, "", program="beta")
+
+
 class TestRanking:
     def _record(self, race, digest="", **cell):
         record = FleetRecord(race=race, digest=digest, program="p")
@@ -313,6 +327,40 @@ class TestMemoryStore:
         assert not store.unsuppress(rule_id)
         assert store.suppression_rules() == []
 
+    def test_program_scoped_rule_suppresses_only_its_program(self):
+        race = "w1:6|w1:8"
+        store = FleetStore()
+        store.absorb_report(export_report("alpha", [benign_race(race)]), "job-a")
+        store.absorb_report(export_report("beta", [benign_race(race)]), "job-b")
+
+        def suppressed():
+            document = store.report_document(include_suppressed=True)
+            return {r["program"]: r["suppressed"] for r in document["races"]}
+
+        rule_id = store.suppress(
+            SuppressionRule(scope="race", race=race, program="alpha")
+        )
+        assert suppressed() == {"alpha": True, "beta": False}
+        assert store.unsuppress(rule_id)
+        store.suppress(SuppressionRule(scope="race", race=race))
+        assert suppressed() == {"alpha": True, "beta": True}
+
+    def test_benign_then_harmful_is_reported_as_reclassified(self):
+        """The paper's re-classification: a race that looked benign in one
+        execution is exposed as harmful by a later one."""
+        store = FleetStore()
+        benign = export_report(races=[benign_race(RACE_B)])
+        assert store.absorb_report(benign, "night-1").reclassified == ()
+        harmful = export_report(races=[dict(harmful_race(RACE_B), scenarios=[])])
+        flipped = store.absorb_report(harmful, "night-2")
+        assert flipped.updated_records == 1
+        assert flipped.reclassified == (record_id_for("prog", RACE_B, ""),)
+        # Already harmful: more harm is no new event, nor is more benign.
+        assert store.absorb_report(harmful, "night-3").reclassified == ()
+        assert store.absorb_report(benign, "night-4").reclassified == ()
+        entry = store.report_document()["races"][0]
+        assert entry["classification"] == "potentially-harmful"
+
     def test_limit_truncates_after_ranking(self):
         store = FleetStore()
         store.absorb_report(export_report(), "job-1")
@@ -348,6 +396,20 @@ class TestMemoryStore:
     def test_import_rejects_unknown_versions(self):
         with pytest.raises(ValueError, match="fleet export version"):
             FleetStore().import_document({"fleet_version": 99})
+
+    def test_malformed_import_is_rejected_before_it_is_journaled(self):
+        store = FleetStore()
+        store.absorb_report(export_report(), "job-1")
+        before = store.report_bytes()
+        for document in (
+            {"fleet_version": 1, "records": 5},
+            {"fleet_version": 1, "records": [{"digest": "no race key"}]},
+            {"fleet_version": 1, "suppressions": [{"scope": "race"}]},
+        ):
+            with pytest.raises(ValueError, match="malformed fleet export"):
+                store.import_document(document)
+        assert store.report_bytes() == before
+        assert FleetStore(store.backend).report_bytes() == before
 
 
 class TestFileStore:

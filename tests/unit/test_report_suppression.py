@@ -1,4 +1,4 @@
-"""Unit tests for race reports and the suppression database."""
+"""Unit tests for race reports and their suppressed flag."""
 
 import pytest
 
@@ -6,7 +6,6 @@ from repro.isa import assemble
 from repro.race import (
     ClassifierConfig,
     RaceClassifier,
-    SuppressionDB,
     aggregate_instances,
     build_report,
     find_races,
@@ -85,54 +84,6 @@ class TestRaceReport:
         result = next(iter(results.values()))
         report = build_report(result, program, log, suggested_reason="redundant-write")
         assert "redundant-write" in report.render()
-
-
-class TestSuppressionDB:
-    def test_mark_and_check(self, analysis):
-        program, log, results = analysis
-        key = next(iter(results))
-        database = SuppressionDB()
-        assert not database.is_suppressed(program.name, key)
-        database.mark_benign(program.name, key, reason="stats counter", triaged_by="dev")
-        assert database.is_suppressed(program.name, key)
-        assert database.reason_for(program.name, key) == "stats counter"
-
-    def test_program_scoping(self, analysis):
-        program, log, results = analysis
-        key = next(iter(results))
-        database = SuppressionDB()
-        database.mark_benign("other_program", key)
-        assert not database.is_suppressed(program.name, key)
-
-    def test_unmark(self, analysis):
-        program, log, results = analysis
-        key = next(iter(results))
-        database = SuppressionDB()
-        database.mark_benign(program.name, key)
-        assert database.unmark(program.name, key)
-        assert not database.is_suppressed(program.name, key)
-        assert not database.unmark(program.name, key)
-
-    def test_persistence_round_trip(self, analysis, tmp_path):
-        program, log, results = analysis
-        key = next(iter(results))
-        database = SuppressionDB()
-        database.mark_benign(program.name, key, reason="ok", triaged_by="dev")
-        path = tmp_path / "suppressions.json"
-        database.save(path)
-        restored = SuppressionDB.load(path)
-        assert restored.is_suppressed(program.name, key)
-        assert restored.reason_for(program.name, key) == "ok"
-        assert len(restored) == 1
-
-    def test_keys_for_program(self, analysis):
-        program, log, results = analysis
-        database = SuppressionDB()
-        for key in results:
-            database.mark_benign(program.name, key)
-        assert sorted(map(str, database.keys_for_program(program.name))) == sorted(
-            map(str, results.keys())
-        )
 
     def test_suppressed_flag_in_report(self, analysis):
         program, log, results = analysis
