@@ -17,7 +17,8 @@ Run:  python examples/coverage_study.py
 
 from repro.analysis import analyze_execution
 from repro.analysis.sweep import seed_coverage
-from repro.race import aggregate_instances, render_ranking
+from repro.fleet import render_ranking, report_records
+from repro.race import aggregate_instances, results_to_json
 from repro.workloads import Execution, stats_counter, toctou_handle
 from repro.workloads.composite import combine_workloads
 from repro.workloads.harmful_lost_update import lost_update
@@ -48,8 +49,17 @@ def main() -> None:
     for seed in (1, 23):
         analysis = analyze_execution(Execution("svc#%d" % seed, service, seed))
         aggregate_instances(analysis.classified, into=results)
+    # Rank the harmful races of the merged report, scored as the fleet
+    # store would score them.
+    records = report_records(results_to_json(results, service.program()))
     print()
-    print(render_ranking(results))
+    print(
+        render_ranking(
+            record
+            for record in records
+            if record.classification == "potentially-harmful"
+        )
+    )
     print(
         "\nCrash-prone refcount races and broad multi-execution lost updates"
         "\nrank above the single-sighting statistics noise."

@@ -16,10 +16,10 @@ from repro import (
     RandomScheduler,
     aggregate_instances,
     assemble,
-    build_report,
     find_races,
     record_run,
-    render_triage_list,
+    render_triage,
+    results_to_json,
 )
 
 SOURCE = """
@@ -72,10 +72,10 @@ def main() -> None:
     classified = classifier.classify_all(instances)
     results = aggregate_instances(classified)
 
-    # 4. Report, harmful first.
-    reports = [build_report(r, program, log) for r in results.values()]
+    # 4. Report, harmful first: the text rendering of the JSON document
+    #    `repro classify --json` writes.
     print()
-    print(render_triage_list(reports))
+    print(render_triage(results_to_json(results, program, log=log)))
 
 
 if __name__ == "__main__":

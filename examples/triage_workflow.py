@@ -42,11 +42,11 @@ def analyse_night(service, night, seed, store):
             for rule in rules
         )
     }
-    print(render_triage(results, program, analysis.log, suppressed))
-    store.absorb_report(
-        results_to_json(results, program, log=analysis.log, suppressed=suppressed),
-        execution_id,
+    document = results_to_json(
+        results, program, log=analysis.log, suppressed=suppressed
     )
+    print(render_triage(document))
+    store.absorb_report(document, execution_id)
     return results
 
 

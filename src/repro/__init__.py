@@ -78,16 +78,15 @@ from .race import (
     InstanceOutcome,
     RaceClassifier,
     RaceInstance,
-    RaceReport,
     StaticRaceResult,
     aggregate_instances,
-    build_report,
     categorize,
     find_races,
     lockset_warnings,
-    render_triage_list,
+    results_to_json,
     vector_clock_races,
 )
+from .race.report import render_triage
 
 # Workloads and experiments.
 from .analysis import (
@@ -137,14 +136,13 @@ __all__ = [
     "InstanceOutcome",
     "RaceClassifier",
     "RaceInstance",
-    "RaceReport",
     "StaticRaceResult",
     "aggregate_instances",
-    "build_report",
     "categorize",
     "find_races",
     "lockset_warnings",
-    "render_triage_list",
+    "render_triage",
+    "results_to_json",
     "vector_clock_races",
     "analyze_execution",
     "analyze_suite",

@@ -8,7 +8,8 @@ either into a list of per-race *delta* dicts the store folds into its
 aggregates:
 
 ``{race, digest, program, no_state_change, state_change,
-replay_failure, detected, executions, classification}``
+replay_failure, detected, executions, classification}``, plus
+``failure_kinds`` (replay failures per kind) when the race has any.
 
 The ``digest`` is the region-content digest pair from the report's
 harmful-scenario batch keys (PR 7's content-dedup identity), joined with
@@ -35,19 +36,24 @@ def _export_deltas(report: Dict) -> List[Dict]:
     deltas = []
     for race in report.get("races", []):
         instances = race.get("instances", {})
-        deltas.append(
-            {
-                "race": race["race"],
-                "digest": _digest_for(race),
-                "program": program,
-                "no_state_change": int(instances.get("no_state_change", 0)),
-                "state_change": int(instances.get("state_change", 0)),
-                "replay_failure": int(instances.get("replay_failure", 0)),
-                "detected": 0,
-                "executions": sorted(race.get("executions", [])),
-                "classification": race.get("classification", ""),
+        delta = {
+            "race": race["race"],
+            "digest": _digest_for(race),
+            "program": program,
+            "no_state_change": int(instances.get("no_state_change", 0)),
+            "state_change": int(instances.get("state_change", 0)),
+            "replay_failure": int(instances.get("replay_failure", 0)),
+            "detected": 0,
+            "executions": sorted(race.get("executions", [])),
+            "classification": race.get("classification", ""),
+        }
+        if race.get("failure_kinds"):
+            # Converted here, before the store journals the delta: a
+            # malformed count must fail the absorb, not every replay.
+            delta["failure_kinds"] = {
+                str(kind): int(count) for kind, count in race["failure_kinds"].items()
             }
-        )
+        deltas.append(delta)
     return deltas
 
 

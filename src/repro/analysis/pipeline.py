@@ -146,6 +146,36 @@ def analyze_execution(
         if log.captured is not None:
             stats.record_events += log.captured.total_events
             stats.record_predicted_loads += log.captured.predicted_loads
+    return _analyze_recording(
+        workload,
+        program,
+        log,
+        execution.execution_id,
+        machine_result,
+        classifier_config=classifier_config,
+        max_pairs_per_location=max_pairs_per_location,
+        classifier_factory=classifier_factory,
+        detector_factory=detector_factory,
+        perf=perf,
+    )
+
+
+def _analyze_recording(
+    workload: Workload,
+    program: Program,
+    log: ReplayLog,
+    execution_id: str,
+    machine_result: Optional[MachineResult],
+    *,
+    classifier_config: Optional[ClassifierConfig],
+    max_pairs_per_location: Optional[int],
+    classifier_factory,
+    detector_factory,
+    perf: Optional[PerfStats],
+) -> ExecutionAnalysis:
+    """replay → detect → classify of one recording, shared by
+    :func:`analyze_execution` and :func:`analyze_log`."""
+    stats = perf if perf is not None else PerfStats()
     with stats.stage("replay"):
         ordered = OrderedReplay(log, program, perf=stats)
     with stats.stage("detect"):
@@ -158,19 +188,17 @@ def analyze_execution(
         instances = detector.detect()
     if classifier_factory is None:
         classifier = RaceClassifier(
-            ordered, config=classifier_config, execution_id=execution.execution_id
+            ordered, config=classifier_config, execution_id=execution_id
         )
     else:
-        classifier = classifier_factory(
-            ordered, classifier_config, execution.execution_id
-        )
+        classifier = classifier_factory(ordered, classifier_config, execution_id)
     with stats.stage("classify"):
         classified = classifier.classify_all(instances)
     stats.executions += 1
     stats.instances += len(instances)
     classifier.collect_perf(stats)
     return ExecutionAnalysis(
-        execution_id=execution.execution_id,
+        execution_id=execution_id,
         workload=workload,
         machine_result=machine_result,
         log=log,
@@ -218,37 +246,16 @@ def analyze_log(
     )
     if execution_id is None:
         execution_id = default_execution_id(log)
-    stats = perf if perf is not None else PerfStats()
-    program = workload.program()
-    with stats.stage("replay"):
-        ordered = OrderedReplay(log, program, perf=stats)
-    with stats.stage("detect"):
-        if detector_factory is None:
-            detector = HappensBeforeDetector(
-                ordered, max_pairs_per_location=max_pairs_per_location, perf=stats
-            )
-        else:
-            detector = detector_factory(ordered, max_pairs_per_location)
-        instances = detector.detect()
-    if classifier_factory is None:
-        classifier = RaceClassifier(
-            ordered, config=classifier_config, execution_id=execution_id
-        )
-    else:
-        classifier = classifier_factory(ordered, classifier_config, execution_id)
-    with stats.stage("classify"):
-        classified = classifier.classify_all(instances)
-    stats.executions += 1
-    stats.instances += len(instances)
-    classifier.collect_perf(stats)
-    return ExecutionAnalysis(
-        execution_id=execution_id,
-        workload=workload,
-        machine_result=None,
-        log=log,
-        ordered=ordered,
-        instances=instances,
-        classified=classified,
+    return _analyze_recording(
+        workload,
+        workload.program(),
+        log,
+        execution_id,
+        None,
+        classifier_config=classifier_config,
+        max_pairs_per_location=max_pairs_per_location,
+        classifier_factory=classifier_factory,
+        detector_factory=detector_factory,
         perf=perf,
     )
 

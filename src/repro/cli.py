@@ -707,11 +707,11 @@ def _cmd_classify(args, out) -> int:
             for rule in rules
         )
     }
-    print(render_triage(results, program, log, suppressed), file=out)
     # No batch keys: every record this absorbs has the empty digest, one
     # per static race, so a race benign in one run and harmful in a later
     # one is one record and its flip is reported.
     document = results_to_json(results, program, log=log, suppressed=suppressed)
+    print(render_triage(document), file=out)
     if store is not None:
         # The job is the log plus the classifier config, never the report:
         # a mark-benign changes its `suppressed` flags, not the execution.

@@ -13,8 +13,8 @@ Layers:
 * :mod:`repro.fleet.records` — the per-race aggregate model;
 * :mod:`repro.fleet.suppression` — persisted suppression rules with
   provenance and expiry;
-* :mod:`repro.fleet.ranking` — harmful-first ordering, reusing the
-  session-ranking weights;
+* :mod:`repro.fleet.ranking` — the triage priority score and the
+  harmful-first ordering (``repro classify`` ranks with it too);
 * :mod:`repro.fleet.backend` — pluggable storage (advisory file lock on
   a shared directory, or in-memory for tests);
 * :mod:`repro.fleet.store` — the store itself: absorb, compact,
@@ -25,7 +25,13 @@ Layers:
 
 from .backend import FileLockBackend, MemoryBackend, StoreBackend
 from .records import FLEET_SCHEMA_VERSION, Contribution, FleetRecord, record_id_for
-from .ranking import FleetPriority, fleet_priority, rank_records
+from .ranking import (
+    PriorityScore,
+    priority_score,
+    rank_records,
+    render_ranking,
+    report_records,
+)
 from .store import AbsorbOutcome, FleetStore
 from .suppression import SuppressionRule, SuppressionSet
 
@@ -34,14 +40,16 @@ __all__ = [
     "Contribution",
     "FLEET_SCHEMA_VERSION",
     "FileLockBackend",
-    "FleetPriority",
     "FleetRecord",
     "FleetStore",
     "MemoryBackend",
+    "PriorityScore",
     "StoreBackend",
     "SuppressionRule",
     "SuppressionSet",
-    "fleet_priority",
+    "priority_score",
     "rank_records",
     "record_id_for",
+    "render_ranking",
+    "report_records",
 ]

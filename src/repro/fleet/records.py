@@ -46,9 +46,13 @@ class Contribution:
     #: Wall-clock time the fleet first saw this job (journaled once, so
     #: every instance sharing the store agrees on it).
     observed_at: Optional[float] = None
+    #: Replay-failure instances per failure kind.  Empty for cells
+    #: written before kinds were kept; they score with the unknown-kind
+    #: weight (see :mod:`repro.fleet.ranking`).
+    failure_kinds: Dict[str, int] = field(default_factory=dict)
 
     def to_json(self) -> Dict:
-        return {
+        document = {
             "no_state_change": self.no_state_change,
             "state_change": self.state_change,
             "replay_failure": self.replay_failure,
@@ -57,9 +61,14 @@ class Contribution:
             "classification": self.classification,
             "observed_at": self.observed_at,
         }
+        if self.failure_kinds:
+            document["failure_kinds"] = dict(sorted(self.failure_kinds.items()))
+        return document
 
     @classmethod
     def from_json(cls, payload: Dict) -> "Contribution":
+        """A cell from its JSON form; also reads a fleet absorb delta,
+        whose keys are a superset of a cell's."""
         return cls(
             no_state_change=int(payload.get("no_state_change", 0)),
             state_change=int(payload.get("state_change", 0)),
@@ -68,6 +77,10 @@ class Contribution:
             executions=sorted(payload.get("executions", [])),
             classification=payload.get("classification", DETECTED),
             observed_at=payload.get("observed_at"),
+            failure_kinds={
+                str(kind): int(count)
+                for kind, count in payload.get("failure_kinds", {}).items()
+            },
         )
 
 

@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Set, Tuple, Union
 
 from ..analysis.fleet_adapter import report_deltas
 from .backend import FileLockBackend, MemoryBackend, StoreBackend
-from .ranking import fleet_priority, rank_records
+from .ranking import priority_score, rank_records
 from .records import Contribution, FleetRecord
 from .suppression import SuppressionRule, SuppressionSet
 
@@ -163,15 +163,9 @@ class FleetStore:
                 harmful = delta.get("state_change") or delta.get("replay_failure")
                 if harmful and _is_benign(record):
                     reclassified.append(record.record_id)
-            record.contributions[job_key] = Contribution(
-                no_state_change=int(delta.get("no_state_change", 0)),
-                state_change=int(delta.get("state_change", 0)),
-                replay_failure=int(delta.get("replay_failure", 0)),
-                detected=int(delta.get("detected", 0)),
-                executions=sorted(delta.get("executions", [])),
-                classification=delta.get("classification", "detected"),
-                observed_at=observed_at,
-            )
+            cell = Contribution.from_json(delta)
+            cell.observed_at = observed_at
+            record.contributions[job_key] = cell
         return AbsorbOutcome(
             True, new_records, updated_records, tuple(sorted(reclassified))
         )
@@ -336,7 +330,7 @@ class FleetStore:
             "digest": record.digest,
             "program": record.program,
             "classification": record.classification,
-            "score": fleet_priority(record).to_json(),
+            "score": priority_score(record).to_json(),
             "instances": record.counts(),
             "executions": record.executions(),
             "contributors": sorted(record.contributions),

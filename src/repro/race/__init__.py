@@ -1,9 +1,11 @@
 """The paper's contribution: happens-before detection over sequencing
 regions, replay-both-orders classification, aggregation, reporting,
 benign-reason categorization, and baselines.  Triage persistence (the
-race database and the benign marks) is the fleet store, :mod:`repro.fleet`."""
+race database and the benign marks) and the triage priority score are
+the fleet store's, :mod:`repro.fleet`; the text report
+(:mod:`repro.race.report`) renders the export document."""
 
-from .aggregate import StaticRaceResult, aggregate_instances, merge_results
+from .aggregate import StaticRaceResult, aggregate_instances
 from .classifier import ClassifierConfig, RaceClassifier
 from .exporter import export_results, result_to_json, results_to_json
 from .happens_before import HappensBeforeDetector, find_races
@@ -18,13 +20,6 @@ from .model import (
     static_race_key,
 )
 from .outcomes import Classification, ClassifiedInstance, InstanceOutcome
-from .ranking import PriorityScore, priority_score, rank_results, render_ranking
-from .report import (
-    RaceReport,
-    ReplayScenario,
-    build_report,
-    render_triage_list,
-)
 from .vector_clock import (
     VCRace,
     VectorClock,
@@ -35,7 +30,6 @@ from .vector_clock import (
 __all__ = [
     "StaticRaceResult",
     "aggregate_instances",
-    "merge_results",
     "ClassifierConfig",
     "RaceClassifier",
     "export_results",
@@ -60,14 +54,6 @@ __all__ = [
     "Classification",
     "ClassifiedInstance",
     "InstanceOutcome",
-    "PriorityScore",
-    "priority_score",
-    "rank_results",
-    "render_ranking",
-    "RaceReport",
-    "ReplayScenario",
-    "build_report",
-    "render_triage_list",
     "VCRace",
     "VectorClock",
     "VectorClockDetector",

@@ -100,17 +100,3 @@ def aggregate_instances(
             results[key] = StaticRaceResult(key=key)
         results[key].add(entry)
     return results
-
-
-def merge_results(
-    *result_sets: Dict[StaticRaceKey, StaticRaceResult]
-) -> Dict[StaticRaceKey, StaticRaceResult]:
-    """Merge independently computed per-execution result maps."""
-    merged: Dict[StaticRaceKey, StaticRaceResult] = {}
-    for result_set in result_sets:
-        for key, result in result_set.items():
-            if key not in merged:
-                merged[key] = StaticRaceResult(key=key)
-            for entry in result.instances:
-                merged[key].add(entry)
-    return merged

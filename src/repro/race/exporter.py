@@ -15,10 +15,11 @@ from typing import Collection, Dict, List, Optional, Union
 
 from ..isa.program import Program
 from ..record.log import ReplayLog
+from ..replay.differ import diff_outcomes
 from .aggregate import StaticRaceResult
 from .heuristics import categorize
 from .model import StaticRaceKey, static_key_to_text as _key_text
-from .outcomes import InstanceOutcome
+from .outcomes import Classification, ClassifiedInstance, InstanceOutcome
 
 EXPORT_VERSION = 1
 
@@ -40,15 +41,43 @@ def result_to_json(
     don't feed triage, so their scenarios carry no key.  The callable
     derives the key from the recording alone, keeping reports
     byte-identical whichever classifier produced the verdicts.
+
+    A race with replay-failure instances carries ``failure_kinds``
+    (instances per failure kind), which the fleet scores by; a scenario
+    carries ``live_out_difference`` only when the classifier stored its
+    replay outcomes (``ClassifierConfig.store_replay_outcomes``).
     """
     reason = categorize(result, program)
-    flagged = [
-        entry
-        for entry in result.instances
-        if entry.outcome is not InstanceOutcome.NO_STATE_CHANGE
-    ]
-    exemplars = (flagged or result.instances)[:max_scenarios]
-    harmful = str(result.classification) == "potentially-harmful"
+    # One pass over the instances: outcome counts, failure kinds and the
+    # exemplars (flagged instances show the harmful effect; a benign
+    # example stands in when nothing flagged).  Outcomes compare by
+    # identity: hashing an enum member costs a Python-level call.
+    no_change = changed = failed = 0
+    failure_kinds: Dict[str, int] = {}
+    flagged: List[ClassifiedInstance] = []
+    for entry in result.instances:
+        outcome = entry.outcome
+        if outcome is InstanceOutcome.NO_STATE_CHANGE:
+            no_change += 1
+            continue
+        if outcome is InstanceOutcome.STATE_CHANGE:
+            changed += 1
+        else:
+            failed += 1
+            if entry.failure_kind is not None:
+                kind = entry.failure_kind.value
+                failure_kinds[kind] = failure_kinds.get(kind, 0) + 1
+        if len(flagged) < max_scenarios:
+            flagged.append(entry)
+    exemplars = flagged or result.instances[:max_scenarios]
+    # StaticRaceResult.group, from the counts above.
+    if changed:
+        group = InstanceOutcome.STATE_CHANGE
+    elif failed:
+        group = InstanceOutcome.REPLAY_FAILURE
+    else:
+        group = InstanceOutcome.NO_STATE_CHANGE
+    harmful = group is not InstanceOutcome.NO_STATE_CHANGE
     scenarios: List[Dict] = []
     for entry in exemplars:
         scenario = {
@@ -61,30 +90,41 @@ def result_to_json(
             "failure": str(entry.failure_kind) if entry.failure_kind else None,
             "failure_detail": entry.failure_detail or None,
         }
+        if entry.original_replay is not None and entry.alternative_replay is not None:
+            scenario["live_out_difference"] = diff_outcomes(
+                entry.original_replay, entry.alternative_replay
+            ).render()
         if harmful and batch_key_for is not None:
             batch_key = batch_key_for(entry)
             if batch_key is not None:
                 scenario["batch_key"] = batch_key
         scenarios.append(scenario)
-    return {
+    document = {
         "race": _key_text(result.key),
         "instructions": [
             program.describe_instruction(result.key[0]),
             program.describe_instruction(result.key[1]),
         ],
-        "classification": str(result.classification),
-        "group": str(result.group),
+        "classification": str(
+            Classification.POTENTIALLY_HARMFUL
+            if harmful
+            else Classification.POTENTIALLY_BENIGN
+        ),
+        "group": str(group),
         "suppressed": suppressed,
         "suggested_reason": str(reason) if reason else None,
         "instances": {
             "total": result.instance_count,
-            "no_state_change": result.outcome_count(InstanceOutcome.NO_STATE_CHANGE),
-            "state_change": result.outcome_count(InstanceOutcome.STATE_CHANGE),
-            "replay_failure": result.outcome_count(InstanceOutcome.REPLAY_FAILURE),
+            "no_state_change": no_change,
+            "state_change": changed,
+            "replay_failure": failed,
         },
-        "executions": sorted(result.executions),
-        "scenarios": scenarios,
     }
+    if failure_kinds:
+        document["failure_kinds"] = dict(sorted(failure_kinds.items()))
+    document["executions"] = sorted(result.executions)
+    document["scenarios"] = scenarios
+    return document
 
 
 def results_to_json(

@@ -252,6 +252,19 @@ class ThreadReplay:
     _access_steps: Optional[List[int]] = field(
         default=None, repr=False, compare=False
     )
+    #: The :class:`~repro.replay.thread_replayer.RegisterReconstructor`
+    #: behind the lazy register views; ``None`` on an eager replay.
+    _reconstructor: Optional[object] = field(
+        default=None, repr=False, compare=False
+    )
+
+    def registers_before(self, step: int) -> Tuple[int, ...]:
+        """The register file just before ``step`` executes, for any step
+        (``steps`` gives the end state), re-executed from the nearest
+        checkpoint."""
+        if step == self.steps:
+            return self.final_registers
+        return self._reconstructor.state_before(step)
 
     def accesses_in_steps(self, start_step: int, end_step: int) -> List[ReplayedAccess]:
         """All accesses with ``start_step <= thread_step < end_step``."""

@@ -11,24 +11,20 @@ answers state queries at arbitrary points of a recorded execution —
 * a thread's program counter / source line at any step,
 * a best-effort global memory view at a global-order point,
 
-without re-recording anything.  Queries re-execute the per-thread replay
-up to the requested step (threads are small; the replays themselves are
-already materialised by :class:`OrderedReplay`), with snapshot reuse at
-sequencing-region boundaries.
+without re-recording anything.  Register queries go to the per-thread
+replays :class:`OrderedReplay` holds: each re-executes register effects
+forward from the nearest checkpoint the replay took
+(:meth:`ThreadReplay.registers_before`), the same code the classifier
+uses to fast-forward to a racing operation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
-from ..isa.instructions import Instruction
-from ..isa.operands import Imm
 from ..isa.program import Program, StaticInstructionId
 from ..record.log import ReplayLog
-from ..vm import alu
-from ..vm.registers import RegisterFile
-from .errors import ReplayDivergence
 from .ordered_replay import OrderedReplay
 
 
@@ -74,94 +70,21 @@ class TimeTravelInspector:
         self.ordered = ordered
         self.program: Program = ordered.program
         self.log: ReplayLog = ordered.log
-        # registers-before-step cache, per thread, filled lazily.
-        self._register_cache: Dict[str, List[Tuple[int, ...]]] = {}
-
-    # ------------------------------------------------------------------
-    # Register time travel.
-    # ------------------------------------------------------------------
-
-    def _registers_timeline(self, thread_name: str) -> List[Tuple[int, ...]]:
-        """Registers *before* each step (index i = before step i),
-        plus one final entry for the end state."""
-        if thread_name in self._register_cache:
-            return self._register_cache[thread_name]
-        replay = self.ordered.thread_replays[thread_name]
-        thread_log = self.log.threads[thread_name]
-        block = self.program.blocks[thread_log.block]
-        registers = RegisterFile(thread_log.initial_registers)
-        timeline: List[Tuple[int, ...]] = []
-        loads_by_step = {
-            access.thread_step: access.value
-            for access in replay.accesses
-            if not access.is_write
-        }
-        for step, pc in enumerate(replay.pcs):
-            timeline.append(registers.snapshot())
-            instruction = block.instruction_at(pc)
-            self._apply_register_effects(
-                instruction, registers, loads_by_step.get(step), thread_log, step
-            )
-        timeline.append(registers.snapshot())
-        if timeline[-1] != replay.final_registers:
-            raise ReplayDivergence(
-                "inspector register reconstruction diverged for %s" % thread_name
-            )
-        self._register_cache[thread_name] = timeline
-        return timeline
-
-    def _apply_register_effects(
-        self,
-        instruction: Instruction,
-        registers: RegisterFile,
-        load_value: Optional[int],
-        thread_log,
-        step: int,
-    ) -> None:
-        opcode = instruction.opcode
-        operands = instruction.operands
-        if opcode == "li":
-            registers.write(operands[0].index, operands[1].value)
-        elif opcode == "mov":
-            registers.write(operands[0].index, registers.read(operands[1].index))
-        elif alu.is_binary_op(opcode):
-            rhs = (
-                operands[2].value
-                if isinstance(operands[2], Imm)
-                else registers.read(operands[2].index)
-            )
-            registers.write(
-                operands[0].index,
-                alu.binary_op(opcode, registers.read(operands[1].index), rhs),
-            )
-        elif opcode == "load":
-            registers.write(operands[0].index, load_value or 0)
-        elif opcode in ("atom_add", "atom_xchg", "cas"):
-            registers.write(operands[0].index, load_value or 0)
-        elif instruction.spec.is_syscall:
-            record = thread_log.syscall_at(step)
-            if record is not None and opcode in (
-                "sys_getpid",
-                "sys_time",
-                "sys_rand",
-                "sys_alloc",
-            ):
-                registers.write(operands[0].index, record.result)
-        # branches/stores/nop/halt/fence/lock/unlock: no register effects.
 
     # ------------------------------------------------------------------
     # Public queries.
     # ------------------------------------------------------------------
 
     def registers_at(self, thread_name: str, thread_step: int) -> Tuple[int, ...]:
-        """Register file of ``thread_name`` just *before* ``thread_step``."""
-        timeline = self._registers_timeline(thread_name)
-        if not 0 <= thread_step < len(timeline):
+        """Register file of ``thread_name`` just *before* ``thread_step``
+        (``steps`` gives the end state)."""
+        replay = self.ordered.thread_replays[thread_name]
+        if not 0 <= thread_step <= replay.steps:
             raise IndexError(
                 "step %d out of range for %s (0..%d)"
-                % (thread_step, thread_name, len(timeline) - 1)
+                % (thread_step, thread_name, replay.steps)
             )
-        return timeline[thread_step]
+        return replay.registers_before(thread_step)
 
     def register_at(self, thread_name: str, thread_step: int, register: int) -> int:
         return self.registers_at(thread_name, thread_step)[register]
@@ -173,7 +96,6 @@ class TimeTravelInspector:
     def step_view(self, thread_name: str, thread_step: int) -> StepView:
         """A full picture of one retired step (the debugger's focus line)."""
         replay = self.ordered.thread_replays[thread_name]
-        timeline = self._registers_timeline(thread_name)
         pc = replay.pcs[thread_step]
         static_id = replay.static_ids[thread_step]
         instruction = self.program.instruction(static_id)
@@ -192,8 +114,8 @@ class TimeTravelInspector:
             pc=pc,
             static_id=static_id,
             instruction_text=instruction.source_text or str(instruction),
-            registers_before=timeline[thread_step],
-            registers_after=timeline[thread_step + 1],
+            registers_before=replay.registers_before(thread_step),
+            registers_after=replay.registers_before(thread_step + 1),
             access=access,
         )
 

@@ -409,6 +409,7 @@ class ThreadReplayer:
             output=output,
         )
         replay._access_steps = col_steps
+        replay._reconstructor = reconstructor
         if perf is not None:
             perf.replay_threads_fast += 1
         return replay

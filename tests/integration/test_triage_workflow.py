@@ -13,12 +13,7 @@ import pytest
 
 from repro.analysis import analyze_execution
 from repro.fleet import FleetStore, MemoryBackend, SuppressionRule
-from repro.race import (
-    Classification,
-    aggregate_instances,
-    build_report,
-    results_to_json,
-)
+from repro.race import Classification, aggregate_instances, results_to_json
 from repro.race.model import static_key_to_text
 from repro.race.report import render_triage
 from repro.workloads.benign_approximate import stats_counter
@@ -72,15 +67,17 @@ def test_full_triage_cycle(service, tmp_path):
 
     # --- night 1: everything flagged is reported, harmful first --------
     store = FleetStore(MemoryBackend())
-    triage = render_triage(
-        results, program, analysis.log, suppressed_keys(store, program, results)
+    document = results_to_json(
+        results,
+        program,
+        log=analysis.log,
+        suppressed=suppressed_keys(store, program, results),
     )
+    triage = render_triage(document)
     assert "potentially harmful (triage these)" in triage
     assert "suggested benign reason:" in triage
     assert "Triage priority" in triage
-    store.absorb_report(
-        results_to_json(results, program, log=analysis.log), "night1"
-    )
+    store.absorb_report(document, "night1")
 
     flagged = {
         key: result
@@ -104,35 +101,30 @@ def test_full_triage_cycle(service, tmp_path):
     store2 = FleetStore.open(tmp_path / "fleet")
     analysis2, results2 = analyse(service, "night2", seed=37)
     suppressed2 = suppressed_keys(store2, program, results2)
-    reports2 = [
-        build_report(
-            result,
-            program,
-            analysis2.log,
-            suppressed=key in suppressed2,
-        )
-        for key, result in results2.items()
-    ]
-    store2.absorb_report(
-        results_to_json(results2, program, log=analysis2.log, suppressed=suppressed2),
-        "night2",
+    document2 = results_to_json(
+        results2, program, log=analysis2.log, suppressed=suppressed2
     )
+    store2.absorb_report(document2, "night2")
     assert store2.counts()["absorbed_jobs"] == 2
-    suppressed = [r for r in reports2 if r.suppressed]
+    races2 = {race["race"]: race for race in document2["races"]}
+    suppressed = [race for race in races2.values() if race["suppressed"]]
     active_harmful = [
-        r
-        for r in reports2
-        if r.classification is Classification.POTENTIALLY_HARMFUL and not r.suppressed
+        race
+        for race in races2.values()
+        if race["classification"] == str(Classification.POTENTIALLY_HARMFUL)
+        and not race["suppressed"]
     ]
     assert suppressed, "previously triaged races must be suppressed"
     assert active_harmful, "the real bug must still be reported"
+    assert "%d suppressed" % len(suppressed) in render_triage(document2)
     balance_address = program.data_address("balance_lu6")
-    balance_reports = [
-        r
-        for key, r in zip(results2, reports2)
-        if balance_address in {c.instance.address for c in results2[key].instances}
+    balance_races = [
+        races2[static_key_to_text(key)]
+        for key, result in results2.items()
+        if balance_address in {c.instance.address for c in result.instances}
     ]
-    assert all(not r.suppressed for r in balance_reports)
+    assert balance_races
+    assert all(not race["suppressed"] for race in balance_races)
 
 
 def test_retriage_unmark(service):

@@ -1,11 +1,7 @@
 """Unit tests for the race model and per-static-race aggregation."""
 
 from repro.isa.program import StaticInstructionId
-from repro.race.aggregate import (
-    StaticRaceResult,
-    aggregate_instances,
-    merge_results,
-)
+from repro.race.aggregate import aggregate_instances
 from repro.race.model import RaceAccess, RaceInstance, static_race_key
 from repro.race.outcomes import (
     Classification,
@@ -144,15 +140,26 @@ class TestAggregation:
         assert result.classification is Classification.POTENTIALLY_HARMFUL
 
     def test_merge_results(self):
-        instance = make_instance()
+        """Two independently computed per-execution maps merge by feeding
+        the second's instances into the first."""
+        shared = make_instance()
+        only_second = make_instance(index_a=0, index_b=2)
         first = aggregate_instances(
-            [classified(instance, InstanceOutcome.NO_STATE_CHANGE, "e1")]
+            [classified(shared, InstanceOutcome.NO_STATE_CHANGE, "e1")]
         )
         second = aggregate_instances(
-            [classified(instance, InstanceOutcome.NO_STATE_CHANGE, "e2")]
+            [
+                classified(shared, InstanceOutcome.NO_STATE_CHANGE, "e2"),
+                classified(only_second, InstanceOutcome.STATE_CHANGE, "e2"),
+            ]
         )
-        merged = merge_results(first, second)
-        assert merged[instance.static_key].instance_count == 2
+        merged = aggregate_instances(
+            (entry for result in second.values() for entry in result.instances),
+            into=first,
+        )
+        assert merged[shared.static_key].instance_count == 2
+        assert merged[shared.static_key].executions == {"e1", "e2"}
+        assert merged[only_second.static_key].instance_count == 1
 
     def test_describe_mentions_counts(self):
         instance = make_instance()

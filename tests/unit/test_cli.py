@@ -266,6 +266,49 @@ class TestClassify:
         assert code == 0
         assert "1 suppressed" in text
 
+    def test_classify_and_fleet_report_score_harmful_races_alike(self, tmp_path):
+        """`classify --store D` ranks the records its report becomes, so
+        each harmful race gets the score `fleet --store D report` gives it
+        — handshake's races end in step-limit replay failures, which score
+        by their kind, not by the failure fraction."""
+        import re
+
+        from repro.record import record_run, save_log
+        from repro.vm import RandomScheduler
+        from repro.workloads import handshake
+
+        workload = handshake(0)
+        _, recording = record_run(
+            workload.program(),
+            scheduler=RandomScheduler(seed=5, switch_probability=0.3),
+            seed=5,
+        )
+        log = tmp_path / "handshake_hs0.bin"
+        save_log(recording, log)
+        store = tmp_path / "fleet"
+        exported = tmp_path / "report.json"
+        code, text = run_cli(
+            ["classify", str(log), "--store", str(store), "--json", str(exported)]
+        )
+        assert code == 0
+        classify_scores = dict(
+            re.findall(r"^\s+\d+\. (\S+)\s+score (\d+\.\d\d) =", text, re.M)
+        )
+        code, fleet_text = run_cli(["fleet", "--store", str(store), "report"])
+        assert code == 0
+        fleet_scores = {
+            race["race"]: "%.2f" % race["score"]["total"]
+            for race in json.loads(fleet_text)["races"]
+            if race["classification"] == "potentially-harmful"
+        }
+        assert fleet_scores and classify_scores == fleet_scores
+        harmful = [
+            race
+            for race in json.loads(exported.read_text())["races"]
+            if race["classification"] == "potentially-harmful"
+        ]
+        assert all(race["failure_kinds"] == {"step-limit": 5} for race in harmful)
+
     def test_continue_extension_flag(self, recorded):
         _, log, _ = recorded
         code, text = run_cli(

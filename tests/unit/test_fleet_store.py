@@ -23,7 +23,7 @@ from repro.fleet import (
     FleetStore,
     MemoryBackend,
     SuppressionRule,
-    fleet_priority,
+    priority_score,
     rank_records,
     record_id_for,
 )
@@ -200,7 +200,22 @@ class TestRanking:
     def test_score_rises_with_state_change_fraction(self):
         weak = self._record(RACE_A, state_change=1, no_state_change=9)
         strong = self._record(RACE_A, state_change=9, no_state_change=1)
-        assert fleet_priority(strong).total > fleet_priority(weak).total
+        assert priority_score(strong).total > priority_score(weak).total
+
+    def test_failure_scores_by_its_strongest_kind(self):
+        crash = self._record(
+            RACE_A,
+            replay_failure=2,
+            failure_kinds={"step-limit": 1, "memory-fault": 1},
+        )
+        wedge = self._record(RACE_A, replay_failure=2, failure_kinds={"step-limit": 2})
+        assert priority_score(crash).failure_strength == pytest.approx(2.0)
+        assert priority_score(wedge).failure_strength == pytest.approx(0.6)
+
+    def test_cell_without_kinds_scores_the_unknown_kind_weight(self):
+        legacy = self._record(RACE_A, replay_failure=3)
+        assert priority_score(legacy).failure_strength == pytest.approx(1.0)
+        assert priority_score(self._record(RACE_A, state_change=3)).failure_strength == 0
 
     def test_ties_break_deterministically_on_identity(self):
         twins = [
@@ -223,6 +238,14 @@ class TestReportAdapter:
         benign = next(d for d in deltas if d["race"] == RACE_B)
         assert benign["digest"] == ""  # benign scenarios carry no batch key
         assert benign["no_state_change"] == 3
+
+    def test_failure_kinds_reach_the_delta_only_when_present(self):
+        failing = harmful_race(RACE_C, state_change=0)
+        failing["instances"]["replay_failure"] = 2
+        failing["failure_kinds"] = {"divergence": 2}
+        deltas = report_deltas(export_report(races=[failing, benign_race(RACE_B)]))
+        assert deltas[0]["failure_kinds"] == {"divergence": 2}
+        assert "failure_kinds" not in deltas[1]
 
     def test_detect_report_deltas(self):
         deltas = report_deltas(detect_report())
@@ -411,6 +434,17 @@ class TestMemoryStore:
         assert store.report_bytes() == before
         assert FleetStore(store.backend).report_bytes() == before
 
+    def test_malformed_failure_kinds_are_rejected_before_they_are_journaled(self):
+        store = FleetStore()
+        store.absorb_report(export_report(), "job-1")
+        before = store.report_bytes()
+        failing = harmful_race(RACE_C, state_change=0)
+        failing["instances"]["replay_failure"] = 1
+        failing["failure_kinds"] = {"step-limit": "many"}
+        with pytest.raises(ValueError):
+            store.absorb_report(export_report(races=[failing]), "job-2")
+        assert FleetStore(store.backend).report_bytes() == before
+
 
 class TestFileStore:
     def test_journal_replays_across_reopen_without_compaction(self, tmp_path):
@@ -445,6 +479,62 @@ class TestFileStore:
             store.absorb_report(detect_report(), "job-2", observed_at=4.0)
         assert store.compact() == size
         assert (tmp_path / "fleet" / SNAPSHOT_NAME).read_bytes() == snapshot
+
+    def test_failure_kinds_survive_journal_and_snapshot(self, tmp_path):
+        failing = harmful_race(RACE_C, state_change=0)
+        failing["instances"]["replay_failure"] = 2
+        failing["failure_kinds"] = {"memory-fault": 1, "step-limit": 1}
+        store = FleetStore.open(tmp_path / "fleet")
+        store.absorb_report(export_report(races=[failing]), "job-1", observed_at=1.0)
+        before = store.report_bytes()
+        (entry,) = store.report_document()["races"]
+        assert entry["score"]["failure_strength"] == 2.0
+        record = store.record_document(entry["id"])
+        assert record["contributions"]["job-1"]["failure_kinds"] == {
+            "memory-fault": 1,
+            "step-limit": 1,
+        }
+        assert FleetStore.open(tmp_path / "fleet").report_bytes() == before
+        store.compact()
+        assert FleetStore.open(tmp_path / "fleet").report_bytes() == before
+
+    def test_snapshot_without_failure_kinds_loads_and_compacts_unchanged(
+        self, tmp_path
+    ):
+        """A snapshot written before cells kept failure kinds: its failing
+        cell scores with the unknown-kind weight, and compaction rewrites
+        the snapshot byte for byte."""
+        cell = {
+            "classification": "potentially-harmful",
+            "detected": 0,
+            "executions": ["e1"],
+            "no_state_change": 1,
+            "observed_at": 1.0,
+            "replay_failure": 3,
+            "state_change": 0,
+        }
+        document = {
+            "absorbed": ["job-1"],
+            "fleet_version": 1,
+            "records": [
+                {
+                    "contributions": {"job-1": cell},
+                    "digest": "",
+                    "program": "prog",
+                    "race": RACE_A,
+                }
+            ],
+            "suppressions": [],
+        }
+        old = (json.dumps(document, indent=2, sort_keys=True) + "\n").encode("utf-8")
+        (tmp_path / "fleet").mkdir()
+        (tmp_path / "fleet" / SNAPSHOT_NAME).write_bytes(old)
+        store = FleetStore.open(tmp_path / "fleet")
+        (entry,) = store.report_document()["races"]
+        assert entry["classification"] == "potentially-harmful"
+        assert entry["score"]["failure_strength"] == 1.0  # 2 x 0.5
+        assert store.compact() == len(old)
+        assert (tmp_path / "fleet" / SNAPSHOT_NAME).read_bytes() == old
 
     def test_torn_journal_tail_is_sealed_not_fatal(self, tmp_path):
         store = FleetStore.open(tmp_path / "fleet")

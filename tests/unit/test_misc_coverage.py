@@ -137,9 +137,10 @@ class TestReportEdgeCases:
         from repro.race import (
             RaceClassifier,
             aggregate_instances,
-            build_report,
             find_races,
+            results_to_json,
         )
+        from repro.race.report import render_triage
         from repro.vm import RandomScheduler
 
         source = (
@@ -152,11 +153,11 @@ class TestReportEdgeCases:
         ordered = OrderedReplay(log, program)
         classifier = RaceClassifier(ordered, execution_id="x")
         results = aggregate_instances(classifier.classify_all(find_races(ordered)))
-        failure_results = [
-            result
-            for result in results.values()
-            if any(entry.failure_kind for entry in result.instances)
-        ]
-        assert failure_results
-        report = build_report(failure_results[0], program, log)
-        assert "alternative replay failed" in report.render()
+        document = results_to_json(results, program, log=log)
+        failure_races = [race for race in document["races"] if race.get("failure_kinds")]
+        assert failure_races
+        scenario = failure_races[0]["scenarios"][0]
+        assert scenario["failure"] in failure_races[0]["failure_kinds"]
+        assert "alternative replay failed: %s" % scenario["failure"] in render_triage(
+            document
+        )
