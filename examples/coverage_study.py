@@ -17,12 +17,30 @@ Run:  python examples/coverage_study.py
 
 from repro.analysis import analyze_execution
 from repro.analysis.sweep import seed_coverage
-from repro.fleet import render_ranking, report_records
+from repro.fleet import rank_records, render_ranking, report_records
 from repro.race import aggregate_instances, results_to_json
 from repro.workloads import Execution, stats_counter, toctou_handle
 from repro.workloads.composite import combine_workloads
 from repro.workloads.harmful_lost_update import lost_update
 from repro.workloads.harmful_refcount import refcount_free
+
+
+#: Each bug family of the combined service, by its block-name tag.
+FAMILIES = (("_lu21", "lost-update"), ("_st21", "statistics"), ("_rc21", "refcount"))
+
+
+def ranking_summary(ranked) -> str:
+    """One sentence read off ``ranked``: each bug family at the position
+    of its best-ranked race, highest first."""
+    best = {}
+    for position, record in enumerate(ranked, start=1):
+        for tag, family in FAMILIES:
+            if tag in record.race:
+                best.setdefault(family, position)
+    order = sorted(best, key=best.get)
+    return "Best rank per bug family: %s." % ", then ".join(
+        "%s races (#%d)" % (family, best[family]) for family in order
+    )
 
 
 def main() -> None:
@@ -52,18 +70,15 @@ def main() -> None:
     # Rank the harmful races of the merged report, scored as the fleet
     # store would score them.
     records = report_records(results_to_json(results, service.program()))
+    ranked = rank_records(
+        record
+        for record in records
+        if record.classification == "potentially-harmful"
+    )
     print()
-    print(
-        render_ranking(
-            record
-            for record in records
-            if record.classification == "potentially-harmful"
-        )
-    )
-    print(
-        "\nCrash-prone refcount races and broad multi-execution lost updates"
-        "\nrank above the single-sighting statistics noise."
-    )
+    print(render_ranking(ranked))
+    print()
+    print(ranking_summary(ranked))
 
 
 if __name__ == "__main__":

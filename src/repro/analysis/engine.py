@@ -747,7 +747,6 @@ class ClassificationEngine:
         execution_id: Optional[str] = None,
         perf: Optional[PerfStats] = None,
         prior=None,
-        detector_factory=None,
     ) -> ExecutionAnalysis:
         """Analyse an already-recorded log through this engine.
 
@@ -755,10 +754,6 @@ class ClassificationEngine:
         — same report bytes — plus the engine's verdict memoization,
         batching and incremental splicing (``prior=`` and the persisted
         per-program verdict index, exactly as in :meth:`analyze_execution`).
-
-        ``detector_factory`` is forwarded to the pipeline; pass one built
-        around :class:`repro.race.happens_before.ParallelFileDetector` to
-        fan the detection sweep over v4 segments.
         """
         snapshot = self._cache_snapshot()
         stats = perf if perf is not None else PerfStats()
@@ -772,7 +767,6 @@ class ClassificationEngine:
             max_pairs_per_location=self.config.max_pairs_per_location,
             classifier_factory=self._classifier_factory,
             perf=stats,
-            detector_factory=detector_factory,
         )
         self._finish_analysis(analysis, stats, snapshot, verdict_key)
         return analysis

@@ -92,7 +92,8 @@ class PerfStats:
     replay_captured_handoffs: int = 0
     #: Detect passes whose regions and index came straight from the log.
     detect_log_native: int = 0
-    #: Streaming analyses run (``--stream`` and service stream jobs).
+    #: Streaming analyses run (``repro analyze`` of a v4 container and
+    #: service stream jobs).
     stream_jobs: int = 0
     #: v4 segments fed through the streaming cursor.
     stream_segments: int = 0

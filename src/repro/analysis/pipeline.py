@@ -100,7 +100,6 @@ def analyze_execution(
     max_steps: int = 200_000,
     capture_global_order: bool = True,
     classifier_factory=None,
-    detector_factory=None,
     perf: Optional[PerfStats] = None,
     cache=None,
 ) -> ExecutionAnalysis:
@@ -108,10 +107,8 @@ def analyze_execution(
 
     ``classifier_factory(ordered, classifier_config, execution_id)`` lets
     the classification engine substitute its batching classifier;
-    ``detector_factory(ordered, max_pairs_per_location)`` substitutes the
-    race detector (the equivalence tests pass the retained naive
-    reference); ``perf`` accumulates per-stage wall time and work
-    counters; ``cache`` (a :class:`repro.analysis.cache.SuiteCache`)
+    ``perf`` accumulates per-stage wall time and work counters;
+    ``cache`` (a :class:`repro.analysis.cache.SuiteCache`)
     serves the record stage by content address when the same execution
     was recorded before.
     """
@@ -155,7 +152,6 @@ def analyze_execution(
         classifier_config=classifier_config,
         max_pairs_per_location=max_pairs_per_location,
         classifier_factory=classifier_factory,
-        detector_factory=detector_factory,
         perf=perf,
     )
 
@@ -170,7 +166,6 @@ def _analyze_recording(
     classifier_config: Optional[ClassifierConfig],
     max_pairs_per_location: Optional[int],
     classifier_factory,
-    detector_factory,
     perf: Optional[PerfStats],
 ) -> ExecutionAnalysis:
     """replay → detect → classify of one recording, shared by
@@ -179,13 +174,9 @@ def _analyze_recording(
     with stats.stage("replay"):
         ordered = OrderedReplay(log, program, perf=stats)
     with stats.stage("detect"):
-        if detector_factory is None:
-            detector = HappensBeforeDetector(
-                ordered, max_pairs_per_location=max_pairs_per_location, perf=stats
-            )
-        else:
-            detector = detector_factory(ordered, max_pairs_per_location)
-        instances = detector.detect()
+        instances = HappensBeforeDetector(
+            ordered, max_pairs_per_location=max_pairs_per_location, perf=stats
+        ).detect()
     if classifier_factory is None:
         classifier = RaceClassifier(
             ordered, config=classifier_config, execution_id=execution_id
@@ -226,7 +217,6 @@ def analyze_log(
     classifier_config: Optional[ClassifierConfig] = None,
     max_pairs_per_location: Optional[int] = 256,
     classifier_factory=None,
-    detector_factory=None,
     perf: Optional[PerfStats] = None,
 ) -> ExecutionAnalysis:
     """Fully analyse an already-recorded log: replay → detect → classify.
@@ -255,7 +245,6 @@ def analyze_log(
         classifier_config=classifier_config,
         max_pairs_per_location=max_pairs_per_location,
         classifier_factory=classifier_factory,
-        detector_factory=detector_factory,
         perf=perf,
     )
 
@@ -414,24 +403,28 @@ def detect_only(
     """Run only the detect stage of the funnel — no classification.
 
     ``source`` is RPRB container bytes, a decoded :class:`ReplayLog`, or
-    a filesystem path to a container (required shape for the parallel
-    path's zero-copy reads; other modes read the file into bytes).
-    ``mode`` picks the path:
+    a filesystem path to a container (the parallel path's workers map the
+    file; every other path reads it into bytes).  The input picks the
+    path (``mode="auto"``, the only choice the CLI and service make):
 
-    * ``"from-log"`` — the zero-replay :class:`LogView` path; raises
-      :class:`~repro.replay.log_view.LogViewUnavailable` when the log has
-      no captured columns (v1/v2, or v3 without capture).
-    * ``"replay"`` — the historical :class:`OrderedReplay` path.
-    * ``"stream"`` — the segmented streaming path: regions sweep through
-      the incremental detector as segments decode, with resident state
-      bounded by the active window (v4 files stream frame by frame;
-      monolithic v3 logs are re-chunked in memory).  Raises
-      :class:`LogViewUnavailable` for v1/v2/captureless logs.
-    * ``"parallel"`` — the segment-fanout path: v4 segments partition
-      across ``jobs`` worker processes, each mmap-reading only its own
-      range; raises :class:`ValueError` for anything but a v4 container.
-    * ``"auto"`` (default) — parallel for v4 sources when ``jobs > 1``,
-      else from-log when the log supports it, replay otherwise.
+    * a v4 segmented container with captured columns and ``jobs > 1``
+      — ``"parallel"``: the segments partition across ``jobs`` worker
+      processes, each mmap-reading only its own range;
+    * such a container with ``jobs == 1`` — ``"stream"``: regions sweep
+      through the incremental detector as segments decode, with resident
+      state bounded by the active window;
+    * any other log with captured columns — ``"from-log"``: the
+      zero-replay :class:`LogView`;
+    * anything else (v1/v2, captureless, JSON without capture) —
+      ``"replay"``: the :class:`OrderedReplay` path.
+
+    Naming a ``mode`` forces that path.  The pipeline benchmark does so
+    to gate each path against the ``"replay"`` oracle; a forced
+    ``"from-log"`` or ``"stream"`` raises
+    :class:`~repro.replay.log_view.LogViewUnavailable` on a log without
+    captured columns (``"stream"`` re-chunks a monolithic v3 log in
+    memory), and a forced ``"parallel"`` raises :class:`ValueError` for
+    anything but a v4 container with captured columns.
 
     Race sets are byte-identical between all paths (the equivalence
     suite enforces it); they differ only in cost profile.
@@ -449,7 +442,7 @@ def detect_only(
     if isinstance(source, (str, os.PathLike)):
         path_source = os.fspath(source)
     if mode == "parallel" or (
-        mode == "auto" and jobs > 1 and _parallel_eligible(source, path_source)
+        mode == "auto" and jobs > 1 and is_streamable_container(source)
     ):
         return _detect_parallel(
             source,
@@ -462,7 +455,7 @@ def detect_only(
     if path_source is not None:
         with open(path_source, "rb") as handle:
             source = handle.read()
-    if mode == "stream":
+    if mode == "stream" or (mode == "auto" and is_streamable_container(source)):
         return _detect_streaming(
             source,
             execution_id=execution_id,
@@ -643,20 +636,29 @@ class ParallelLogView:
         return dict(self._stats)
 
 
-def _parallel_eligible(source, path_source: Optional[str]) -> bool:
-    """True when ``source`` is a v4 segmented container (path or bytes)."""
-    from ..record.binary_format import MAGIC, is_segmented_log
+def is_streamable_container(source) -> bool:
+    """True for a v4 segmented container with captured columns, as bytes
+    or a file path (only its header frame is read): the input that
+    :func:`detect_only` and ``repro analyze`` stream segment by segment,
+    and that ``detect_only`` fans out when ``jobs > 1``."""
+    from ..record.binary_format import (
+        MAGIC,
+        MappedSegmentedReader,
+        is_segmented_log,
+        read_segmented_header,
+    )
 
-    if path_source is not None:
-        try:
-            with open(path_source, "rb") as handle:
-                head = handle.read(len(MAGIC) + 1)
-        except OSError:
-            return False
-        return is_segmented_log(head)
-    if isinstance(source, (bytes, bytearray, memoryview)):
-        return is_segmented_log(bytes(memoryview(source)[: len(MAGIC) + 1]))
-    return False
+    if isinstance(source, (str, os.PathLike)):
+        with open(source, "rb") as handle:
+            if not is_segmented_log(handle.read(len(MAGIC) + 1)):
+                return False
+        with MappedSegmentedReader(source) as reader:
+            return reader.header.has_captured
+    if not isinstance(source, (bytes, bytearray, memoryview)):
+        return False
+    if not is_segmented_log(bytes(memoryview(source)[: len(MAGIC) + 1])):
+        return False
+    return read_segmented_header(bytes(source)).has_captured
 
 
 def _detect_parallel(

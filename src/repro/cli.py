@@ -50,7 +50,7 @@ from .race.happens_before import find_races
 from .record.compression import compression_stats
 from .record.metrics import log_metrics
 from .record.recorder import record_run
-from .record.serialization import load_log, save_log
+from .record.serialization import load_log, load_log_bytes, save_log
 from .replay.ordered_replay import OrderedReplay
 from .vm.scheduler import RandomScheduler, RoundRobinScheduler
 
@@ -104,8 +104,9 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help="stream the recording into a v4 segmented container, sealing "
-        "a segment every ~N payload bytes (bounds recorder memory and "
-        "lets detect/analyze --stream start before the run ends)",
+        "a segment every ~N payload bytes (bounds recorder memory; detect "
+        "and analyze then stream it segment by segment, and detect --jobs "
+        "can fan its segments out)",
     )
 
     replay = sub.add_parser("replay", help="replay a log and verify it")
@@ -123,40 +124,20 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print the detect-stage breakdown (index/sweep time, pair pruning)",
     )
-    detect_path = detect.add_mutually_exclusive_group()
-    detect_path.add_argument(
-        "--from-log",
-        action="store_true",
-        help="require the zero-replay path (error if the log has no "
-        "captured columns; default picks it automatically when available)",
-    )
-    detect_path.add_argument(
-        "--stream",
-        action="store_true",
-        help="detect segment by segment with bounded resident state "
-        "(requires captured columns; race set is identical to batch)",
-    )
     detect.add_argument(
         "--jobs",
         type=_positive_int,
-        default=None,
+        default=1,
         metavar="N",
         help="worker processes for the detection sweep (default: 1, serial); "
         "above 1 fans v4 segments across a process pool — needs a log "
-        "recorded with --segment-bytes, race set is identical to serial; "
-        "incompatible with --stream",
+        "recorded with --segment-bytes, race set is identical to serial",
     )
 
     classify = sub.add_parser(
         "classify", help="detect + classify races, print the triage report"
     )
     classify.add_argument("log", type=Path, help="replay log file")
-    classify.add_argument(
-        "--from-log",
-        action="store_true",
-        help="require the zero-replay detect stage (classification still "
-        "replays; error if the log has no captured columns)",
-    )
     classify.add_argument(
         "--store",
         type=Path,
@@ -211,22 +192,6 @@ def _build_parser() -> argparse.ArgumentParser:
         type=Path,
         default=None,
         help="cache directory for the persisted per-program verdict index",
-    )
-    analyze.add_argument(
-        "--stream",
-        action="store_true",
-        help="stream detection segment by segment and classify each sealed "
-        "window eagerly (first verdicts land before the sweep finishes; "
-        "the final report is byte-identical to the batch path)",
-    )
-    analyze.add_argument(
-        "--jobs",
-        type=_positive_int,
-        default=1,
-        metavar="N",
-        help="worker processes for the detection sweep (default: 1, serial); "
-        "above 1 needs a v4 segmented log and fans segments across a "
-        "process pool; classification itself stays in-process",
     )
 
     validate = sub.add_parser("validate", help="check a replay log's invariants")
@@ -386,8 +351,8 @@ def _build_parser() -> argparse.ArgumentParser:
         default=1,
         metavar="N",
         help="worker processes for one job's detection sweep (default: 1, "
-        "serial); above 1, detect-only and stream jobs on v4 segmented "
-        "uploads fan segments across a per-job process pool",
+        "serial); above 1, detect-only jobs on v4 segmented uploads fan "
+        "segments across a per-job process pool",
     )
     serve.add_argument(
         "--fleet-dir",
@@ -489,8 +454,8 @@ def _build_parser() -> argparse.ArgumentParser:
     submit.add_argument(
         "--detect-only",
         action="store_true",
-        help="stop after detection (no classification); v3 logs with "
-        "captured columns run the zero-replay from-log detect path",
+        help="stop after detection (no classification); the log picks the "
+        "detect path: v4 streams, other captured logs skip replay",
     )
     submit.add_argument(
         "--no-wait",
@@ -597,37 +562,18 @@ def _cmd_replay(args, out) -> int:
 
 def _cmd_detect(args, out) -> int:
     from .analysis.perf import PerfStats
-    from .analysis.pipeline import detect_only
+    from .analysis.pipeline import detect_only, is_streamable_container
 
-    # --jobs (at any value) picks the batch sweep; --stream picks the
-    # segment-streaming path — they are different detectors, so naming
-    # both is a contradiction even for --jobs 1.
-    if args.jobs is not None and args.stream:
+    if args.jobs > 1 and not is_streamable_container(args.log):
         raise ValueError(
-            "--jobs and --stream are mutually exclusive; drop one of them"
-        )
-    jobs = args.jobs if args.jobs is not None else 1
-    if jobs > 1 and args.from_log:
-        raise ValueError(
-            "--jobs above 1 selects the parallel segment-fanout path and "
-            "cannot be combined with --from-log; drop one of them"
+            "--jobs above 1 fans out the segments of a v4 container with "
+            "captured columns; record the log with --segment-bytes"
         )
     perf = PerfStats()
-    if args.stream:
-        mode = "stream"
-    elif args.from_log:
-        mode = "from-log"
-    elif jobs > 1:
-        # Explicitly parallel (not auto) so a container the fanout
-        # cannot partition errors loudly instead of silently running
-        # the serial sweep the user asked to spread out.
-        mode = "parallel"
-    else:
-        mode = "auto"
     # The path (not its bytes) goes to the pipeline so the parallel
     # fanout can mmap segments in the workers without the parent ever
-    # materializing the full log; serial modes read it themselves.
-    analysis = detect_only(args.log, mode=mode, perf=perf, jobs=jobs)
+    # materializing the full log; the serial paths read it themselves.
+    analysis = detect_only(args.log, perf=perf, jobs=args.jobs)
     instances = analysis.instances
     source = analysis.source
     path = analysis.path
@@ -680,16 +626,7 @@ def _cmd_classify(args, out) -> int:
     log = load_log(args.log)
     ordered = OrderedReplay(log)
     program = ordered.program
-    if args.from_log:
-        # Detect on the zero-replay view (errors cleanly when the log has
-        # no captured columns); classification below still replays — the
-        # both-orders virtual processor needs machine state.  Instances
-        # are value-identical between the paths, so the verdicts are too.
-        from .replay.log_view import LogView
-
-        instances = find_races(LogView.from_log(log))
-    else:
-        instances = find_races(ordered)
+    instances = find_races(ordered)
     config = ClassifierConfig(
         allow_unrecorded_control_flow=args.continue_through_control_flow
     )
@@ -748,13 +685,12 @@ def _cmd_analyze(args, out) -> int:
 
     from .analysis.engine import ClassificationEngine, EngineConfig
     from .analysis.perf import PerfStats
-    from .analysis.pipeline import execution_report, render_report
+    from .analysis.pipeline import (
+        execution_report,
+        is_streamable_container,
+        render_report,
+    )
 
-    if args.jobs > 1 and args.stream:
-        raise ValueError(
-            "--jobs parallelizes the batch detection sweep and cannot be "
-            "combined with --stream; drop one of them"
-        )
     engine = ClassificationEngine(EngineConfig(cache_dir=args.cache_dir))
     prior = None
     if args.incremental_from is not None:
@@ -769,36 +705,13 @@ def _cmd_analyze(args, out) -> int:
                 load_log(args.incremental_from)
             )
     perf = PerfStats()
-    detector_factory = None
-    if args.jobs > 1:
-        from .race.happens_before import ParallelFileDetector
-        from .record.binary_format import MAGIC, is_segmented_log
-
-        with open(args.log, "rb") as handle:
-            head = handle.read(len(MAGIC) + 1)
-        if not is_segmented_log(head):
-            raise ValueError(
-                "--jobs above 1 needs a v4 segmented container "
-                "(record with --segment-bytes)"
-            )
-        jobs = args.jobs
-
-        def detector_factory(ordered, max_pairs_per_location):
-            return ParallelFileDetector(
-                args.log, jobs, max_pairs_per_location, perf=perf
-            )
-
-    if args.stream:
-        analysis = engine.analyze_log_stream(
-            args.log.read_bytes(), perf=perf, prior=prior
-        )
+    # A v4 container streams: eager per-window classification, the same
+    # report bytes as the batch pass every other log takes.
+    data = args.log.read_bytes()
+    if is_streamable_container(data):
+        analysis = engine.analyze_log_stream(data, perf=perf, prior=prior)
     else:
-        analysis = engine.analyze_log(
-            load_log(args.log),
-            perf=perf,
-            prior=prior,
-            detector_factory=detector_factory,
-        )
+        analysis = engine.analyze_log(load_log_bytes(data), perf=perf, prior=prior)
     report = render_report(execution_report(analysis))
     # Side-channel prints go to stderr when the report itself goes to
     # stdout: `repro analyze log > report.json` must stay byte-clean.

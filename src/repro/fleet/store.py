@@ -66,6 +66,8 @@ class FleetStore:
     def __init__(self, backend: Optional[StoreBackend] = None) -> None:
         self._backend = backend if backend is not None else MemoryBackend()
         self._records: Dict[Tuple[str, str, str], FleetRecord] = {}
+        #: (program, race) -> its records, one per region-content digest.
+        self._by_race: Dict[Tuple[str, str], Dict[str, FleetRecord]] = {}
         self._absorbed: Set[str] = set()
         self._rules = SuppressionSet()
         self._snapshot_sig = _UNLOADED
@@ -89,6 +91,7 @@ class FleetStore:
 
     def _load_snapshot(self) -> None:
         self._records = {}
+        self._by_race = {}
         self._absorbed = set()
         self._rules = SuppressionSet()
         self._position = 0
@@ -153,22 +156,56 @@ class FleetStore:
         reclassified: List[str] = []
         for delta in deltas:
             key = (delta.get("program", ""), delta["race"], delta.get("digest", ""))
+            if delta.get("state_change") or delta.get("replay_failure"):
+                flipped = self._benign_before_first_harm(key)
+                if flipped is not None:
+                    reclassified.append(flipped.record_id)
             record = self._records.get(key)
             if record is None:
-                record = FleetRecord(race=key[1], digest=key[2], program=key[0])
-                self._records[key] = record
+                record = self._add_record(
+                    FleetRecord(race=key[1], digest=key[2], program=key[0])
+                )
                 new_records += 1
             else:
                 updated_records += 1
-                harmful = delta.get("state_change") or delta.get("replay_failure")
-                if harmful and _is_benign(record):
-                    reclassified.append(record.record_id)
             cell = Contribution.from_json(delta)
             cell.observed_at = observed_at
             record.contributions[job_key] = cell
         return AbsorbOutcome(
             True, new_records, updated_records, tuple(sorted(reclassified))
         )
+
+    def _add_record(self, record: FleetRecord) -> FleetRecord:
+        self._records[(record.program, record.race, record.digest)] = record
+        self._by_race.setdefault((record.program, record.race), {})[
+            record.digest
+        ] = record
+        return record
+
+    def _benign_before_first_harm(
+        self, key: Tuple[str, str, str]
+    ) -> Optional[FleetRecord]:
+        """The benign record a harmful sighting at ``key`` re-classifies.
+
+        A race's records differ only by region-content digest (a report
+        without batch keys files under the empty one), so the flip is
+        judged per (program, race): the first harmful sighting reports
+        the race's benign record — the one at ``key`` when it is benign,
+        else the first by digest — and once any record of the race is
+        harmful, later harm under another digest is no new event.
+        """
+        siblings = self._by_race.get(key[:2], {})
+        if any(
+            cell.state_change or cell.replay_failure
+            for record in siblings.values()
+            for cell in record.contributions.values()
+        ):
+            return None
+        for digest in [key[2]] + sorted(siblings):
+            record = siblings.get(digest)
+            if record is not None and _is_benign(record):
+                return record
+        return None
 
     def absorb_report(
         self,
@@ -247,11 +284,8 @@ class FleetStore:
         self._absorbed.update(document.get("absorbed", []))
         for payload in document.get("records", []):
             record = FleetRecord.from_json(payload)
-            key = (record.program, record.race, record.digest)
-            mine = self._records.get(key)
-            self._records[key] = (
-                record if mine is None else mine.merged_with(record)
-            )
+            mine = self._records.get((record.program, record.race, record.digest))
+            self._add_record(record if mine is None else mine.merged_with(record))
         if document.get("suppressions"):
             other = SuppressionSet()
             for payload in document["suppressions"]:

@@ -543,6 +543,13 @@ def parallel_detect_races(
     with MappedSegmentedReader(path) as reader:
         entries = reader.index
         header = reader.header
+    if not header.has_captured:
+        # Without access rows every worker would sweep nothing and the
+        # merge would report a race-free log.
+        raise ValueError(
+            "parallel detection needs captured access columns: this v4 "
+            "container was written without them"
+        )
     ranges = partition_segment_ranges(entries, jobs) if entries else []
     tasks = [(path, lo, hi, max_pairs_per_location) for lo, hi in ranges]
     with perf.stage("detect.fanout") if perf is not None else nullcontext():
@@ -603,35 +610,3 @@ def parallel_detect_races(
         worker_pids=[result["pid"] for result in results],
     )
 
-
-class ParallelFileDetector:
-    """Detector-shaped adapter over :func:`parallel_detect_races`.
-
-    Lets ``analyze_log``'s ``detector_factory`` hook swap the in-memory
-    sweep for the partitioned file sweep: ``detect()`` returns the same
-    canonical instance list the serial detector would, so every
-    downstream stage (classification, reporting) is oblivious.
-    """
-
-    def __init__(
-        self,
-        path,
-        jobs: int,
-        max_pairs_per_location: Optional[int] = 256,
-        perf=None,
-    ):
-        self.max_pairs_per_location = max_pairs_per_location
-        self.truncated_locations = 0
-        self.path = path
-        self.jobs = jobs
-        self.perf = perf
-
-    def detect(self) -> List[RaceInstance]:
-        outcome = parallel_detect_races(
-            self.path,
-            self.jobs,
-            max_pairs_per_location=self.max_pairs_per_location,
-            perf=self.perf,
-        )
-        self.truncated_locations = outcome.truncated_locations
-        return outcome.instances

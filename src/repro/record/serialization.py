@@ -168,8 +168,8 @@ def save_log(
     always spells every load value out.
 
     ``segment_bytes`` selects the **v4 segmented container** with that
-    window size — the format streaming consumers (``detect --stream``,
-    ``analyze --stream``) iterate segment by segment.  It is a
+    window size — the format ``repro detect`` and ``repro analyze``
+    stream segment by segment, and ``detect --jobs`` fans out.  It is a
     binary-only knob; combining it with JSON output is an error rather
     than a silent downgrade.
     """
@@ -212,21 +212,16 @@ def load_log_bytes(data: bytes) -> ReplayLog:
     return log_from_json(json.loads(data.decode("utf-8")))
 
 
-def load_log_sections(path: Union[str, Path]):
-    """Read only the detection-facing sections of a log at ``path``.
+def load_log_sections_bytes(data: bytes):
+    """Decode only the detection-facing sections of container bytes.
 
     Returns :class:`~repro.record.binary_format.LogSections` (identity,
     sequencers, captured columns) via the seeking sectioned reader —
     registers, loads, syscalls and footprints are skipped, not decoded —
-    or ``None`` when the file is a JSON document (which has no sectioned
-    representation; callers fall back to :func:`load_log`).  This is what
-    detect-only consumers should call instead of a full decode.
+    or ``None`` for a JSON document, which has no sectioned
+    representation (callers fall back to :func:`load_log_bytes`).  The
+    service admits uploads through it.
     """
-    return load_log_sections_bytes(Path(path).read_bytes())
-
-
-def load_log_sections_bytes(data: bytes):
-    """In-memory sibling of :func:`load_log_sections` (service uploads)."""
     from .binary_format import decode_log_sections, is_binary_log
 
     if is_binary_log(data):

@@ -41,7 +41,8 @@ from .regions import SequencingRegion, regions_of_thread
 _NO_CAPTURE = (
     "log has no captured-columns section (v%d%s): the zero-replay detect "
     "path needs a v3 log recorded with captured columns — re-record, or "
-    "use the full-replay path"
+    "leave the detect mode to the input (such logs take the full-replay "
+    "path)"
 )
 
 
@@ -109,7 +110,8 @@ class LogView:
         if not is_binary_log(data):
             raise LogViewUnavailable(
                 "not a binary replay log: the zero-replay detect path reads "
-                "RPRB containers only — use the full-replay path for JSON logs"
+                "RPRB containers only — leave the detect mode to the input "
+                "(JSON logs take the full-replay path)"
             )
         sections = decode_log_sections(data)
         if sections.captured is None:
@@ -142,7 +144,8 @@ class LogView:
             raise LogViewUnavailable(
                 "log carries no captured access columns (pre-v3 container, "
                 "or v3 encoded without capture): the zero-replay detect "
-                "path needs them — re-record, or use the full-replay path"
+                "path needs them — re-record, or leave the detect mode to the "
+                "input (such logs take the full-replay path)"
             )
         return cls(
             program_name=log.program_name,
@@ -473,8 +476,8 @@ class StreamingLogView:
         if not is_binary_log(data):
             raise LogViewUnavailable(
                 "not a binary replay log: the streaming detect path reads "
-                "RPRB containers only — use the batch full-replay path for "
-                "JSON logs"
+                "RPRB containers only — leave the detect mode to the input "
+                "(JSON logs take the full-replay path)"
             )
         if is_segmented_log(data):
             header = read_segmented_header(data)
@@ -525,7 +528,8 @@ class StreamingLogView:
             raise LogViewUnavailable(
                 "log carries no captured access columns (pre-v3 container, "
                 "or v3 encoded without capture): the streaming detect path "
-                "needs them — re-record, or use the batch path"
+                "needs them — re-record, or leave the detect mode to the "
+                "input (such logs take the full-replay path)"
             )
         return cls(
             program_name=log.program_name,

@@ -89,11 +89,11 @@ class ServiceConfig:
     #: resubmissions (requires ``cache_dir``); dedup near-miss jobs then
     #: replay only content-changed instances.
     incremental: bool = True
-    #: Worker processes for the detection sweep of a single job (the
-    #: ``jobs=`` knob of :func:`repro.analysis.pipeline.detect_only`).
-    #: Above 1, detect-only and stream jobs whose upload is a v4
-    #: segmented container fan segments across a per-job process pool;
-    #: anything else falls back to the serial sweep.
+    #: Worker processes for the detection sweep of a single detect-only
+    #: job (the ``jobs=`` argument of
+    #: :func:`repro.analysis.pipeline.detect_only`).  Above 1, a v4
+    #: segmented upload fans its segments across a per-job process pool;
+    #: any other upload, and every full or stream job, runs in-process.
     detect_jobs: int = 1
 
     def effective_shards(self) -> int:

@@ -198,9 +198,11 @@ class AnalysisService:
     ) -> Tuple[Job, bool]:
         """Submit an uploaded replay log (binary container or JSON).
 
-        ``mode="detect"`` runs detection only; a v3+ container with
-        captured columns takes the zero-replay from-log path, anything
-        else falls back to replay-then-detect.  ``mode="stream"`` runs
+        ``mode="detect"`` runs detection only, on the path the upload
+        picks (:func:`repro.analysis.pipeline.detect_only`): a v4
+        container streams (or fans out under ``detect_jobs``), another
+        log with captured columns takes the zero-replay from-log path,
+        anything else replays.  ``mode="stream"`` runs
         the full pipeline with streaming detection and eager per-window
         classification — it needs captured columns, so v1/v2 (and
         captureless) uploads are rejected up front with a 400.

@@ -211,13 +211,12 @@ def _run_detect_only(payload: dict, context: dict, stats: PerfStats) -> dict:
             perf=stats,
         )
     else:
-        # jobs= lets a v4 segmented upload fan its segments across a
-        # process pool (mode stays "auto": anything else — v3, JSON —
-        # keeps the serial zero-replay path and identical report bytes).
-        # A shard-thread spool (see ShardedWorkerPool._spool_for) is
-        # preferred over the raw bytes: detect_only then never creates
-        # its own temp file in this process, which would leak if the
-        # pool recycles a wedged worker mid-job.
+        # The upload picks the detect path; jobs= lets a v4 segmented
+        # upload fan its segments across a process pool.  A shard-thread
+        # spool (see ShardedWorkerPool._spool_for) is preferred over the
+        # raw bytes: detect_only then never creates its own temp file in
+        # this process, which would leak if the pool recycles a wedged
+        # worker mid-job.
         analysis = detect_only(
             payload.get("spool_path") or payload["log_data"],
             max_pairs_per_location=config.max_pairs_per_location,
@@ -268,78 +267,8 @@ def _run_stream(payload: dict, context: dict, stats: PerfStats) -> dict:
             perf=stats,
         )
     else:
-        data = payload["log_data"]
-        if config.detect_jobs > 1 and _is_segmented(data):
-            analysis = _analyze_log_parallel(
-                engine, data, config, stats,
-                spool_path=payload.get("spool_path"),
-            )
-        else:
-            analysis = engine.analyze_log_stream(data, perf=stats)
+        analysis = engine.analyze_log_stream(payload["log_data"], perf=stats)
     return execution_report(analysis)
-
-
-def _is_segmented(data: bytes) -> bool:
-    from ..record.binary_format import MAGIC, is_segmented_log
-
-    return is_segmented_log(bytes(data[: len(MAGIC) + 1]))
-
-
-def _analyze_log_parallel(
-    engine,
-    data: bytes,
-    config: ServiceConfig,
-    stats: PerfStats,
-    spool_path: Optional[str] = None,
-) -> object:
-    """Analyse a v4 upload with the detection sweep fanned over segments.
-
-    Stream jobs normally detect window by window; with ``detect_jobs``
-    above 1 the sweep instead fans the container's segments across a
-    process pool (:class:`repro.race.happens_before.ParallelFileDetector`)
-    and classification proceeds from the merged — byte-identical — race
-    set.  The workers mmap the container from a spooled temp file, so
-    this process never hands the full log bytes to the pool.
-
-    ``spool_path`` names a spool the *shard thread* already wrote (and
-    owns — it unlinks it whatever happens to this process).  Without
-    one, this function spools the bytes itself; that self-spool is only
-    safe from leaks for in-process callers, because a ``finally`` here
-    never runs when the pool recycles a wedged worker process.
-    """
-    import tempfile
-
-    from ..race.happens_before import ParallelFileDetector
-    from ..record.serialization import load_log_bytes
-
-    log = load_log_bytes(bytes(data))
-    own_spool = spool_path is None
-    if own_spool:
-        handle = tempfile.NamedTemporaryFile(
-            prefix="repro-worker-", suffix=".rprb", delete=False
-        )
-        try:
-            handle.write(data)
-        finally:
-            handle.close()
-        spool_path = handle.name
-    try:
-
-        def detector_factory(ordered, max_pairs_per_location):
-            return ParallelFileDetector(
-                spool_path, config.detect_jobs, max_pairs_per_location,
-                perf=stats,
-            )
-
-        return engine.analyze_log(
-            log, perf=stats, detector_factory=detector_factory
-        )
-    finally:
-        if own_spool:
-            try:
-                os.unlink(spool_path)
-            except OSError:  # pragma: no cover - best-effort cleanup
-                pass
 
 
 def _pooled_run(payload: dict) -> dict:
@@ -475,22 +404,24 @@ class ShardedWorkerPool:
         """Spool an upload that the worker's parallel path will mmap.
 
         Only jobs that would otherwise self-spool inside the worker
-        process qualify: log uploads in detect/stream mode, a
-        ``detect_jobs`` fan-out configured, and a v4 segmented
-        container.  Writing the spool here — on the shard thread — is
-        the leak fix: the shard thread's ``finally`` unlinks it even
-        when the worker process is terminated mid-job by
-        :meth:`_recycle_executor`, which would skip any cleanup inside
-        the worker.
+        process qualify: log uploads in detect mode, a ``detect_jobs``
+        fan-out configured, and a v4 container with captured columns.
+        Writing the spool here — on the shard thread — is the leak fix:
+        the shard thread's ``finally`` unlinks it even when the worker
+        process is terminated mid-job by :meth:`_recycle_executor`, which
+        would skip any cleanup inside the worker.
         """
         spec = job.spec
         if (
             spec.kind != "log"
-            or spec.mode not in ("detect", "stream")
+            or spec.mode != "detect"
             or self.config.detect_jobs <= 1
             or spec.log_data is None
-            or not _is_segmented(spec.log_data)
         ):
+            return None
+        from ..analysis.pipeline import is_streamable_container
+
+        if not is_streamable_container(spec.log_data):
             return None
         import tempfile
 

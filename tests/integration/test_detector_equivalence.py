@@ -25,6 +25,7 @@ from repro.analysis.pipeline import (
     render_report,
 )
 from repro.isa import assemble
+from repro.race.classifier import RaceClassifier
 from repro.race.happens_before import HappensBeforeDetector
 from repro.record import record_run
 from repro.record.binary_format import encode_log
@@ -79,13 +80,7 @@ def ordered_for(seed):
     return OrderedReplay(log, program)
 
 
-def naive_factory(ordered, max_pairs_per_location):
-    return NaiveHappensBeforeDetector(
-        ordered, max_pairs_per_location=max_pairs_per_location
-    )
-
-
-def verdicts(analysis):
+def verdicts(classified):
     return [
         (
             entry.instance.static_key,
@@ -96,7 +91,7 @@ def verdicts(analysis):
             entry.failure_kind,
             entry.failure_detail,
         )
-        for entry in analysis.classified
+        for entry in classified
     ]
 
 
@@ -201,10 +196,17 @@ class TestFromLogEquivalence:
 class TestEndToEndVerdictEquivalence:
     def test_suite_verdicts_identical(self):
         """The full pipeline — detect *and* classify — produces the same
-        verdict tuples whether the sweep line or the quadratic reference
-        finds the races."""
+        verdict tuples as classifying the quadratic reference's races over
+        the same ordered replay."""
         for execution in paper_suite():
             default = analyze_execution(execution)
-            reference = analyze_execution(execution, detector_factory=naive_factory)
-            assert default.instances == reference.instances, execution.execution_id
-            assert verdicts(default) == verdicts(reference), execution.execution_id
+            reference = NaiveHappensBeforeDetector(
+                default.ordered, max_pairs_per_location=256
+            ).detect()
+            classifier = RaceClassifier(
+                default.ordered, execution_id=execution.execution_id
+            )
+            assert default.instances == reference, execution.execution_id
+            assert verdicts(default.classified) == verdicts(
+                classifier.classify_all(reference)
+            ), execution.execution_id

@@ -7,6 +7,7 @@ stdout captured (no subprocesses — failures give real tracebacks).
 
 import importlib.util
 import io
+import re
 import sys
 from contextlib import redirect_stdout
 from pathlib import Path
@@ -68,6 +69,18 @@ class TestExamples:
         text = run_example("coverage_study.py")
         assert "how many recordings" in text
         assert "Triage priority" in text
+        # The closing claim agrees with the ranking printed above it.
+        ranking = re.findall(r"^\s+(\d+)\. (\S+)\s+score", text, re.MULTILINE)
+        best = {}
+        for position, race in ranking:
+            family = re.search(r"_(lu|st|rc)\d+:", race).group(1)
+            best.setdefault(family, int(position))
+        claim = re.search(r"^Best rank per bug family: (.*)\.$", text, re.MULTILINE)
+        claimed = re.findall(r"(\S+) races \(#(\d+)\)", claim.group(1))
+        names = {"lost-update": "lu", "statistics": "st", "refcount": "rc"}
+        assert [(names[f], int(p)) for f, p in claimed] == sorted(
+            best.items(), key=lambda item: item[1]
+        )
 
     def test_paper_tables_single_artifact(self):
         text = run_example("paper_tables.py", argv=["table1"])

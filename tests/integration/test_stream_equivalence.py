@@ -2,9 +2,10 @@
 
 The tentpole equivalence, asserted at every user-facing surface:
 
-* **CLI** — ``detect --stream`` and ``analyze --stream`` produce
-  byte-identical output to the batch invocations, on v4 segmented files
-  and on monolithic v3 files, across the workload suite sample.
+* **CLI** — ``detect`` and ``analyze`` stream a v4 segmented file and
+  take the batch path on a monolithic v3 file; their output is
+  byte-identical across the two encodings of each recording in the
+  workload suite sample.
 * **Service** — ``mode="stream"`` jobs over HTTP return the same report
   bytes as ``mode="full"`` jobs for the same log, ``/metrics`` surfaces
   the first-verdict latency and segment counters, and v1/v2 or
@@ -75,12 +76,26 @@ class TestCliStreamEquivalence:
         v4.write_bytes(encode_log_segmented(recording, segment_bytes=256))
         code, batch = run_cli(["detect", str(v3)])
         assert code == 0
-        code, stream3 = run_cli(["detect", str(v3), "--stream"])
+        code, stream4 = run_cli(["detect", str(v4)])
         assert code == 0
-        code, stream4 = run_cli(["detect", str(v4), "--stream"])
-        assert code == 0
-        assert stream3 == batch
         assert stream4 == batch
+
+    def test_detect_perf_names_the_path_the_log_picks(self, recording, tmp_path):
+        encodings = (
+            ("v4", "stream", encode_log_segmented(recording, segment_bytes=256)),
+            ("v3", "from-log", encode_log(recording, version=3)),
+            ("v3-bare", "replay", encode_log(recording, version=3, include_captured=False)),
+            ("v1", "replay", encode_log(recording, version=1)),
+        )
+        outputs = set()
+        for name, path_taken, data in encodings:
+            path = tmp_path / ("%s.rprb" % name)
+            path.write_bytes(data)
+            code, text = run_cli(["detect", str(path), "--perf"])
+            assert code == 0
+            assert "detect path: %s\n" % path_taken in text, name
+            outputs.add(text.split("detect path:")[0])
+        assert len(outputs) == 1
 
     def test_analyze_stream_report_matches_batch(self, recording, tmp_path):
         v3 = tmp_path / "run.rprb"
@@ -88,20 +103,16 @@ class TestCliStreamEquivalence:
         v3.write_bytes(encode_log(recording, version=3))
         v4.write_bytes(encode_log_segmented(recording, segment_bytes=256))
         batch_json = tmp_path / "batch.json"
-        stream3_json = tmp_path / "stream3.json"
         stream4_json = tmp_path / "stream4.json"
         code, _ = run_cli(["analyze", str(v3), "--json", str(batch_json)])
         assert code == 0
-        code, _ = run_cli(
-            ["analyze", str(v3), "--stream", "--json", str(stream3_json)]
-        )
+        code, _ = run_cli(["analyze", str(v4), "--json", str(stream4_json)])
         assert code == 0
-        code, _ = run_cli(
-            ["analyze", str(v4), "--stream", "--json", str(stream4_json)]
-        )
-        assert code == 0
-        assert stream3_json.read_bytes() == batch_json.read_bytes()
         assert stream4_json.read_bytes() == batch_json.read_bytes()
+        # Streaming the v3 file (re-chunked in memory) matches too.
+        engine = ClassificationEngine(EngineConfig())
+        stream3 = engine.analyze_log_stream(v3.read_bytes())
+        assert render_report(execution_report(stream3)) == batch_json.read_bytes()
 
     def test_record_segmented_then_stream_detect(self, tmp_path):
         workload = all_workloads()[SAMPLE[0]]
@@ -128,7 +139,7 @@ class TestCliStreamEquivalence:
         assert code == 0
         code, batch = run_cli(["detect", str(batch_file)])
         assert code == 0
-        code, streamed = run_cli(["detect", str(stream_file), "--stream"])
+        code, streamed = run_cli(["detect", str(stream_file)])
         assert code == 0
         assert streamed == batch
 

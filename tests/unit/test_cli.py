@@ -142,8 +142,10 @@ class TestDetect:
         cut = tmp_path / "cut.rprb"
         cut.write_bytes(data[: read_segment_index(data)[1].offset + 1])
         capsys.readouterr()
-        for path_flags in ([], ["--stream"]):
-            code, _ = run_cli(["detect", str(cut)] + path_flags)
+        # A v4 container streams in detect and analyze, and fans out
+        # under detect --jobs: each path ends in the same one-line error.
+        for argv in (["detect"], ["analyze"], ["detect", "--jobs", "2"]):
+            code, _ = run_cli(argv + [str(cut)])
             err = capsys.readouterr().err
             assert code == 1
             assert err.startswith("error: corrupt replay log: truncated frame header")
@@ -161,8 +163,8 @@ class TestDetect:
         future = tmp_path / "future.rprb"
         future.write_bytes(bytes(data))
         capsys.readouterr()
-        for path_flags in ([], ["--stream"], ["--from-log"]):
-            code, _ = run_cli(["detect", str(future)] + path_flags)
+        for argv in (["detect"], ["analyze"], ["detect", "--jobs", "2"]):
+            code, _ = run_cli(argv + [str(future)])
             err = capsys.readouterr().err
             assert code == 1
             assert err.startswith(
@@ -197,8 +199,8 @@ class TestDetect:
             ["detect", str(mismatched)],
             ["analyze", str(mismatched)],
             ["replay", str(mismatched)],
-            ["detect", str(mismatched), "--stream"],
-            ["detect", str(segmented), "--stream"],
+            ["detect", str(segmented)],
+            ["analyze", str(segmented)],
             ["detect", str(segmented), "--jobs", "2"],
         ):
             code, text = run_cli(argv)

@@ -384,6 +384,21 @@ class TestMemoryStore:
         entry = store.report_document()["races"][0]
         assert entry["classification"] == "potentially-harmful"
 
+    def test_harmful_under_a_batch_digest_reclassifies_the_benign_record(self):
+        """A race absorbed benign (no batch key: the empty digest) and
+        later harmful under a batch-key digest lands in two records; the
+        flip still reports the benign one, once."""
+        store = FleetStore()
+        benign = export_report(races=[benign_race(RACE_B)])
+        assert store.absorb_report(benign, "classify-1").reclassified == ()
+        harmful = export_report(races=[harmful_race(RACE_B)])
+        flipped = store.absorb_report(harmful, "serve-1")
+        assert flipped.new_records == 1
+        assert flipped.reclassified == (record_id_for("prog", RACE_B, ""),)
+        other = export_report(races=[harmful_race(RACE_B, digest=("cc",))])
+        again = store.absorb_report(other, "serve-2")
+        assert again.new_records == 1 and again.reclassified == ()
+
     def test_limit_truncates_after_ranking(self):
         store = FleetStore()
         store.absorb_report(export_report(), "job-1")

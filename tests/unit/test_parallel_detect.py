@@ -6,7 +6,7 @@ the serial paths produce — same instances, same order, same truncation —
 including when a racing pair's regions straddle a segment boundary and
 are stitched back together by the boundary-overlap window.  The helpers
 (`partition_segment_ranges`, `MappedSegmentedReader`) and the CLI's
-``--jobs`` validation are covered alongside.
+``--jobs`` validation and input-driven path choice are covered alongside.
 """
 
 import bisect
@@ -202,6 +202,20 @@ class TestParallelRejections:
         with pytest.raises(ValueError, match="segmented container"):
             detect_only(encode_log(log), mode="parallel", jobs=2)
 
+    def test_captureless_v4_is_refused_and_auto_replays(self, tmp_path):
+        # Without captured columns the fanned workers would sweep no rows
+        # and report a race-free log.
+        _, log = _recorded()
+        path = tmp_path / "nocap.rprb"
+        path.write_bytes(encode_log_segmented(log, 64, include_captured=False))
+        with pytest.raises(ValueError, match="captured access columns"):
+            detect_only(path, mode="parallel", jobs=2)
+        analysis = detect_only(path, jobs=2)
+        assert analysis.path == "replay" and analysis.instances
+        assert _report_bytes(analysis) == _report_bytes(
+            detect_only(encode_log(log), mode="replay")
+        )
+
     def test_bad_jobs_value_is_rejected(self, tmp_path):
         _, log = _recorded()
         path, _ = _segmented_file(tmp_path, log)
@@ -232,49 +246,77 @@ class TestCliJobsValidation:
         assert excinfo.value.code == 2
         assert "expected an integer >= 1" in capsys.readouterr().err
 
-    def test_jobs_conflicts_with_explicit_path_flags(self, seg_log):
-        code = main(["detect", str(seg_log), "--jobs", "4", "--stream"],
-                    out=io.StringIO())
-        assert code == 1
+    def test_jobs_conflicts_with_explicit_path_flags(self, seg_log, capsys):
+        # The log picks the detect path: there are no path flags to
+        # combine with --jobs, so naming one is a usage error.
+        for flag in ("--stream", "--from-log"):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["detect", str(seg_log), "--jobs", "4", flag], out=io.StringIO())
+            assert excinfo.value.code == 2
+            assert "unrecognized arguments: %s" % flag in capsys.readouterr().err
 
-    def test_jobs_and_stream_rejected_with_one_line_error(self, seg_log, capsys):
-        # Even --jobs 1 conflicts: naming both flags is a contradiction
-        # (serial streaming vs segment fan-out), not a degenerate no-op.
-        code = main(["detect", str(seg_log), "--jobs", "1", "--stream"],
-                    out=io.StringIO())
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1
-        assert "--jobs and --stream are mutually exclusive" in err
-
-    def test_stream_alone_still_works(self, seg_log):
+    def test_stream_alone_still_works(self, seg_log, tmp_path):
+        """A v4 container streams with no flag, and prints what the
+        monolithic encoding of the same recording prints."""
+        _, log = _recorded()
+        v3 = tmp_path / "v3.rprb"
+        v3.write_bytes(encode_log(log))
         out = io.StringIO()
-        assert main(["detect", str(seg_log), "--stream"], out=out) == 0
+        assert main(["detect", str(seg_log), "--perf"], out=out) == 0
+        assert "detect path: stream" in out.getvalue()
+        streamed = io.StringIO()
+        assert main(["detect", str(seg_log)], out=streamed) == 0
         serial = io.StringIO()
-        assert main(["detect", str(seg_log)], out=serial) == 0
-        assert out.getvalue() == serial.getvalue()
+        assert main(["detect", str(v3)], out=serial) == 0
+        assert streamed.getvalue() == serial.getvalue()
 
     def test_analyze_jobs_conflicts_with_stream(self, seg_log):
-        code = main(["analyze", str(seg_log), "--jobs", "4", "--stream"],
-                    out=io.StringIO())
-        assert code == 1
+        # analyze has no path options: the log picks the path.
+        for flags in (["--stream"], ["--jobs", "4", "--stream"]):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["analyze", str(seg_log)] + flags, out=io.StringIO())
+            assert excinfo.value.code == 2
 
     def test_analyze_jobs_rejects_non_segmented_log(self, tmp_path):
         _, log = _recorded()
         path = tmp_path / "v3.rprb"
         path.write_bytes(encode_log(log))
-        code = main(["analyze", str(path), "--jobs", "4"], out=io.StringIO())
-        assert code == 1
+        with pytest.raises(SystemExit) as excinfo:
+            main(["analyze", str(path), "--jobs", "4"], out=io.StringIO())
+        assert excinfo.value.code == 2
+        assert main(["analyze", str(path)], out=io.StringIO()) == 0
+
+    def test_analyze_streams_only_segmented_logs(self, seg_log, tmp_path):
+        _, log = _recorded()
+        v3 = tmp_path / "v3.rprb"
+        v3.write_bytes(encode_log(log))
+        reports = []
+        for path, streams in ((seg_log, True), (v3, False)):
+            report = tmp_path / (path.stem + ".json")
+            out = io.StringIO()
+            argv = ["analyze", str(path), "--perf", "--json", str(report)]
+            assert main(argv, out=out) == 0
+            assert ("stream: 1 jobs" in out.getvalue()) is streams
+            reports.append(report.read_bytes())
+        assert reports[0] == reports[1]
 
     def test_detect_jobs_rejects_non_segmented_log(self, tmp_path, capsys):
-        """detect --jobs on a monolithic container errors loudly rather
-        than silently running the serial sweep the user asked to fan."""
+        """detect --jobs on a monolithic container errors loudly, in one
+        line, rather than silently running the serial sweep the user
+        asked to fan."""
         _, log = _recorded()
-        path = tmp_path / "v3.rprb"
-        path.write_bytes(encode_log(log))
-        code = main(["detect", str(path), "--jobs", "4"], out=io.StringIO())
-        assert code == 1
-        assert "segmented" in capsys.readouterr().err
+        v3 = tmp_path / "v3.rprb"
+        v3.write_bytes(encode_log(log))
+        captureless = tmp_path / "nocap.rprb"
+        captureless.write_bytes(
+            encode_log_segmented(log, 64, include_captured=False)
+        )
+        for path in (v3, captureless):
+            code = main(["detect", str(path), "--jobs", "2"], out=io.StringIO())
+            assert code == 1
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1
+            assert "segment" in err
 
     def test_detect_output_is_identical_across_jobs(self, seg_log):
         serial = io.StringIO()

@@ -293,11 +293,10 @@ class TestSpoolLifecycle:
 
         return runner
 
-    @pytest.mark.parametrize("mode", ["detect", "stream"])
-    def test_spool_created_and_removed_on_success(self, seg_data, mode):
+    def test_spool_created_and_removed_on_success(self, seg_data):
         seen = []
         pool, store, queue = _pool(self._capture_runner(seen), detect_jobs=2)
-        job = _submit(store, queue, seg_data, mode=mode)
+        job = _submit(store, queue, seg_data, mode="detect")
         pool.start()
         _wait_final(store, job)
         pool.shutdown()
@@ -318,7 +317,7 @@ class TestSpoolLifecycle:
         pool, store, queue = _pool(
             runner, retry=RetryPolicy(max_attempts=1), detect_jobs=2
         )
-        job = _submit(store, queue, seg_data, mode="stream")
+        job = _submit(store, queue, seg_data, mode="detect")
         pool.start()
         _wait_final(store, job)
         pool.shutdown()
@@ -348,11 +347,13 @@ class TestSpoolLifecycle:
         seen = []
         runner = self._capture_runner(seen)
 
-        # full mode, serial detect_jobs, and non-segmented data all skip
-        # the spool: the worker never self-spools for those either.
+        # full and stream modes, serial detect_jobs, and non-segmented
+        # data all skip the spool: the worker never self-spools for those
+        # either (a stream job always streams in-process).
         pool, store, queue = _pool(runner, detect_jobs=2)
         jobs = [
             _submit(store, queue, seg_data, mode="full"),
+            _submit(store, queue, seg_data, mode="stream"),
             _submit(store, queue, b"not-a-v4-container", mode="detect"),
         ]
         pool.start()
@@ -366,7 +367,7 @@ class TestSpoolLifecycle:
         _wait_final(serial_store, job)
         serial_pool.shutdown()
 
-        assert seen == [None, None, None]
+        assert seen == [None, None, None, None]
 
 
 class TestOnDoneHook:
