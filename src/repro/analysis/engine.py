@@ -36,6 +36,7 @@ import json
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..race.classifier import ClassifierConfig, RaceClassifier
@@ -102,6 +103,11 @@ class TrackingView:
 #: (outcome, original-first-was-side-a, pre_value, failure_kind, detail)
 _VerdictTemplate = Tuple[InstanceOutcome, bool, int, object, str]
 
+#: One local cache candidate: (probe items, freed fingerprint, template,
+#: stamp).  The stamp numbers candidates in the order they were added, so
+#: a :meth:`VerdictCache.snapshot` is a mark and copies no entry.
+_Candidate = Tuple[Tuple[Tuple[int, Optional[int]], ...], tuple, _VerdictTemplate, int]
+
 
 def _template_to_json(template: _VerdictTemplate) -> list:
     outcome, first_is_a, pre_value, failure_kind, failure_detail = template
@@ -147,9 +153,9 @@ class VerdictCache:
     """
 
     def __init__(self) -> None:
-        self._entries: Dict[
-            tuple, List[Tuple[Tuple[Tuple[int, Optional[int]], ...], tuple, _VerdictTemplate]]
-        ] = {}
+        self._entries: Dict[tuple, List[_Candidate]] = {}
+        #: Local candidates stamped so far (the next stamp).
+        self._stamped = 0
         self._interned: Dict[tuple, int] = {}
         #: id -> content tuple (for digesting on export/splice).
         self._contents: List[tuple] = []
@@ -202,13 +208,21 @@ class VerdictCache:
         return shape
 
     def __len__(self) -> int:
-        return sum(len(candidates) for candidates in self._entries.values())
+        return self._stamped
+
+    def _append_local(
+        self, key: tuple, probe_items: tuple, freed_fp: tuple, template
+    ) -> None:
+        self._entries.setdefault(key, []).append(
+            (probe_items, freed_fp, template, self._stamped)
+        )
+        self._stamped += 1
 
     def lookup(
         self, key: tuple, live_in: Dict[int, int], freed: Dict[int, int]
     ) -> Optional[_VerdictTemplate]:
         freed_fp = tuple(sorted(freed.items()))
-        for probe_items, candidate_freed, template in self._entries.get(key, ()):
+        for probe_items, candidate_freed, template, _ in self._entries.get(key, ()):
             if candidate_freed != freed_fp:
                 continue
             if all(
@@ -258,9 +272,7 @@ class VerdictCache:
                 live_in.get(address, None) == value
                 for address, value in probe_items
             ):
-                self._entries.setdefault(key, []).append(
-                    (probe_items, candidate_freed, template)
-                )
+                self._append_local(key, probe_items, candidate_freed, template)
                 return template
         return None
 
@@ -271,27 +283,45 @@ class VerdictCache:
         freed: Dict[int, int],
         template: _VerdictTemplate,
     ) -> None:
-        self._entries.setdefault(key, []).append(
-            (
-                tuple(sorted(probes.items())),
-                tuple(sorted(freed.items())),
-                template,
-            )
+        self._append_local(
+            key,
+            tuple(sorted(probes.items())),
+            tuple(sorted(freed.items())),
+            template,
         )
 
     # ------------------------------------------------------------------
     # The portable verdict index.
     # ------------------------------------------------------------------
 
-    def export_portable(self, program: Optional[str] = None) -> Dict:
+    def snapshot(self, program: str) -> Tuple[str, int, int]:
+        """Mark ``program``'s portable index as it stands now, in O(1).
+
+        Local candidates and absorbed entries are only ever appended, so
+        the stamp count and the absorbed-entry count fix the index; pass
+        the mark to :meth:`export_portable` as ``upto`` to materialise it
+        later, however much the cache has grown since.
+        """
+        return (program, self._stamped, len(self._imported_raw))
+
+    def export_portable(
+        self,
+        program: Optional[str] = None,
+        upto: Optional[Tuple[str, int, int]] = None,
+    ) -> Dict:
         """The cache as a portable JSON-able verdict index.
 
         Interned content ids become content digests; every local entry
         and every absorbed entry is included (deduplicated by canonical
         JSON), so absorb → export round-trips losslessly and repeated
         export/absorb cycles converge.  ``program`` filters to one
-        program's entries.
+        program's entries; ``upto`` (a :meth:`snapshot`) exports that
+        program's index exactly as it stood when the mark was taken.
         """
+        if upto is None:
+            local_mark, imported_mark = self._stamped, len(self._imported_raw)
+        else:
+            program, local_mark, imported_mark = upto
         entries: List[dict] = []
         seen: Set[str] = set()
 
@@ -302,6 +332,10 @@ class VerdictCache:
                 entries.append(entry)
 
         for key, candidates in self._entries.items():
+            if candidates[0][3] >= local_mark:
+                # A key enters the dict with its first candidate, so every
+                # later key was stamped after the mark too.
+                break
             if program is not None and key[0] != program:
                 continue
             portable_key = [
@@ -313,7 +347,9 @@ class VerdictCache:
                 key[5],
             ]
             shapes = [list(self._shape_of(key[2])), list(self._shape_of(key[4]))]
-            for probe_items, freed_fp, template in candidates:
+            for probe_items, freed_fp, template, stamp in candidates:
+                if stamp >= local_mark:
+                    break
                 add(
                     {
                         "key": portable_key,
@@ -323,7 +359,7 @@ class VerdictCache:
                         "template": _template_to_json(template),
                     }
                 )
-        for raw in self._imported_raw:
+        for raw in self._imported_raw[:imported_mark]:
             if program is not None and raw["key"][0] != program:
                 continue
             add(raw)
@@ -652,9 +688,13 @@ class ClassificationEngine:
             max_pairs_per_location=self.config.max_pairs_per_location,
         )
 
-    def _absorb_prior(self, prior, program_name: str, source: str) -> Optional[str]:
+    def _absorb_prior(
+        self, prior, program_name: str, source: str
+    ) -> Optional[Tuple[str, Optional[int]]]:
         """Load every verdict source an incremental analysis may splice
-        from; returns the suite-cache verdict key when one applies.
+        from; returns the suite-cache verdict key, with the entry count of
+        the index stored under it (``None`` when there is none), when one
+        applies.
 
         ``prior`` is a previous :class:`ExecutionAnalysis` (its
         ``verdict_index``) or a raw portable index document.  With a
@@ -672,32 +712,48 @@ class ClassificationEngine:
             return None
         verdict_key = self._verdict_index_key(program_name, source)
         stored = self._record_cache.load_verdicts(verdict_key)
-        if stored is not None:
-            self.cache.absorb_portable(stored)
-        return verdict_key
+        if stored is None:
+            return verdict_key, None
+        self.cache.absorb_portable(stored)
+        entries = stored.get("entries")
+        if (
+            stored.get("verdict_index_version") != VERDICT_INDEX_VERSION
+            or not isinstance(entries, list)
+        ):
+            return verdict_key, None
+        return verdict_key, len(entries)
 
     def _finish_analysis(
         self,
         analysis: ExecutionAnalysis,
         stats: PerfStats,
         snapshot: Tuple[int, int, int, int],
-        verdict_key: Optional[str],
+        persisted: Optional[Tuple[str, Optional[int]]],
     ) -> None:
         hits, misses, spliced, absorbed = snapshot
         stats.cache_hits += self.cache.hits - hits
         stats.cache_misses += self.cache.misses - misses
         stats.incremental_spliced += self.cache.spliced - spliced
         stats.incremental_absorbed += self.cache.absorbed - absorbed
-        if self.config.memoize:
-            analysis.verdict_index = self.cache.export_portable(
-                program=analysis.log.program_name
-            )
-            if verdict_key is not None:
-                # export_portable includes absorbed entries, so storing it
-                # unions this run's verdicts with everything loaded.
-                self._record_cache.store_verdicts(
-                    verdict_key, analysis.verdict_index
+        if not self.config.memoize:
+            return
+        program = analysis.log.program_name
+        if persisted is None:
+            # Nobody may read the index: mark it now, export it on demand.
+            analysis.defer_verdict_index(
+                partial(
+                    self.cache.export_portable, upto=self.cache.snapshot(program)
                 )
+            )
+            return
+        verdict_key, loaded = persisted
+        analysis.verdict_index = self.cache.export_portable(program=program)
+        # The export holds every loaded entry plus what this run added
+        # (local verdicts, a prior=), so an export of the same size as
+        # the stored index is that index: rewriting it would change
+        # nothing.  Otherwise storing it unions the two.
+        if len(analysis.verdict_index["entries"]) != loaded:
+            self._record_cache.store_verdicts(verdict_key, analysis.verdict_index)
 
     def _cache_snapshot(self) -> Tuple[int, int, int, int]:
         return (
@@ -727,7 +783,7 @@ class ClassificationEngine:
         snapshot = self._cache_snapshot()
         stats = perf if perf is not None else PerfStats()
         workload = execution.workload
-        verdict_key = self._absorb_prior(prior, workload.name, workload.source)
+        persisted = self._absorb_prior(prior, workload.name, workload.source)
         analysis = analyze_execution(
             execution,
             classifier_config=self.config.classifier_config,
@@ -738,7 +794,7 @@ class ClassificationEngine:
             perf=stats,
             cache=self._record_cache,
         )
-        self._finish_analysis(analysis, stats, snapshot, verdict_key)
+        self._finish_analysis(analysis, stats, snapshot, persisted)
         return analysis
 
     def analyze_log(
@@ -757,7 +813,7 @@ class ClassificationEngine:
         """
         snapshot = self._cache_snapshot()
         stats = perf if perf is not None else PerfStats()
-        verdict_key = self._absorb_prior(
+        persisted = self._absorb_prior(
             prior, log.program_name, log.program_source
         )
         analysis = analyze_log(
@@ -768,7 +824,7 @@ class ClassificationEngine:
             classifier_factory=self._classifier_factory,
             perf=stats,
         )
-        self._finish_analysis(analysis, stats, snapshot, verdict_key)
+        self._finish_analysis(analysis, stats, snapshot, persisted)
         return analysis
 
     def analyze_log_stream(
@@ -796,7 +852,7 @@ class ClassificationEngine:
             log = load_log_bytes(bytes(source))
         else:
             log = source
-        verdict_key = self._absorb_prior(
+        persisted = self._absorb_prior(
             prior, log.program_name, log.program_source
         )
         analysis = analyze_log_stream(
@@ -809,7 +865,7 @@ class ClassificationEngine:
             segment_bytes=segment_bytes,
             log=log,
         )
-        self._finish_analysis(analysis, stats, snapshot, verdict_key)
+        self._finish_analysis(analysis, stats, snapshot, persisted)
         return analysis
 
     def analyze_executions(

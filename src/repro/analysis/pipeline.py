@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..isa.program import Program
 from ..race.aggregate import StaticRaceResult, aggregate_instances
@@ -35,6 +35,29 @@ from ..vm.scheduler import RandomScheduler
 from ..workloads.base import GroundTruth, RaceExpectation, Workload
 from ..workloads.suite import Execution
 from .perf import PerfStats
+
+
+class _VerdictIndexField:
+    """The ``verdict_index`` field of :class:`ExecutionAnalysis`.
+
+    A dataclass field whose default is a descriptor: ``__init__`` and
+    assignment store a dict, :meth:`ExecutionAnalysis.defer_verdict_index`
+    stores an export to run instead, and the first read runs it and keeps
+    the dict it returns.
+    """
+
+    def __get__(self, analysis, owner=None) -> Optional[Dict]:
+        if analysis is None:
+            return None  # the field's default
+        state = analysis.__dict__
+        export = state.pop("_verdict_export", None)
+        if export is not None:
+            state["_verdict_index"] = export()
+        return state.get("_verdict_index")
+
+    def __set__(self, analysis, index: Optional[Dict]) -> None:
+        analysis.__dict__.pop("_verdict_export", None)
+        analysis.__dict__["_verdict_index"] = index
 
 
 @dataclass
@@ -55,9 +78,21 @@ class ExecutionAnalysis:
     #: Stage timings/work counters, when the caller asked for them.
     perf: Optional[PerfStats] = None
     #: Portable verdict index (:meth:`VerdictCache.export_portable`) of
-    #: the engine cache after this analysis — the `prior=` input of an
-    #: incremental re-analysis.  ``None`` outside the memoizing engine.
-    verdict_index: Optional[Dict] = None
+    #: the engine cache for this program as it stood when this analysis
+    #: finished — the `prior=` input of an incremental re-analysis.  The
+    #: engine keeps only a snapshot mark and materialises the index on the
+    #: first read.  ``None`` outside the memoizing engine.
+    verdict_index: Optional[Dict] = _VerdictIndexField()
+
+    def defer_verdict_index(self, export: Callable[[], Dict]) -> None:
+        """Let the first read of :attr:`verdict_index` call ``export``."""
+        self.__dict__["_verdict_export"] = export
+
+    def __getstate__(self) -> Dict:
+        # A pickle (a pool worker's result) carries the materialised
+        # index, never the engine cache a deferred export refers to.
+        self.verdict_index
+        return self.__dict__
 
     @property
     def program(self) -> Program:

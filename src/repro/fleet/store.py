@@ -68,6 +68,8 @@ class FleetStore:
         self._records: Dict[Tuple[str, str, str], FleetRecord] = {}
         #: (program, race) -> its records, one per region-content digest.
         self._by_race: Dict[Tuple[str, str], Dict[str, FleetRecord]] = {}
+        #: record id -> record, for :meth:`record_document`.
+        self._by_id: Dict[str, FleetRecord] = {}
         self._absorbed: Set[str] = set()
         self._rules = SuppressionSet()
         self._snapshot_sig = _UNLOADED
@@ -92,6 +94,7 @@ class FleetStore:
     def _load_snapshot(self) -> None:
         self._records = {}
         self._by_race = {}
+        self._by_id = {}
         self._absorbed = set()
         self._rules = SuppressionSet()
         self._position = 0
@@ -176,10 +179,15 @@ class FleetStore:
         )
 
     def _add_record(self, record: FleetRecord) -> FleetRecord:
-        self._records[(record.program, record.race, record.digest)] = record
-        self._by_race.setdefault((record.program, record.race), {})[
-            record.digest
-        ] = record
+        key = (record.program, record.race, record.digest)
+        self._records[key] = record
+        self._by_race.setdefault(key[:2], {})[record.digest] = record
+        # Ids are truncated hashes: on a collision the record inserted
+        # first keeps the id, and a merge replaces a record in place.
+        record_id = record.record_id
+        holder = self._by_id.setdefault(record_id, record)
+        if (holder.program, holder.race, holder.digest) == key:
+            self._by_id[record_id] = record
         return record
 
     def _benign_before_first_harm(
@@ -441,13 +449,13 @@ class FleetStore:
         """One race's full detail, including per-job contributions."""
         with self._backend.exclusive():
             self._refresh()
-            for record in self._records.values():
-                if record.record_id == record_id:
-                    rule = self._rules.suppressing(record, now)
-                    entry = self._entry_for(record, rule)
-                    entry["contributions"] = {
-                        job_key: record.contributions[job_key].to_json()
-                        for job_key in sorted(record.contributions)
-                    }
-                    return entry
-            return None
+            record = self._by_id.get(record_id)
+            if record is None:
+                return None
+            rule = self._rules.suppressing(record, now)
+            entry = self._entry_for(record, rule)
+            entry["contributions"] = {
+                job_key: record.contributions[job_key].to_json()
+                for job_key in sorted(record.contributions)
+            }
+            return entry

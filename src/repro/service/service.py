@@ -280,7 +280,7 @@ class AnalysisService:
     def _absorb_job(self, job: Job) -> None:
         """Fold one finished job's report into the fleet store.
 
-        Runs on the shard thread right after the DONE transition (and
+        Runs on the shard thread right before the DONE transition (and
         again at startup for heal).  Idempotent on the job's content
         key, so double absorption — two instances sharing the store,
         or a heal re-walking already-absorbed jobs — converges.  Any

@@ -30,6 +30,7 @@ import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
+from dataclasses import replace
 from typing import Callable, Dict, List, Optional
 
 from ..analysis.perf import PerfStats
@@ -297,9 +298,9 @@ class ShardedWorkerPool:
         #: Test hook: run payloads through this callable instead of the
         #: executor/inline machinery (exceptions = job failures).
         self._runner = runner
-        #: Called with each job right after its DONE transition is
-        #: journaled (the service's fleet-absorb hook).  Failures are
-        #: swallowed: absorption must never fail the job.
+        #: Called with each finished job and its report right before its
+        #: DONE transition (the service's fleet-absorb hook).  Failures
+        #: are swallowed: absorption must never fail the job.
         self._on_done = on_done
         self.shards = config.effective_shards()
         self._executors: List[Optional[ProcessPoolExecutor]] = [None] * self.shards
@@ -489,18 +490,21 @@ class ShardedWorkerPool:
             except Exception as error:  # noqa: BLE001 - any failure is the job's
                 self._handle_failure(shard, job, error)
                 return
-            done = self.store.mark_done(
+            if self._on_done is not None:
+                # Before the DONE transition, so that a client which sees
+                # the job done also sees its absorb.  Absorption is
+                # idempotent, so a crash in between absorbs nothing twice.
+                try:
+                    self._on_done(replace(job, report=result["report"]))
+                except Exception:  # noqa: BLE001 - absorption never fails the job
+                    pass
+            self.store.mark_done(
                 job.job_id,
                 result["report"],
                 perf=result.get("perf"),
                 elapsed_s=result.get("elapsed_s"),
             )
             self._merge_result(result)
-            if self._on_done is not None:
-                try:
-                    self._on_done(done)
-                except Exception:  # noqa: BLE001 - absorption never fails the job
-                    pass
         finally:
             if spool_path is not None:
                 try:

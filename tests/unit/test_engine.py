@@ -309,3 +309,92 @@ class TestEngineConfig:
         first = engine._classifier_factory(ordered, None, "a")
         second = engine._classifier_factory(ordered, None, "b")
         assert first.cache is engine.cache and second.cache is engine.cache
+
+
+def lost_update_execution(seed):
+    from repro.workloads.harmful_lost_update import lost_update
+    from repro.workloads.suite import Execution
+
+    return Execution("snapshot:lu#s%d" % seed, lost_update(90), seed)
+
+
+class TestVerdictIndexSnapshot:
+    """An analysis's verdict index is the engine cache for its program as
+    it stood when the analysis finished, however late it is read."""
+
+    def test_late_read_sees_the_index_at_finish(self):
+        engine = ClassificationEngine(EngineConfig())
+        first = engine.analyze_execution(lost_update_execution(901))
+        program = first.log.program_name
+        at_finish = engine.cache.export_portable(program=program)
+        for seed in range(902, 907):
+            engine.analyze_execution(lost_update_execution(seed))
+        assert engine.cache.export_portable(program=program) != at_finish
+        assert first.verdict_index == at_finish
+
+    def test_pooled_indexes_match_in_process_ones(self):
+        from repro.workloads.suite import paper_suite
+
+        # Three programs: each worker's index then holds what the
+        # in-process engine's holds for the same program.
+        executions = list({e.workload.name: e for e in paper_suite()}.values())[:3]
+        serial = ClassificationEngine(EngineConfig(jobs=1)).analyze_executions(
+            executions
+        )
+        pooled = ClassificationEngine(EngineConfig(jobs=2)).analyze_executions(
+            executions
+        )
+        assert [a.verdict_index for a in pooled] == [
+            a.verdict_index for a in serial
+        ]
+        assert all(a.verdict_index["entries"] for a in serial)
+
+    def test_pickle_does_not_carry_the_engine_cache(self):
+        import pickle
+
+        from repro.workloads.suite import paper_suite
+
+        alone = ClassificationEngine(EngineConfig()).analyze_execution(
+            lost_update_execution(901)
+        )
+        engine = ClassificationEngine(EngineConfig())
+        for execution in paper_suite():  # other programs' verdicts
+            engine.analyze_execution(execution)
+        late = engine.analyze_execution(lost_update_execution(901))
+        assert len(engine.cache) > 5 * len(alone.verdict_index["entries"])
+        data = pickle.dumps(late)
+        assert len(data) == len(pickle.dumps(alone))
+        assert pickle.loads(data).verdict_index == late.verdict_index
+
+
+class TestPersistedVerdictIndex:
+    def test_a_run_that_adds_nothing_does_not_rewrite_the_index(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.analysis.cache import SuiteCache
+
+        config = EngineConfig(cache_dir=str(tmp_path))
+        ClassificationEngine(config).analyze_execution(lost_update_execution(901))
+        (index_path,) = tmp_path.glob("*.verdicts.json")
+        stored = index_path.read_bytes()
+
+        written = []
+        write_atomic = SuiteCache._write_atomic
+
+        def recording(cache, path, data):
+            written.append(path.name)
+            return write_atomic(cache, path, data)
+
+        monkeypatch.setattr(SuiteCache, "_write_atomic", recording)
+        stats = PerfStats()
+        ClassificationEngine(config).analyze_execution(
+            lost_update_execution(901), perf=stats
+        )
+        assert stats.incremental_spliced > 0 and stats.cache_misses == 0
+        assert not [name for name in written if name.endswith(".verdicts.json")]
+        assert index_path.read_bytes() == stored
+
+        # New verdicts are still persisted, as the union with the old.
+        ClassificationEngine(config).analyze_execution(lost_update_execution(902))
+        assert index_path.name in written
+        assert len(index_path.read_bytes()) > len(stored)

@@ -417,6 +417,23 @@ class TestMemoryStore:
         assert detail["contributions"]["job-1"]["state_change"] == 2
         assert store.record_document("0" * 16) is None
 
+    def test_record_document_reads_a_merged_record(self):
+        left, right = FleetStore(), FleetStore()
+        left.absorb_report(export_report(), "job-1")
+        right.absorb_report(export_report(), "job-2")
+        left.import_document(right.export_document())
+        detail = left.record_document(record_id_for("prog", RACE_A, "aa+bb"))
+        assert sorted(detail["contributions"]) == ["job-1", "job-2"]
+
+    def test_colliding_record_ids_resolve_to_the_first_record(self, monkeypatch):
+        from repro.fleet import records
+
+        monkeypatch.setattr(records, "record_id_for", lambda *key: "c" * 16)
+        store = FleetStore()
+        store.absorb_report(export_report(), "job-1")
+        store.absorb_report(export_report(races=[benign_race(RACE_C)]), "job-2")
+        assert store.record_document("c" * 16)["race"] == RACE_A
+
     def test_export_import_merge_is_idempotent_and_commutative(self):
         left, right = FleetStore(), FleetStore()
         left.absorb_report(export_report(), "job-1", observed_at=1.0)

@@ -386,6 +386,23 @@ class TestOnDoneHook:
         assert absorbed[0].job_id == job.job_id
         assert absorbed[0].report == {"ok": True}
 
+    def test_on_done_runs_before_the_job_is_seen_done(self):
+        # A client polling for DONE must then see what on_done absorbed.
+        states = []
+
+        def runner(payload):
+            return {"report": {"ok": True}, "perf": {}, "elapsed_s": 0.0}
+
+        def absorb(job):
+            states.append(store.get(job.job_id).state)
+
+        pool, store, queue = _pool(runner, on_done=absorb)
+        job = _submit(store, queue)
+        pool.start()
+        _wait_final(store, job)
+        pool.shutdown()
+        assert states == [JobState.RUNNING]
+
     def test_on_done_failure_never_fails_the_job(self):
         def runner(payload):
             return {"report": {}, "perf": {}, "elapsed_s": 0.0}
@@ -459,3 +476,71 @@ class TestMetricsSnapshot:
         assert errors == []
         assert all(job.state is JobState.DONE for job in jobs)
         assert pool.perf_snapshot()["completed"] == 16
+
+
+def _service_uploads(count):
+    """``count`` log uploads cycling over six small suite programs, each
+    recorded at a fresh seed so that every upload is a new job."""
+    from repro.record import record_run
+    from repro.record.binary_format import encode_log
+    from repro.vm import RandomScheduler
+    from repro.workloads.suite import paper_suite
+
+    names = {
+        "flag_publish_fp0",
+        "stats_counter_st0",
+        "refcount_free_rc0",
+        "double_check_cold_dc0",
+        "toctou_handle_tc0",
+        "lost_update_lu0",
+    }
+    executions = [e for e in paper_suite() if e.workload.name in names]
+    uploads = []
+    for index in range(count):
+        execution = executions[index % len(executions)]
+        seed = 7000 + index
+        _, log = record_run(
+            execution.workload.program(),
+            scheduler=RandomScheduler(
+                seed=seed, switch_probability=execution.switch_probability
+            ),
+            seed=seed,
+        )
+        uploads.append({"kind": "log", "log_data": encode_log(log)})
+    return uploads
+
+
+class TestPerJobWorkIsFlat:
+    def test_jobs_serialise_no_verdict_entries(self, monkeypatch):
+        # Without a cache dir nobody reads a job's verdict index, so no
+        # job may serialise one: exporting the engine cache after every
+        # job makes each job cost more than the one before.
+        from repro.analysis import engine as engine_module
+        from repro.service import workers
+
+        serialised = [0]
+        to_json = engine_module._template_to_json
+
+        def counting(template):
+            serialised[0] += 1
+            return to_json(template)
+
+        monkeypatch.setattr(engine_module, "_template_to_json", counting)
+        uploads = _service_uploads(60)
+        per_job = []
+        outcome = {}
+
+        def run_all():
+            # A fresh thread builds a fresh default worker context.
+            for payload in uploads:
+                before = serialised[0]
+                workers.run_job_payload(payload)
+                per_job.append(serialised[0] - before)
+            outcome["cache"] = workers._WORKER_TLS.context["engine"].cache
+
+        thread = threading.Thread(target=run_all)
+        thread.start()
+        thread.join(120.0)
+        assert per_job == [0] * 60
+        cache = outcome["cache"]
+        assert len(cache) > 0 and cache.hits > 0  # the cache did its work
