@@ -194,12 +194,6 @@ class ContinueAblation:
     baseline: Table1
     extended: Table1
 
-    @property
-    def replay_failures_recovered(self) -> int:
-        return (
-            self.baseline.rows_failure_total() - self.extended.rows_failure_total()
-        )
-
     def render(self) -> str:
         return "\n".join(
             [

@@ -172,10 +172,6 @@ class PerfStats:
         return self.cache_hits / looked_up if looked_up else 0.0
 
     @property
-    def total_seconds(self) -> float:
-        return sum(self.stage_seconds.values())
-
-    @property
     def pool_utilization(self) -> float:
         """Distinct workers used over workers requested."""
         return self.pool_worker_count / self.jobs if self.jobs else 0.0

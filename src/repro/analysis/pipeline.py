@@ -419,13 +419,6 @@ class DetectionAnalysis:
     def instance_count(self) -> int:
         return len(self.instances)
 
-    @property
-    def unique_keys(self) -> List[StaticRaceKey]:
-        return sorted(
-            {instance.static_key for instance in self.instances},
-            key=lambda key: (key[0].sort_key(), key[1].sort_key()),
-        )
-
 
 def detect_only(
     source,
@@ -722,13 +715,13 @@ def _detect_parallel(
         if path is None:
             if not isinstance(source, (bytes, bytearray, memoryview)):
                 raise ValueError(
-                    "parallel detection reads a v4 segmented container "
+                    "parallel detection reads a segmented container "
                     "(bytes or a file path), not %s" % type(source).__name__
                 )
             data = bytes(source)
             if not is_segmented_log(data):
                 raise ValueError(
-                    "parallel detection requires a v4 segmented container "
+                    "parallel detection requires a segmented container "
                     "(record with --segment-bytes, or use another mode)"
                 )
             import tempfile

@@ -103,7 +103,7 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="stream the recording into a v4 segmented container, sealing "
+        help="stream the recording into a segmented container (v5), sealing "
         "a segment every ~N payload bytes (bounds recorder memory; detect "
         "and analyze then stream it segment by segment, and detect --jobs "
         "can fan its segments out)",
@@ -130,7 +130,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=1,
         metavar="N",
         help="worker processes for the detection sweep (default: 1, serial); "
-        "above 1 fans v4 segments across a process pool — needs a log "
+        "above 1 fans segments across a process pool — needs a log "
         "recorded with --segment-bytes, race set is identical to serial",
     )
 
@@ -351,7 +351,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=1,
         metavar="N",
         help="worker processes for one job's detection sweep (default: 1, "
-        "serial); above 1, detect-only jobs on v4 segmented uploads fan "
+        "serial); above 1, detect-only jobs on segmented uploads fan "
         "segments across a per-job process pool",
     )
     serve.add_argument(
@@ -455,7 +455,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--detect-only",
         action="store_true",
         help="stop after detection (no classification); the log picks the "
-        "detect path: v4 streams, other captured logs skip replay",
+        "detect path: segmented logs stream, other captured logs skip replay",
     )
     submit.add_argument(
         "--no-wait",
@@ -494,7 +494,7 @@ def _cmd_record(args, out) -> int:
     if args.segment_bytes is not None:
         if destination.suffix.lower() == ".json":
             raise ValueError(
-                "--segment-bytes writes the v4 binary container; "
+                "--segment-bytes writes the segmented binary container; "
                 "pick a non-.json destination"
             )
         from .record import record_run_segmented
@@ -566,7 +566,7 @@ def _cmd_detect(args, out) -> int:
 
     if args.jobs > 1 and not is_streamable_container(args.log):
         raise ValueError(
-            "--jobs above 1 fans out the segments of a v4 container with "
+            "--jobs above 1 fans out the segments of a segmented container with "
             "captured columns; record the log with --segment-bytes"
         )
     perf = PerfStats()
@@ -705,7 +705,7 @@ def _cmd_analyze(args, out) -> int:
                 load_log(args.incremental_from)
             )
     perf = PerfStats()
-    # A v4 container streams: eager per-window classification, the same
+    # A segmented container streams: eager per-window classification, the same
     # report bytes as the batch pass every other log takes.
     data = args.log.read_bytes()
     if is_streamable_container(data):

@@ -399,7 +399,9 @@ def _partition_worker(task: tuple) -> dict:
         range_end = entries[s_hi - 1].last_ts
         for entry in entries[:s_lo]:
             payload = reader.segment_payload(entry)
-            for name, tid, _block, count, step, ts, kind in scan_segment_sequencers(payload):
+            for name, tid, _block, count, step, ts, kind in scan_segment_sequencers(
+                payload, reader.version
+            ):
                 cursor.skip(name, tid, count, (step, ts, kind))
         kinds: Dict[str, str] = {}
         interned: Dict[str, Dict[int, object]] = {}
@@ -411,7 +413,7 @@ def _partition_worker(task: tuple) -> dict:
                     break  # every region we could still own has closed
             payload = reader.segment_payload(entries[position])
             ordinal, _, last_ts, segment_threads = read_segment_lean(
-                payload, kinds, interned
+                payload, reader.version, kinds, interned
             )
             for name, tid, block, sequencers, rows in segment_threads:
                 blocks.setdefault(name, block)
@@ -547,8 +549,8 @@ def parallel_detect_races(
         # Without access rows every worker would sweep nothing and the
         # merge would report a race-free log.
         raise ValueError(
-            "parallel detection needs captured access columns: this v4 "
-            "container was written without them"
+            "parallel detection needs captured access columns: this "
+            "segmented container was written without them"
         )
     ranges = partition_segment_ranges(entries, jobs) if entries else []
     tasks = [(path, lo, hi, max_pairs_per_location) for lo, hi in ranges]

@@ -64,6 +64,15 @@ footer) decode a block of varints at a time (:func:`_decode_varints`);
 :func:`_read_access_rows` is the only access-row parser, and the full,
 sectioned, per-segment and lean reads project it.  Truncated or
 malformed input raises :class:`LogFormatError`.
+
+**Version 5: columnar segments.**  v5 keeps v4's frames, trailer, footer
+and cut rule, but stores each segment's sequencer, access and heap rows
+(and the trailer's residual rows) as column groups of little-endian
+fixed-width values, each at the narrowest ``array`` typecode that fits.
+Decoding a column is ``array.frombytes`` plus ``itertools.accumulate``:
+no Python code runs per value.  :class:`_RowSectionWriter` and
+:class:`_RowSectionReader` are the only places that tell v4 rows from v5
+columns; every segmented reader goes through them.
 """
 
 from __future__ import annotations
@@ -71,11 +80,12 @@ from __future__ import annotations
 import io
 import mmap
 import os
+import sys
 import zlib
 from array import array
 from dataclasses import dataclass, field
-from itertools import accumulate
-from operator import attrgetter
+from itertools import accumulate, chain
+from operator import attrgetter, sub
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..isa.program import StaticInstructionId
@@ -95,18 +105,24 @@ from .log import (
 MAGIC = b"RPRB"
 #: Current monolithic container format version (bumped on layout change).
 BINARY_FORMAT_VERSION = 3
-#: The segmented container (framed, independently decodable segments).
-SEGMENTED_FORMAT_VERSION = 4
+#: The first segmented container version (framed, independently
+#: decodable segments): every version from here on is segmented.
+FIRST_SEGMENTED_VERSION = 4
+#: The first version whose row sections are fixed-width columns.
+_COLUMNAR_VERSION = 5
+#: The segmented container version the segmented writer produces.
+SEGMENTED_FORMAT_VERSION = _COLUMNAR_VERSION
 #: Every version this reader can decode.
-SUPPORTED_VERSIONS = (1, 2, 3, 4)
+SUPPORTED_VERSIONS = (1, 2, 3, 4, 5)
 
-#: Default estimated payload bytes per v4 segment before the writer seals
+#: Default estimated payload bytes per segment before the writer seals
 #: it.  The estimate counts uncompressed varint row costs, so on-disk
 #: segments land well below this after zlib.
 DEFAULT_SEGMENT_BYTES = 1 << 16
 
-#: v4 section frame tags (each frame: ``uint tag, uint byte length,
-#: zlib-compressed payload``).
+#: Segmented section frame tags (each frame: ``uint tag, uint byte
+#: length``, in v5 also ``uint inflated length``, then the zlib-compressed
+#: payload).
 _SECTION_HEADER = 1
 _SECTION_SEGMENT = 2
 _SECTION_TRAILER = 3
@@ -132,32 +148,61 @@ _CONTINUATION_BYTES = bytes(range(0x80, 0x100))
 #: count.
 _ROW_BLOCK = 4096
 
+#: v5 column typecodes, narrowest first, with their largest value.  The
+#: wire byte is the typecode's ASCII code; the values follow it
+#: little-endian at the typecode's width.
+_UNSIGNED_CODES = (("B", 0xFF), ("H", 0xFFFF), ("I", 0xFFFFFFFF), ("Q", 2**64 - 1))
+_SIGNED_CODES = (("b", 0x7F), ("h", 0x7FFF), ("i", 0x7FFFFFFF), ("q", 2**63 - 1))
+#: Wire typecode byte → value width in bytes.
+_COLUMN_WIDTHS = {
+    ord(code): width
+    for codes in (_UNSIGNED_CODES, _SIGNED_CODES)
+    for (code, _), width in zip(codes, (1, 2, 4, 8))
+}
+#: Columns are little-endian on the wire; a big-endian host swaps.
+_SWAP_BYTES = sys.byteorder != "little"
+
 
 class LogFormatError(ValueError):
     """A binary replay log that is truncated or malformed.
 
     ``offset`` is the byte offset where decoding failed — within the
     container for frame errors, within the decompressed section for
-    payload errors — and ``segment`` the v4 segment ordinal, when known.
-    ``version`` is the container's version byte when the header check
-    rejected it, ``None`` otherwise (bad magic included).
+    payload errors — and ``segment`` the segment ordinal, when known.
+    ``section`` names the row section of a segmented container that
+    failed, such as ``segment.access`` or ``trailer.heap``.  ``version``
+    is the container's version byte when the header check rejected it,
+    ``None`` otherwise (bad magic included).
     """
 
-    def __init__(self, reason: str, offset=None, segment=None, version=None) -> None:
+    def __init__(
+        self, reason: str, offset=None, segment=None, version=None, section=None
+    ) -> None:
         self.reason = reason
         self.offset = offset
         self.segment = segment
         self.version = version
+        self.section = section
         message = "corrupt replay log: " + reason
         if offset is not None:
             message += " at byte offset %d" % offset
         if segment is not None:
             message += " in segment %d" % segment
+        if section is not None:
+            message += " (section %s)" % section
         super().__init__(message)
 
     def in_segment(self, segment: int) -> "LogFormatError":
         """The same error, tagged with the segment it occurred in."""
-        return LogFormatError(self.reason, self.offset, segment, self.version)
+        return LogFormatError(
+            self.reason, self.offset, segment, self.version, self.section
+        )
+
+    def in_section(self, section: str) -> "LogFormatError":
+        """The same error, tagged with the row section it occurred in."""
+        return LogFormatError(
+            self.reason, self.offset, self.segment, self.version, section
+        )
 
 
 def _container_version(data) -> int:
@@ -229,13 +274,41 @@ def _decode_varints(data: bytes, offset: int, count: int) -> Tuple[list, int]:
     return values, end
 
 
-def _inflate(payload: bytes, segment: Optional[int] = None) -> bytes:
-    """Decompress one zlib-framed section; a bad stream is a format error."""
+def _inflate(
+    frame: Tuple[bytes, Optional[int]], segment: Optional[int] = None
+) -> bytes:
+    """Decompress one zlib-framed section; a bad stream is a format error.
+
+    ``frame`` is ``(payload, declared inflated length)``.  v5 frames
+    declare their length, and inflating stops one byte past it, so a
+    decompression bomb costs no more memory than the frame claims; a
+    stream that yields more or fewer bytes, or leaves input unconsumed,
+    is a format error.  Older frames declare nothing (``None``) and
+    inflate unbounded.
+    """
+    payload, size = frame
     try:
-        return zlib.decompress(payload)
+        if size is None:
+            return zlib.decompress(payload)
+        inflater = zlib.decompressobj()
+        data = inflater.decompress(payload, size + 1)
     except zlib.error as error:
         reason = "undecompressable section (%s)" % error
         raise LogFormatError(reason, None, segment) from None
+    if len(data) > size:
+        reason = "section inflates past its declared %d bytes" % size
+    elif not inflater.eof:
+        reason = "zlib stream cut short after %d of %d declared bytes" % (
+            len(data),
+            size,
+        )
+    elif len(data) < size:
+        reason = "section inflates to %d of its declared %d bytes" % (len(data), size)
+    elif inflater.unused_data:
+        reason = "%d bytes follow the section's zlib stream" % len(inflater.unused_data)
+    else:
+        return data
+    raise LogFormatError(reason, None, segment)
 
 
 class _Writer:
@@ -314,6 +387,99 @@ class _Reader:
         if self.offset + length > len(self.data):
             raise LogFormatError("truncated string", self.offset)
         self.offset += length
+
+
+# ----------------------------------------------------------------------
+# v5 columns: one typecode byte, a uint count, then count fixed-width
+# little-endian values.
+# ----------------------------------------------------------------------
+
+
+def _write_column(writer: _Writer, values, signed: bool = False) -> None:
+    """Write ``values`` as one column at the narrowest typecode that fits."""
+    low = min(values, default=0)
+    high = max(values, default=0)
+    for code, top in _SIGNED_CODES if signed else _UNSIGNED_CODES:
+        if high <= top and low >= (-top - 1 if signed else 0):
+            break
+    else:
+        raise ValueError(
+            "column values %d..%d do not fit a 64-bit %s column"
+            % (low, high, "signed" if signed else "unsigned")
+        )
+    column = array(code, values)
+    if _SWAP_BYTES:
+        column.byteswap()
+    writer.out.append(ord(code))
+    writer.uint(len(column))
+    writer.out += column.tobytes()
+
+
+def _deltas(values) -> list:
+    """``values`` as differences from their predecessor (the first from 0)."""
+    return list(map(sub, values, chain((0,), values)))
+
+
+def _column_extent(reader: _Reader) -> Tuple[int, int, int]:
+    """Read a column head; returns ``(typecode byte, value start, value
+    end)`` after checking the typecode and that the values fit the data."""
+    data = reader.data
+    head = reader.offset
+    if head >= len(data):
+        raise LogFormatError("truncated column", head)
+    code = data[head]
+    width = _COLUMN_WIDTHS.get(code)
+    if width is None:
+        raise LogFormatError("unknown column typecode %#04x" % code, head)
+    reader.offset = head + 1
+    count = reader.uint()
+    start = reader.offset
+    end = start + count * width
+    if end > len(data):
+        raise LogFormatError(
+            "column of %d x %d-byte values runs past the end of a %d-byte section"
+            % (count, width, len(data)),
+            head,
+        )
+    reader.offset = end
+    return code, start, end
+
+
+def _read_column(reader: _Reader) -> array:
+    code, start, end = _column_extent(reader)
+    column = array(chr(code))
+    column.frombytes(reader.data[start:end])
+    if _SWAP_BYTES:
+        column.byteswap()
+    return column
+
+
+def _check_group(lengths: List[int], offset: int) -> None:
+    """Columns of one group (their ``lengths``) must have one row count."""
+    if min(lengths) != max(lengths):
+        raise LogFormatError(
+            "column group's columns differ in length (%s rows)"
+            % ", ".join(map(str, lengths)),
+            offset,
+        )
+
+
+def _read_column_group(reader: _Reader, width: int) -> List[array]:
+    """Read ``width`` columns of one row section."""
+    offset = reader.offset
+    columns = [_read_column(reader) for _ in range(width)]
+    _check_group([len(column) for column in columns], offset)
+    return columns
+
+
+def _skip_column_group(reader: _Reader, width: int) -> None:
+    """Seek past ``width`` columns of one row section, by count x width."""
+    offset = reader.offset
+    lengths = []
+    for _ in range(width):
+        code, start, end = _column_extent(reader)
+        lengths.append((end - start) // _COLUMN_WIDTHS[code])
+    _check_group(lengths, offset)
 
 
 # ----------------------------------------------------------------------
@@ -482,12 +648,14 @@ def encode_log(
     """
     if version not in SUPPORTED_VERSIONS:
         raise ValueError("unsupported binary replay-log format version: %d" % version)
-    if version >= SEGMENTED_FORMAT_VERSION:
-        return encode_log_segmented(
+    if version >= FIRST_SEGMENTED_VERSION:
+        return _encode_segmented(
             log,
-            elide_predicted_loads=elide_predicted_loads,
-            stats=stats,
-            include_captured=include_captured,
+            version,
+            DEFAULT_SEGMENT_BYTES,
+            elide_predicted_loads,
+            stats,
+            include_captured,
         )
     writer = _Writer()
     writer.text(log.program_name)
@@ -566,23 +734,55 @@ def _read_access_rows(
 _access_columns = attrgetter("steps", "flags", "addresses", "values", "static_ids")
 
 
-def _extend_access_columns(
-    columns, reader: _Reader, block: str, interned: Dict[int, StaticInstructionId]
-) -> None:
-    """Append one access-row section to any column carrier exposing
+def _extend_access_columns(columns, blocks) -> None:
+    """Append one access-row section's column ``blocks`` (as the row
+    decoders yield them) to any column carrier exposing
     ``steps``/``flags``/``addresses``/``values``/``static_ids``.
 
-    ``array`` columns take each block through ``fromlist``, which
+    A block column is a list or (v5) an ``array``; see
+    :func:`_block_appender`.
+    """
+    appends = [_block_appender(column) for column in _access_columns(columns)]
+    try:
+        for columns_block in blocks:
+            for append, values in zip(appends, columns_block):
+                append(values)
+    except LogFormatError:
+        raise
+    except (OverflowError, ValueError) as error:
+        # A corrupt row can decode to a value its packed column cannot
+        # hold, such as a negative address.
+        reason = "access row value out of its column's range (%s)" % error
+        raise LogFormatError(reason) from None
+
+
+def _block_appender(column):
+    """The function that appends one block (a list or an ``array``) to
+    ``column`` (a list, an ``array`` or a ``bytearray`` of flags).
+
+    ``array`` columns take a list block through ``fromlist``, which
     resizes once per block: ``extend`` from a list resizes once per
     item, and reallocating a large array that often fragments the heap.
+    An ``array`` block of the column's own typecode is copied whole by
+    ``extend``, with no int object per value.
     """
-    appends = [
-        column.fromlist if isinstance(column, array) else column.extend
-        for column in _access_columns(columns)
-    ]
-    for columns_block in _read_access_rows(reader, block, interned):
-        for append, values in zip(appends, columns_block):
-            append(values)
+    if isinstance(column, list):
+        return column.extend
+    extend = column.extend
+    if isinstance(column, array):
+        code, from_list = column.typecode, column.fromlist
+    else:
+        code, from_list = "B", extend
+
+    def append(values) -> None:
+        if isinstance(values, list):
+            from_list(values)
+        elif values.typecode == code:
+            extend(values)
+        else:
+            from_list(values.tolist())
+
+    return append
 
 
 def _read_heap_rows(reader: _Reader) -> Iterator[Tuple[list, list, list, list]]:
@@ -597,9 +797,10 @@ def _read_heap_rows(reader: _Reader) -> Iterator[Tuple[list, list, list, list]]:
         yield steps, flat[1::4], flat[2::4], flat[3::4]
 
 
-def _extend_heap_columns(columns: ThreadAccessColumns, reader: _Reader) -> None:
-    """Append one heap-row section to ``columns``' ``heap_*`` lists."""
-    for steps, kinds, bases, sizes in _read_heap_rows(reader):
+def _extend_heap_columns(columns: ThreadAccessColumns, blocks) -> None:
+    """Append one heap-row section's ``(steps, kinds, bases, sizes)``
+    blocks to ``columns``' ``heap_*`` lists."""
+    for steps, kinds, bases, sizes in blocks:
         columns.heap_steps.extend(steps)
         columns.heap_kinds.extend(["alloc" if kind == 0 else "free" for kind in kinds])
         columns.heap_bases.extend(bases)
@@ -612,14 +813,6 @@ def _read_global_order(reader: _Reader) -> List[Tuple[int, int]]:
     for flat in _row_blocks(reader, 2):
         order.extend(zip(flat[0::2], [(raw >> 1) ^ -(raw & 1) for raw in flat[1::2]]))
     return order
-
-
-def _read_static_id(reader: _Reader) -> Optional[StaticInstructionId]:
-    if not reader.flag():
-        return None
-    block = reader.text()
-    index = reader.uint()
-    return StaticInstructionId(block=block, index=index)
 
 
 def _read_loads(reader: _Reader, version: int, log: ThreadLog) -> None:
@@ -775,8 +968,9 @@ def _read_captured(reader: _Reader, threads: dict) -> CapturedAccessColumns:
     for _ in range(reader.uint()):
         name = reader.text()
         columns = ThreadAccessColumns()
-        _extend_access_columns(columns, reader, threads[name].block, {})
-        _extend_heap_columns(columns, reader)
+        block = threads[name].block
+        _extend_access_columns(columns, _read_access_rows(reader, block, {}))
+        _extend_heap_columns(columns, _read_heap_rows(reader))
         captured.threads[name] = columns
     return captured
 
@@ -784,9 +978,9 @@ def _read_captured(reader: _Reader, threads: dict) -> CapturedAccessColumns:
 def decode_log(data: bytes) -> ReplayLog:
     """Rebuild a :class:`ReplayLog` from :func:`encode_log` output."""
     version = _container_version(data)
-    if version >= SEGMENTED_FORMAT_VERSION:
+    if version >= FIRST_SEGMENTED_VERSION:
         return _decode_log_segmented(data)
-    reader = _Reader(_inflate(data[len(MAGIC) + 1 :]))
+    reader = _Reader(_inflate((data[len(MAGIC) + 1 :], None)))
     program_name = reader.text()
     program_source = reader.text()
     seed = reader.sint()
@@ -903,7 +1097,7 @@ def _read_captured_view(
     for _ in range(reader.uint()):
         name = reader.text()
         view = captured[name] = CapturedColumnView()
-        _extend_access_columns(view, reader, threads[name].block, {})
+        _extend_access_columns(view, _read_access_rows(reader, threads[name].block, {}))
         reader.skip_uints(4 * reader.uint())  # heap lifecycle rows
     return captured
 
@@ -918,9 +1112,9 @@ def decode_log_sections(data: bytes) -> LogSections:
     this is purely a cheaper reader over the same bytes.
     """
     version = _container_version(data)
-    if version >= SEGMENTED_FORMAT_VERSION:
+    if version >= FIRST_SEGMENTED_VERSION:
         return _decode_log_sections_segmented(data)
-    reader = _Reader(_inflate(data[len(MAGIC) + 1 :]))
+    reader = _Reader(_inflate((data[len(MAGIC) + 1 :], None)))
     program_name = reader.text()
     program_source = reader.text()
     seed = reader.sint()
@@ -946,15 +1140,16 @@ def decode_log_sections(data: bytes) -> LogSections:
 
 
 # ----------------------------------------------------------------------
-# v4: the segmented container.
+# v4 and v5: the segmented container.
 # ----------------------------------------------------------------------
 #
 # Layout::
 #
 #     offset 0   4 bytes   MAGIC = b"RPRB"
-#     offset 4   1 byte    version = 4
+#     offset 4   1 byte    version = 4 or 5
 #     offset 5   ...       framed sections, each:
-#                              uint tag, uint byte length, zlib payload
+#                              uint tag, uint byte length,
+#                              (v5) uint inflated length, zlib payload
 #
 # Sections, in file order:
 #
@@ -968,7 +1163,9 @@ def decode_log_sections(data: bytes) -> LogSections:
 #   ``thread_step >= s`` — so every sequencing region's accesses land in
 #   the same segment as the region's closing sequencer, which is what lets
 #   the streaming cursor finalize regions segment by segment.  All delta
-#   bases restart per segment: each segment decodes on its own.
+#   bases restart per segment: each segment decodes on its own.  A v5
+#   segment puts a string table (sequencer kinds, static-id blocks) after
+#   its ordinal and timestamp range, and its rows are column groups.
 # * **trailer** (tag 3) — the replay residue: per-thread registers, load
 #   records (v2 predictor elision), syscalls, pc footprints, step counts,
 #   end records and any rows no sequencer claimed, plus the global order.
@@ -981,12 +1178,12 @@ def decode_log_sections(data: bytes) -> LogSections:
 # ``segment_bytes`` — shared by the streaming :class:`SegmentedLogWriter`
 # and the in-memory re-encoder, so ``encode → decode → encode`` is
 # byte-stable and the in-memory segmentation of a v3 log matches what a
-# v4 file of the same trace would contain.
+# segmented file of the same trace would contain.
 
 
 @dataclass
 class SegmentedHeader:
-    """Identity fields of a v4 container (the tag-1 section)."""
+    """Identity fields of a segmented container (the tag-1 section)."""
 
     version: int
     program_name: str
@@ -1011,7 +1208,7 @@ class SegmentThreadView:
 
 @dataclass
 class LogSegmentView:
-    """One decoded v4 segment: self-contained, delta bases restarted."""
+    """One decoded segment: self-contained, delta bases restarted."""
 
     ordinal: int
     first_ts: int
@@ -1066,10 +1263,6 @@ class _SegmentAccumulator:
         self._cost = 0
         self._ordinal = 0
 
-    @property
-    def segments_sealed(self) -> int:
-        return self._ordinal
-
     def add_sequencer(
         self,
         name: str,
@@ -1114,14 +1307,258 @@ def _segment_ts_range(buffers: Dict[str, _SegmentBuffer]) -> Tuple[int, int]:
     return first_ts, last_ts
 
 
+# -- row sections: v4 varint rows or v5 columns -------------------------
+
+_static_index = attrgetter("index")
+
+
+class _RowSectionWriter:
+    """The one row-section writer of the segmented container.
+
+    Each thread of a segment has a sequencer, an access and a heap row
+    section; the trailer has each thread's residual access and heap
+    rows.  v4 writes them as varint rows.  v5 writes each as a column
+    group (steps, timestamps and addresses as signed deltas from the
+    previous row, starting from 0):
+
+    * sequencers: step, timestamp, kind, static-id block (0 for none,
+      else 1 + its string-table index), static-id index;
+    * access: step, flag, address, value, static-id index;
+    * heap: step, kind (0 = alloc), base, size.
+
+    Kinds and static-id blocks are indices into a per-segment string
+    table, which :meth:`write_strings` writes ahead of the thread rows.
+    """
+
+    __slots__ = ("columnar", "strings")
+
+    def __init__(self, version: int) -> None:
+        self.columnar = version >= _COLUMNAR_VERSION
+        self.strings: Dict[str, int] = {}
+
+    def write_strings(self, writer: _Writer) -> None:
+        """Write the string table the sequencer sections index (v5)."""
+        if self.columnar:
+            writer.uint(len(self.strings))
+            for text in self.strings:
+                writer.text(text)
+
+    def sequencers(self, writer: _Writer, records: List[SequencerRecord]) -> None:
+        if not self.columnar:
+            writer.uint(len(records))
+            previous_step = 0
+            previous_ts = 0
+            for sequencer in records:
+                writer.sint(sequencer.thread_step - previous_step)
+                writer.sint(sequencer.timestamp - previous_ts)
+                writer.text(sequencer.kind)
+                _write_static_id(writer, sequencer.static_id)
+                previous_step = sequencer.thread_step
+                previous_ts = sequencer.timestamp
+            return
+        strings = self.strings
+        kinds = []
+        blocks = []
+        indices = []
+        for sequencer in records:
+            kinds.append(strings.setdefault(sequencer.kind, len(strings)))
+            static_id = sequencer.static_id
+            if static_id is None:
+                blocks.append(0)
+                indices.append(0)
+            else:
+                blocks.append(strings.setdefault(static_id.block, len(strings)) + 1)
+                indices.append(static_id.index)
+        _write_column(writer, _deltas([r.thread_step for r in records]), signed=True)
+        _write_column(writer, _deltas([r.timestamp for r in records]), signed=True)
+        _write_column(writer, kinds)
+        _write_column(writer, blocks)
+        _write_column(writer, indices)
+
+    def access(self, writer: _Writer, rows) -> None:
+        """Write ``(step, flag, address, value, static_id)`` rows."""
+        if not self.columnar:
+            _write_access_rows(writer, rows)
+            return
+        steps, flags, addresses, values, static_ids = zip(*rows) if rows else ((),) * 5
+        _write_column(writer, _deltas(steps), signed=True)
+        _write_column(writer, flags)
+        _write_column(writer, _deltas(addresses), signed=True)
+        _write_column(writer, values)
+        _write_column(writer, list(map(_static_index, static_ids)))
+
+    def heap(self, writer: _Writer, rows) -> None:
+        """Write ``(step, kind, base, size)`` rows."""
+        if not self.columnar:
+            writer.uint(len(rows))
+            previous_step = 0
+            for step, kind, base, size in rows:
+                writer.uint(step - previous_step)
+                writer.uint(kind)
+                writer.uint(base)
+                writer.uint(size)
+                previous_step = step
+            return
+        steps, kinds, bases, sizes = zip(*rows) if rows else ((),) * 4
+        _write_column(writer, _deltas(steps), signed=True)
+        _write_column(writer, kinds)
+        _write_column(writer, bases)
+        _write_column(writer, sizes)
+
+
+class _RowSectionReader:
+    """The one row-section reader: every segmented reader reads a
+    segment's or the trailer's rows through this, whatever the version.
+
+    ``where`` is ``"segment"`` or ``"trailer"``; a v5 segment's string
+    table is read on construction, right after the segment prelude.
+    Errors carry the failing section (``segment.access`` …).  Decoded
+    blocks have one shape in both versions, so no caller sees the
+    version: access rows as ``(steps, flags, addresses, values,
+    static_ids)`` column blocks, heap rows as ``(steps, kinds, bases,
+    sizes)``.  v5 blocks hand the columns that need no accumulating
+    over as the decoded ``array`` objects (see :func:`_block_appender`).
+    """
+
+    __slots__ = ("reader", "columnar", "where", "strings")
+
+    def __init__(self, reader: _Reader, version: int, where: str) -> None:
+        self.reader = reader
+        self.columnar = version >= _COLUMNAR_VERSION
+        self.where = where
+        self.strings: List[str] = []
+        if self.columnar and where == "segment":
+            try:
+                self.strings = [reader.text() for _ in range(reader.uint())]
+            except LogFormatError as error:
+                raise error.in_section("segment.strings") from None
+
+    def _string(self, index: int) -> str:
+        if 0 <= index < len(self.strings):
+            return self.strings[index]
+        raise LogFormatError(
+            "string-table index %d out of range (%d strings)"
+            % (index, len(self.strings)),
+            self.reader.offset,
+        )
+
+    def sequencers(self) -> List[SequencerRecord]:
+        try:
+            if not self.columnar:
+                return _read_sequencers(self.reader)
+            steps, stamps, kinds, blocks, indices = _read_column_group(self.reader, 5)
+            kind_of = {kind: self._string(kind) for kind in set(kinds)}
+            keys = list(zip(blocks, indices))
+            static_ids = {
+                key: None
+                if key[0] == 0
+                else StaticInstructionId(block=self._string(key[0] - 1), index=key[1])
+                for key in set(keys)
+            }
+            return list(
+                map(
+                    SequencerRecord,
+                    accumulate(steps),
+                    accumulate(stamps),
+                    map(kind_of.__getitem__, kinds),
+                    map(static_ids.__getitem__, keys),
+                )
+            )
+        except LogFormatError as error:
+            raise error.in_section(self.where + ".sequencers") from None
+
+    def sequencer_tail(self) -> Tuple[int, int, int, str]:
+        """``(count, last step, last timestamp, last kind)`` of one
+        sequencer section, without building its records."""
+        reader = self.reader
+        try:
+            if self.columnar:
+                steps, stamps, kinds, _, _ = _read_column_group(reader, 5)
+                kind = self._string(kinds[-1]) if kinds else ""
+                return len(steps), sum(steps), sum(stamps), kind
+            count = reader.uint()
+            step = timestamp = 0
+            kind = ""
+            for position in range(count):
+                step += reader.sint()
+                timestamp += reader.sint()
+                if position == count - 1:
+                    kind = reader.text()
+                else:
+                    reader.skip_text()
+                if reader.uint():
+                    reader.skip_text()
+                    reader.skip_uints(1)
+            return count, step, timestamp, kind
+        except LogFormatError as error:
+            raise error.in_section(self.where + ".sequencers") from None
+
+    def access(
+        self, block: str, interned: Dict[int, StaticInstructionId]
+    ) -> Iterator[Tuple[list, list, list, list, list]]:
+        """Yield the access rows' column blocks; static ids of ``block``
+        are interned in ``interned`` (index → id)."""
+        try:
+            if not self.columnar:
+                yield from _read_access_rows(self.reader, block, interned)
+                return
+            steps, flags, addresses, values, indices = _read_column_group(
+                self.reader, 5
+            )
+            if not steps:
+                return
+            for index in set(indices).difference(interned):
+                interned[index] = StaticInstructionId(block=block, index=index)
+            yield (
+                list(accumulate(steps)),
+                flags,
+                list(accumulate(addresses)),
+                values,
+                list(map(interned.__getitem__, indices)),
+            )
+        except LogFormatError as error:
+            raise error.in_section(self.where + ".access") from None
+
+    def heap(self) -> Iterator[Tuple[list, list, list, list]]:
+        """Yield the heap rows as ``(steps, kinds, bases, sizes)`` blocks."""
+        try:
+            if not self.columnar:
+                yield from _read_heap_rows(self.reader)
+                return
+            steps, kinds, bases, sizes = _read_column_group(self.reader, 4)
+            if steps:
+                yield list(accumulate(steps)), kinds, bases, sizes
+        except LogFormatError as error:
+            raise error.in_section(self.where + ".heap") from None
+
+    def skip_access(self) -> None:
+        self._skip(5, "access")
+
+    def skip_heap(self) -> None:
+        self._skip(4, "heap")
+
+    def _skip(self, width: int, kind: str) -> None:
+        """Seek past one row section of ``width`` fields per row."""
+        reader = self.reader
+        try:
+            if self.columnar:
+                _skip_column_group(reader, width)
+            else:
+                reader.skip_uints(width * reader.uint())
+        except LogFormatError as error:
+            raise error.in_section(self.where + "." + kind) from None
+
+
 class SegmentedLogWriter(_SegmentAccumulator):
-    """Incremental v4 writer: header up front, segments as they fill.
+    """Incremental segmented writer: header up front, segments as they fill.
 
     Drives the deterministic cut rule over any source of
     timestamp-ordered sequencer events — the recorder streams into one of
     these while the machine is still running;
     :func:`encode_log_segmented` replays an in-memory log through the
-    same code.  ``out`` is any binary file-like object.
+    same code.  ``out`` is any binary file-like object.  It writes the
+    current segmented version; ``version=4`` is for compatibility
+    fixtures (``encode_log(log, version=4)``).
     """
 
     def __init__(
@@ -1135,15 +1572,19 @@ class SegmentedLogWriter(_SegmentAccumulator):
         has_captured: bool = True,
         segment_bytes: int = DEFAULT_SEGMENT_BYTES,
         elide_predicted_loads: bool = True,
+        version: int = SEGMENTED_FORMAT_VERSION,
     ):
         super().__init__(segment_bytes)
+        if not FIRST_SEGMENTED_VERSION <= version <= SEGMENTED_FORMAT_VERSION:
+            raise ValueError("not a segmented container version: %d" % version)
+        self.version = version
         self._out = out
         self._offset = 0
         self._elide = elide_predicted_loads
         self._index: List[SegmentIndexEntry] = []
         self._finished = False
         self.has_captured = has_captured
-        self._write_raw(MAGIC + bytes([SEGMENTED_FORMAT_VERSION]))
+        self._write_raw(MAGIC + bytes([version]))
         header = _Writer()
         header.text(program_name)
         header.text(program_source)
@@ -1164,6 +1605,8 @@ class SegmentedLogWriter(_SegmentAccumulator):
         head = _Writer()
         head.uint(tag)
         head.uint(len(compressed))
+        if self.version >= _COLUMNAR_VERSION:
+            head.uint(len(payload))
         start = self._offset
         self._write_raw(bytes(head.out))
         self._write_raw(compressed)
@@ -1172,40 +1615,28 @@ class SegmentedLogWriter(_SegmentAccumulator):
     # -- segments -------------------------------------------------------
 
     def _seal(self, ordinal: int, buffers: Dict[str, _SegmentBuffer]) -> None:
+        entries = sorted(buffers.values(), key=lambda buffer: buffer.tid)
+        rows = _RowSectionWriter(self.version)
+        body = _Writer()
+        sequencer_rows = 0
+        access_rows = 0
+        for buffer in entries:
+            body.text(buffer.name)
+            body.uint(buffer.tid)
+            body.text(buffer.block)
+            rows.sequencers(body, buffer.sequencers)
+            rows.access(body, buffer.access_rows)
+            rows.heap(body, buffer.heap_rows)
+            sequencer_rows += len(buffer.sequencers)
+            access_rows += len(buffer.access_rows)
         writer = _Writer()
         writer.uint(ordinal)
         first_ts, last_ts = _segment_ts_range(buffers)
         writer.uint(first_ts)
         writer.uint(last_ts)
-        entries = sorted(buffers.values(), key=lambda buffer: buffer.tid)
+        rows.write_strings(writer)
         writer.uint(len(entries))
-        sequencer_rows = 0
-        access_rows = 0
-        for buffer in entries:
-            writer.text(buffer.name)
-            writer.uint(buffer.tid)
-            writer.text(buffer.block)
-            writer.uint(len(buffer.sequencers))
-            previous_step = 0
-            previous_ts = 0
-            for sequencer in buffer.sequencers:
-                writer.sint(sequencer.thread_step - previous_step)
-                writer.sint(sequencer.timestamp - previous_ts)
-                writer.text(sequencer.kind)
-                _write_static_id(writer, sequencer.static_id)
-                previous_step = sequencer.thread_step
-                previous_ts = sequencer.timestamp
-            _write_access_rows(writer, buffer.access_rows)
-            writer.uint(len(buffer.heap_rows))
-            previous_step = 0
-            for step, kind, base, size in buffer.heap_rows:
-                writer.uint(step - previous_step)
-                writer.uint(kind)
-                writer.uint(base)
-                writer.uint(size)
-                previous_step = step
-            sequencer_rows += len(buffer.sequencers)
-            access_rows += len(buffer.access_rows)
+        writer.out += body.out
         offset, length = self._write_frame(_SECTION_SEGMENT, writer.out)
         self._index.append(
             SegmentIndexEntry(
@@ -1240,6 +1671,7 @@ class SegmentedLogWriter(_SegmentAccumulator):
             raise ValueError("segmented writer already finished")
         self.seal_segment()
         residuals = residuals or {}
+        rows = _RowSectionWriter(self.version)
         writer = _Writer()
         writer.flag(global_order is not None)
         if global_order is not None:
@@ -1257,23 +1689,14 @@ class SegmentedLogWriter(_SegmentAccumulator):
             writer.uint(len(thread.initial_registers))
             for value in thread.initial_registers:
                 writer.uint(value)
-            elided += _write_loads(
-                writer, thread, SEGMENTED_FORMAT_VERSION, self._elide
-            )
+            elided += _write_loads(writer, thread, self.version, self._elide)
             _write_syscalls(writer, thread)
             _write_footprint(writer, thread)
             writer.uint(thread.steps)
             _write_end(writer, thread)
             access_rows, heap_rows = residuals.get(name, ((), ()))
-            _write_access_rows(writer, access_rows)
-            writer.uint(len(heap_rows))
-            previous_step = 0
-            for step, kind, base, size in heap_rows:
-                writer.uint(step - previous_step)
-                writer.uint(kind)
-                writer.uint(base)
-                writer.uint(size)
-                previous_step = step
+            rows.access(writer, access_rows)
+            rows.heap(writer, heap_rows)
         if stats is not None:
             stats["elided_load_values"] = elided
         self._write_frame(_SECTION_TRAILER, writer.out)
@@ -1474,13 +1897,31 @@ def encode_log_segmented(
     stats: Optional[dict] = None,
     include_captured: bool = True,
 ) -> bytes:
-    """Serialize ``log`` into the v4 segmented container.
+    """Serialize ``log`` into the segmented container (v5).
 
     Deterministic: the same log and ``segment_bytes`` always produce the
     same bytes (the property suite asserts encode → decode → encode
     byte-stability), because cuts depend only on the timestamp-ordered
     sequencer walk and the shared row-cost model.
     """
+    return _encode_segmented(
+        log,
+        SEGMENTED_FORMAT_VERSION,
+        segment_bytes,
+        elide_predicted_loads,
+        stats,
+        include_captured,
+    )
+
+
+def _encode_segmented(
+    log: ReplayLog,
+    version: int,
+    segment_bytes: int,
+    elide_predicted_loads: bool,
+    stats: Optional[dict],
+    include_captured: bool,
+) -> bytes:
     out = io.BytesIO()
     has_captured = include_captured and log.captured is not None
     writer = SegmentedLogWriter(
@@ -1492,6 +1933,7 @@ def encode_log_segmented(
         has_captured=has_captured,
         segment_bytes=segment_bytes,
         elide_predicted_loads=elide_predicted_loads,
+        version=version,
     )
     planner = _SegmentPlanner(
         log.threads, log.captured.threads if has_captured else None
@@ -1511,7 +1953,7 @@ def encode_log_segmented(
 def segment_views_of_log(
     log: ReplayLog, segment_bytes: int = DEFAULT_SEGMENT_BYTES
 ) -> List[LogSegmentView]:
-    """Segment an in-memory captured log with the v4 cut rule — no bytes.
+    """Segment an in-memory captured log with the segment cut rule — no bytes.
 
     The streaming detect path for v3 logs and fresh recordings: the views
     are exactly what :func:`iter_segments` would yield over
@@ -1536,7 +1978,7 @@ def segment_views_of_sections(
     Lets the streaming detect path run over a monolithic v1–v3 container
     without a full decode: the sectioned reader already skipped the
     replay-only payload, and this re-chunks what it did read with the
-    same cut rule a v4 file would have.  Requires the captured section
+    same cut rule a segmented file would have.  Requires the captured section
     (``sections.captured``).
     """
     if sections.captured is None:
@@ -1561,27 +2003,33 @@ def _collect_segment_views(
     return collector.views
 
 
-# -- v4 reading ---------------------------------------------------------
+# -- segmented reading -------------------------------------------------
 
 
 def is_segmented_log(data: bytes) -> bool:
-    """True for a binary container at or above the segmented version."""
+    """True for a binary container at or above the first segmented version."""
     return (
         data.startswith(MAGIC)
         and len(data) > len(MAGIC)
-        and data[len(MAGIC)] >= SEGMENTED_FORMAT_VERSION
+        and data[len(MAGIC)] >= FIRST_SEGMENTED_VERSION
     )
 
 
-def _frame_head(data, offset: int, ordinal=None) -> Tuple[int, int, int]:
+def _frame_head(
+    data, offset: int, version: int, ordinal=None
+) -> Tuple[int, int, int, Optional[int]]:
     """Read the frame header at ``offset``: ``(tag, payload offset,
-    payload end)``.  ``data`` is bytes or an mmap of the container;
-    ``ordinal`` is the frame's segment ordinal if it is a segment frame
-    (errors name it)."""
+    payload end, declared inflated length)``, the length ``None`` before
+    v5.  ``data`` is bytes or an mmap of the container; ``ordinal`` is
+    the frame's segment ordinal if it is a segment frame (errors name
+    it)."""
     start = offset
+    size = None
     try:
         tag, offset = decode_varint(data, offset)
         length, offset = decode_varint(data, offset)
+        if version >= _COLUMNAR_VERSION:
+            size, offset = decode_varint(data, offset)
     except IndexError:
         raise LogFormatError("truncated frame header", start) from None
     if offset + length > len(data):
@@ -1590,63 +2038,70 @@ def _frame_head(data, offset: int, ordinal=None) -> Tuple[int, int, int]:
             start,
             ordinal if tag == _SECTION_SEGMENT else None,
         )
-    return tag, offset, offset + length
+    return tag, offset, offset + length, size
 
 
-def _iter_frames(data) -> Iterator[Tuple[int, int, int]]:
-    """Yield ``(tag, payload start, payload end)`` for each v4 section
-    frame.  ``data`` is the container's bytes or an mmap of it; nothing
-    is copied, so a caller slices out only the payloads it needs."""
+def _iter_frames(data) -> Iterator[Tuple[int, int, int, Optional[int]]]:
+    """Yield ``(tag, payload start, payload end, inflated length)`` for
+    each section frame.  ``data`` is the container's bytes or an mmap of
+    it; nothing is copied, so a caller slices out only the payloads it
+    needs."""
+    version = data[len(MAGIC)]
     offset = len(MAGIC) + 1
     segments = 0
     while offset < len(data):
-        tag, start, offset = _frame_head(data, offset, segments)
+        tag, start, offset, size = _frame_head(data, offset, version, segments)
         if tag == _SECTION_SEGMENT:
             segments += 1
-        yield tag, start, offset
+        yield tag, start, offset, size
 
 
 def _require_segmented(data: bytes) -> int:
     version = _container_version(data)
-    if version < SEGMENTED_FORMAT_VERSION:
+    if version < FIRST_SEGMENTED_VERSION:
         raise ValueError(
             "not a segmented replay log (container version %d predates v%d)"
-            % (version, SEGMENTED_FORMAT_VERSION)
+            % (version, FIRST_SEGMENTED_VERSION)
         )
     return version
 
 
+def _read_header(version: int, payload: bytes) -> SegmentedHeader:
+    reader = _Reader(payload)
+    return SegmentedHeader(
+        version=version,
+        program_name=reader.text(),
+        program_source=reader.text(),
+        seed=reader.sint(),
+        scheduler=reader.text(),
+        has_captured=reader.flag(),
+    )
+
+
 def read_segmented_header(data: bytes) -> SegmentedHeader:
-    """Decode only the header section of a v4 container."""
+    """Decode only the header section of a segmented container."""
     version = _require_segmented(data)
-    for tag, start, end in _iter_frames(data):
+    for tag, start, end, size in _iter_frames(data):
         if tag != _SECTION_HEADER:
             break
-        reader = _Reader(_inflate(data[start:end]))
-        return SegmentedHeader(
-            version=version,
-            program_name=reader.text(),
-            program_source=reader.text(),
-            seed=reader.sint(),
-            scheduler=reader.text(),
-            has_captured=reader.flag(),
-        )
+        return _read_header(version, _inflate((data[start:end], size)))
     raise LogFormatError("missing header section")
 
 
-def _read_segment_payload(payload: bytes) -> LogSegmentView:
+def _read_segment_payload(payload: bytes, version: int) -> LogSegmentView:
     """Decode one decompressed segment payload into a view."""
     reader = _Reader(payload)
     ordinal, first_ts, last_ts = reader.uints(3)
     threads: Dict[str, SegmentThreadView] = {}
     try:
+        rows = _RowSectionReader(reader, version, "segment")
         for _ in range(reader.uint()):
             name, tid, block = reader.text(), reader.uint(), reader.text()
             view = threads[name] = SegmentThreadView(
-                name=name, tid=tid, block=block, sequencers=_read_sequencers(reader)
+                name=name, tid=tid, block=block, sequencers=rows.sequencers()
             )
-            _extend_access_columns(view.columns, reader, block, {})
-            for heap_block in _read_heap_rows(reader):
+            _extend_access_columns(view.columns, rows.access(block, {}))
+            for heap_block in rows.heap():
                 view.heap_rows.extend(zip(*heap_block))
     except LogFormatError as error:
         raise error.in_segment(ordinal) from None
@@ -1656,17 +2111,19 @@ def _read_segment_payload(payload: bytes) -> LogSegmentView:
 
 
 def iter_segments(data: bytes) -> Iterator[LogSegmentView]:
-    """Yield each segment of a v4 container, decompressed one at a time.
+    """Yield each segment of a segmented container, decompressed one at
+    a time.
 
     This is the bounded-memory entry point: only one segment's rows are
     resident per step of the iteration (plus the compressed container
     itself, which the caller already holds).
     """
-    _require_segmented(data)
+    version = _require_segmented(data)
     ordinal = 0
-    for tag, start, end in _iter_frames(data):
+    for tag, start, end, size in _iter_frames(data):
         if tag == _SECTION_SEGMENT:
-            yield _read_segment_payload(_inflate(data[start:end], ordinal))
+            payload = _inflate((data[start:end], size), ordinal)
+            yield _read_segment_payload(payload, version)
             ordinal += 1
 
 
@@ -1680,12 +2137,12 @@ def _parse_segment_index(payload: bytes) -> List[SegmentIndexEntry]:
 
 
 def read_segment_index(data: bytes) -> List[SegmentIndexEntry]:
-    """Decode the footer's segment index of a v4 container."""
+    """Decode the footer's segment index of a segmented container."""
     _require_segmented(data)
-    footer: Optional[bytes] = None
-    for tag, start, end in _iter_frames(data):
+    footer = None
+    for tag, start, end, size in _iter_frames(data):
         if tag == _SECTION_FOOTER:
-            footer = data[start:end]
+            footer = (data[start:end], size)
     if footer is None:
         raise LogFormatError("missing footer section")
     return _parse_segment_index(_inflate(footer))
@@ -1695,13 +2152,14 @@ def read_segment_index(data: bytes) -> List[SegmentIndexEntry]:
 
 
 class MappedSegmentedReader:
-    """Random-access view of an on-disk v4 container, without the bytes.
+    """Random-access view of an on-disk segmented container, without the
+    bytes.
 
     The file is mapped read-only and the constructor walks only the
-    section *frame headers* — two varints per frame, hopping each frame
-    by its encoded length — to locate the header and footer, so exactly
-    two payloads (identity fields and the segment index) are ever
-    decompressed up front.  Everything else stays on disk: a caller
+    section *frame headers* — a few varints per frame, hopping each
+    frame by its encoded length — to locate the header and footer, so
+    exactly two payloads (identity fields and the segment index) are
+    ever decompressed up front.  Everything else stays on disk: a caller
     decompresses precisely the segment frames it owns via
     :meth:`segment_payload`, seeking straight to ``entry.offset`` from
     the footer index.  No process ever holds the whole container as a
@@ -1723,30 +2181,22 @@ class MappedSegmentedReader:
             raise
         try:
             self.version = _require_segmented(self._map[: len(MAGIC) + 1])
-            header_payload, footer_payload = self._locate_sections()
-            reader = _Reader(_inflate(header_payload))
-            self.header = SegmentedHeader(
-                version=self.version,
-                program_name=reader.text(),
-                program_source=reader.text(),
-                seed=reader.sint(),
-                scheduler=reader.text(),
-                has_captured=reader.flag(),
-            )
-            self.index = _parse_segment_index(_inflate(footer_payload))
+            header_frame, footer_frame = self._locate_sections()
+            self.header = _read_header(self.version, _inflate(header_frame))
+            self.index = _parse_segment_index(_inflate(footer_frame))
         except Exception:
             self.close()
             raise
 
-    def _locate_sections(self) -> Tuple[bytes, bytes]:
+    def _locate_sections(self) -> Tuple[tuple, tuple]:
         """Hop the frame chain; slice out only header and footer."""
-        header: Optional[bytes] = None
-        footer: Optional[bytes] = None
-        for tag, start, end in _iter_frames(self._map):
+        header = None
+        footer = None
+        for tag, start, end, size in _iter_frames(self._map):
             if tag == _SECTION_HEADER and header is None:
-                header = self._map[start:end]
+                header = (self._map[start:end], size)
             elif tag == _SECTION_FOOTER:
-                footer = self._map[start:end]
+                footer = (self._map[start:end], size)
         if header is None:
             raise LogFormatError("missing header section")
         if footer is None:
@@ -1755,15 +2205,13 @@ class MappedSegmentedReader:
 
     def segment_payload(self, entry: SegmentIndexEntry) -> bytes:
         """Decompress one segment's payload straight out of the mapping."""
-        tag, start, end = _frame_head(self._map, entry.offset, entry.ordinal)
+        tag, start, end, size = _frame_head(
+            self._map, entry.offset, self.version, entry.ordinal
+        )
         if tag != _SECTION_SEGMENT:
             reason = "segment index entry %d points at a tag-%d frame"
             raise LogFormatError(reason % (entry.ordinal, tag), entry.offset)
-        return _inflate(self._map[start:end], entry.ordinal)
-
-    def segment_view(self, ordinal: int) -> LogSegmentView:
-        """Fully decode one segment by ordinal (tests and tooling)."""
-        return _read_segment_payload(self.segment_payload(self.index[ordinal]))
+        return _inflate((self._map[start:end], size), entry.ordinal)
 
     def close(self) -> None:
         try:
@@ -1778,7 +2226,7 @@ class MappedSegmentedReader:
         self.close()
 
 
-def scan_segment_sequencers(payload: bytes) -> List[tuple]:
+def scan_segment_sequencers(payload: bytes, version: int) -> List[tuple]:
     """Prelude scan: per-thread sequencer totals, rows skipped.
 
     A partition worker catching up to its segment range only needs to
@@ -1786,42 +2234,31 @@ def scan_segment_sequencers(payload: bytes) -> List[tuple]:
     where the last one sits (that sequencer opens the thread's possibly
     still-active region at the cut).  This decodes exactly that — the
     sequencer step/timestamp deltas plus the final record's kind — and
-    seeks past every access and heap row with the C-speed varint skip,
-    so a prelude segment costs a small fraction of a full decode.
+    seeks past every access and heap row (v4: the C-speed varint skip;
+    v5: count x width per column), so a prelude segment costs a small
+    fraction of a full decode.  ``version`` is the container's.
 
     Returns ``(name, tid, block, count, last_step, last_ts, last_kind)``
     per thread present in the segment.
     """
     reader = _Reader(payload)
     reader.skip_uints(3)  # ordinal, first_ts, last_ts
+    rows = _RowSectionReader(reader, version, "segment")
     threads: List[tuple] = []
     for _ in range(reader.uint()):
         name = reader.text()
         tid = reader.uint()
         block = reader.text()
-        count = reader.uint()
-        step = 0
-        timestamp = 0
-        kind = ""
-        last = count - 1
-        for position in range(count):
-            step += reader.sint()
-            timestamp += reader.sint()
-            if position == last:
-                kind = reader.text()
-            else:
-                reader.skip_text()
-            if reader.uint():
-                reader.skip_text()
-                reader.skip_uints(1)
-        reader.skip_uints(5 * reader.uint())  # access rows
-        reader.skip_uints(4 * reader.uint())  # heap rows
+        count, step, timestamp, kind = rows.sequencer_tail()
+        rows.skip_access()
+        rows.skip_heap()
         threads.append((name, tid, block, count, step, timestamp, kind))
     return threads
 
 
 def read_segment_lean(
     payload: bytes,
+    version: int,
     kinds: Dict[str, str],
     interned: Dict[str, Dict[int, StaticInstructionId]],
 ) -> Tuple[int, int, int, List[tuple]]:
@@ -1832,10 +2269,10 @@ def read_segment_lean(
     tuples, access rows as ``(step, flag, address, value, static_id)``
     tuples — the exact row shape the region cursor hands the detector —
     heap rows are skipped (detection never reads them), and no
-    column lists are built.  ``kinds``/``interned`` are caller-held
-    interning maps (``interned`` maps block → index → static id) so kind
-    strings and static ids stay shared across every segment a worker
-    touches.
+    column lists are built.  ``version`` is the container's;
+    ``kinds``/``interned`` are caller-held interning maps (``interned``
+    maps block → index → static id) so kind strings and static ids stay
+    shared across every segment a worker touches.
 
     Returns ``(ordinal, first_ts, last_ts, threads)`` with ``threads``
     as ``(name, tid, block, sequencers, rows)`` tuples.
@@ -1844,19 +2281,18 @@ def read_segment_lean(
     ordinal, first_ts, last_ts = reader.uints(3)
     threads: List[tuple] = []
     try:
+        rows = _RowSectionReader(reader, version, "segment")
         for _ in range(reader.uint()):
             name, tid, block = reader.text(), reader.uint(), reader.text()
             sequencers = []
-            for record in _read_sequencers(reader):
+            for record in rows.sequencers():
                 kind = kinds.setdefault(record.kind, record.kind)
                 sequencers.append((record.thread_step, record.timestamp, kind))
-            rows: List[tuple] = []
-            for columns in _read_access_rows(
-                reader, block, interned.setdefault(block, {})
-            ):
-                rows.extend(zip(*columns))
-            reader.skip_uints(4 * reader.uint())  # heap rows
-            threads.append((name, tid, block, sequencers, rows))
+            access: List[tuple] = []
+            for columns in rows.access(block, interned.setdefault(block, {})):
+                access.extend(zip(*columns))
+            rows.skip_heap()
+            threads.append((name, tid, block, sequencers, access))
     except LogFormatError as error:
         raise error.in_segment(ordinal) from None
     return ordinal, first_ts, last_ts, threads
@@ -1864,8 +2300,8 @@ def read_segment_lean(
 
 @dataclass
 class _GatheredThread:
-    """One thread's rows concatenated across every segment of a v4
-    container, plus its trailer residue."""
+    """One thread's rows concatenated across every segment of a
+    segmented container, plus its trailer residue."""
 
     tid: int
     block: str
@@ -1875,35 +2311,38 @@ class _GatheredThread:
 
 
 def _gather_segments(
-    data: bytes, new_columns, keep_heap: bool
+    data: bytes, version: int, new_columns, keep_heap: bool
 ) -> Tuple[Dict[str, _GatheredThread], bytes]:
-    """Decode every segment of a v4 container straight into per-thread
-    sequencer lists and access columns (``new_columns()`` makes one
-    thread's column carrier; heap rows land in its ``heap_*`` lists only
-    when ``keep_heap``).  Returns the threads in first-appearance order
-    and the decompressed trailer."""
+    """Decode every segment of a segmented container straight into
+    per-thread sequencer lists and access columns (``new_columns()``
+    makes one thread's column carrier; heap rows land in its ``heap_*``
+    lists only when ``keep_heap``).  Returns the threads in
+    first-appearance order and the decompressed trailer."""
     gathered: Dict[str, _GatheredThread] = {}
     trailer: Optional[bytes] = None
     ordinal = 0
-    for tag, start, end in _iter_frames(data):
+    for tag, start, end, size in _iter_frames(data):
         if tag == _SECTION_TRAILER:
-            trailer = _inflate(data[start:end])
+            trailer = _inflate((data[start:end], size))
         if tag != _SECTION_SEGMENT:
             continue
         try:
-            reader = _Reader(_inflate(data[start:end]))
+            reader = _Reader(_inflate((data[start:end], size), ordinal))
             reader.skip_uints(3)  # ordinal, first_ts, last_ts
+            rows = _RowSectionReader(reader, version, "segment")
             for _ in range(reader.uint()):
                 name, tid, block = reader.text(), reader.uint(), reader.text()
                 thread = gathered.get(name)
                 if thread is None:
                     thread = gathered[name] = _GatheredThread(tid, block, new_columns())
-                thread.sequencers.extend(_read_sequencers(reader))
-                _extend_access_columns(thread.columns, reader, block, thread.interned)
+                thread.sequencers.extend(rows.sequencers())
+                _extend_access_columns(
+                    thread.columns, rows.access(block, thread.interned)
+                )
                 if keep_heap:
-                    _extend_heap_columns(thread.columns, reader)
+                    _extend_heap_columns(thread.columns, rows.heap())
                 else:
-                    reader.skip_uints(4 * reader.uint())
+                    rows.skip_heap()
         except LogFormatError as error:
             raise error.in_segment(ordinal) from None
         ordinal += 1
@@ -1913,7 +2352,7 @@ def _gather_segments(
 
 
 def _decode_log_segmented(data: bytes) -> ReplayLog:
-    """Reassemble a full :class:`ReplayLog` from a v4 container.
+    """Reassemble a full :class:`ReplayLog` from a segmented container.
 
     Sequencers and captured rows come from the segments (concatenated in
     segment order — global timestamp order), everything else from the
@@ -1922,8 +2361,11 @@ def _decode_log_segmented(data: bytes) -> ReplayLog:
     log already has.
     """
     header = read_segmented_header(data)
-    gathered, trailer = _gather_segments(data, ThreadAccessColumns, keep_heap=True)
+    gathered, trailer = _gather_segments(
+        data, header.version, ThreadAccessColumns, keep_heap=True
+    )
     reader = _Reader(trailer)
+    rows = _RowSectionReader(reader, header.version, "trailer")
     global_order = _read_global_order(reader) if reader.flag() else None
     predicted_loads = reader.uint()
     threads: Dict[str, ThreadLog] = {}
@@ -1934,7 +2376,7 @@ def _decode_log_segmented(data: bytes) -> ReplayLog:
         thread = threads[name] = ThreadLog(
             name=name, tid=tid, block=block, initial_registers=registers
         )
-        _read_loads(reader, SEGMENTED_FORMAT_VERSION, thread)
+        _read_loads(reader, header.version, thread)
         _read_syscalls(reader, thread)
         into = gathered.get(name)
         if into is None:
@@ -1943,8 +2385,8 @@ def _decode_log_segmented(data: bytes) -> ReplayLog:
         thread.pc_footprint = _read_footprint(reader)
         thread.steps = reader.uint()
         thread.end = _read_end(reader)
-        _extend_access_columns(into.columns, reader, block, into.interned)
-        _extend_heap_columns(into.columns, reader)
+        _extend_access_columns(into.columns, rows.access(block, into.interned))
+        _extend_heap_columns(into.columns, rows.heap())
         columns[name] = into.columns
     captured: Optional[CapturedAccessColumns] = None
     if header.has_captured:
@@ -1963,11 +2405,13 @@ def _decode_log_segmented(data: bytes) -> ReplayLog:
 
 
 def _decode_log_sections_segmented(data: bytes) -> LogSections:
-    """The sectioned reader for v4: segment rows decoded straight into
-    per-thread columns, trailer seeked through for step counts and
-    residual rows, footer skipped."""
+    """The sectioned reader for segmented containers: segment rows
+    decoded straight into per-thread columns, trailer seeked through for
+    step counts and residual rows, footer skipped."""
     header = read_segmented_header(data)
-    gathered, trailer = _gather_segments(data, CapturedColumnView, keep_heap=False)
+    gathered, trailer = _gather_segments(
+        data, header.version, CapturedColumnView, keep_heap=False
+    )
     threads: Dict[str, ThreadSectionView] = {
         name: ThreadSectionView(
             name=name, tid=thread.tid, block=thread.block, sequencers=thread.sequencers
@@ -1975,6 +2419,7 @@ def _decode_log_sections_segmented(data: bytes) -> LogSections:
         for name, thread in gathered.items()
     }
     reader = _Reader(trailer)
+    rows = _RowSectionReader(reader, header.version, "trailer")
     if reader.flag():
         reader.skip_uints(2 * reader.uint())  # global order pairs
     reader.skip_uints(1)  # predicted_loads
@@ -1985,14 +2430,14 @@ def _decode_log_sections_segmented(data: bytes) -> LogSections:
             section = threads[name] = ThreadSectionView(name=name, tid=tid, block=block)
             gathered[name] = _GatheredThread(tid, block, CapturedColumnView())
         reader.skip_uints(reader.uint())  # initial registers
-        _skip_loads(reader, SEGMENTED_FORMAT_VERSION)
+        _skip_loads(reader, header.version)
         _skip_syscalls(reader)
         _skip_footprint(reader)
         section.steps = reader.uint()
         _skip_end(reader)
         into = gathered[name]
-        _extend_access_columns(into.columns, reader, block, into.interned)
-        reader.skip_uints(4 * reader.uint())  # residual heap rows
+        _extend_access_columns(into.columns, rows.access(block, into.interned))
+        rows.skip_heap()  # residual heap rows
     captured: Optional[Dict[str, CapturedColumnView]] = None
     if header.has_captured:
         captured = {name: gathered[name].columns for name in threads}

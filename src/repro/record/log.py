@@ -183,12 +183,6 @@ class ReplayLog:
     def total_records(self) -> int:
         return sum(thread.record_count for thread in self.threads.values())
 
-    def thread_by_tid(self, tid: int) -> ThreadLog:
-        for thread in self.threads.values():
-            if thread.tid == tid:
-                return thread
-        raise KeyError("no thread with tid %d" % tid)
-
     def reassemble_program(self) -> Program:
         """Rebuild the :class:`Program` embedded in this log."""
         from ..isa.assembler import assemble

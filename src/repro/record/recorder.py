@@ -468,7 +468,7 @@ def record_run_segmented(
     extra_observers=(),
     segment_bytes: Optional[int] = None,
 ):
-    """Record straight into a v4 segmented container at ``path``.
+    """Record straight into a segmented container (v5) at ``path``.
 
     The streaming twin of :func:`record_run` + ``save_log``: segments hit
     the file while the machine runs, peak recorder memory is bounded by

@@ -167,7 +167,7 @@ def save_log(
     v2 predicted-load elision is a binary-container feature; JSON output
     always spells every load value out.
 
-    ``segment_bytes`` selects the **v4 segmented container** with that
+    ``segment_bytes`` selects the **segmented container** (v5) with that
     window size — the format ``repro detect`` and ``repro analyze``
     stream segment by segment, and ``detect --jobs`` fans out.  It is a
     binary-only knob; combining it with JSON output is an error rather

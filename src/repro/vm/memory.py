@@ -14,7 +14,7 @@ The memory model is deliberately simple but safety-checked:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..isa.operands import to_unsigned
 from ..isa.program import HEAP_BASE
@@ -116,6 +116,3 @@ class Memory:
         self._next_heap, allocations, freed = state
         self._allocations = dict(allocations)
         self._freed = dict(freed)
-
-    def written_addresses(self) -> Iterable[int]:
-        return self._words.keys()

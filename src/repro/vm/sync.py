@@ -64,8 +64,3 @@ class LockTable:
 
     def waiters(self, address: int) -> List[int]:
         return list(self._waiters.get(address, []))
-
-    def drop_waiter(self, tid: int, address: int) -> None:
-        waiters = self._waiters.get(address)
-        if waiters and tid in waiters:
-            waiters.remove(tid)

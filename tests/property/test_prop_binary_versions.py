@@ -12,6 +12,8 @@ encode→decode→encode for every supported version, asserting
   corrupted — by v1/v2 and by ``include_captured=False``.
 """
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -20,8 +22,12 @@ from repro.record.binary_format import (
     BINARY_FORMAT_VERSION,
     SEGMENTED_FORMAT_VERSION,
     SUPPORTED_VERSIONS,
+    _encode_segmented,
     decode_log,
+    decode_log_sections,
     encode_log,
+    encode_log_segmented,
+    iter_segments,
 )
 from repro.record.log import (
     CapturedAccessColumns,
@@ -229,8 +235,40 @@ class TestCapturedSectionEquivalence:
         assert decode_log(without).captured is None
 
     def test_current_version_is_the_default(self):
-        # The monolithic default stays v3; the segmented v4 container is
-        # opt-in (``segment_bytes`` / ``record --segment-bytes``) but
-        # fully supported by the version dispatch.
+        # The monolithic default stays v3; the segmented container is
+        # opt-in (``segment_bytes`` / ``record --segment-bytes``) and
+        # written as v5 (columnar segments).  v4 still decodes and
+        # ``encode_log(version=4)`` still writes it.
         assert BINARY_FORMAT_VERSION == 3
-        assert SEGMENTED_FORMAT_VERSION == SUPPORTED_VERSIONS[-1] == 4
+        assert SEGMENTED_FORMAT_VERSION == SUPPORTED_VERSIONS[-1] == 5
+
+
+class TestSegmentedVersionsAgree:
+    """v4 (varint rows) and v5 (columns) encodings of one log are two
+    spellings of the same container: every reader returns the same
+    thing from either, cut at the same segment boundaries."""
+
+    @staticmethod
+    def _both(log, segment_bytes):
+        v4 = _encode_segmented(log, 4, segment_bytes, True, None, True)
+        v5 = encode_log_segmented(log, segment_bytes=segment_bytes)
+        assert (v4[4], v5[4]) == (4, 5)
+        return v4, v5
+
+    @pytest.mark.parametrize("segment_bytes", (16, 1 << 16))
+    @given(log=replay_logs())
+    @_SETTINGS
+    def test_every_reader_agrees(self, segment_bytes, log):
+        v4, v5 = self._both(log, segment_bytes)
+        full = decode_log(v4)
+        assert decode_log(v5) == full == log
+        if full.captured is not None:
+            assert decode_log(v5).captured == full.captured
+        sections = decode_log_sections(v4)
+        assert dataclasses.replace(decode_log_sections(v5), version=4) == sections
+        old = list(iter_segments(v4))
+        new = list(iter_segments(v5))
+        assert [(view.ordinal, view.first_ts, view.last_ts) for view in new] == [
+            (view.ordinal, view.first_ts, view.last_ts) for view in old
+        ]
+        assert new == old

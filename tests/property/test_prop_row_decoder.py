@@ -1,4 +1,4 @@
-"""Property-based tests: the block row decoder against a per-varint oracle.
+"""Property-based tests: the row decoders against independent oracles.
 
 Rows are encoded with the container's own ``_Writer`` (access rows
 through ``_write_access_rows``) and read back two ways: through the block decoder
@@ -10,12 +10,26 @@ written.  The strategies cover the all-single-byte blocks that take the
 deltas, empty sections, and row counts on either side of the decoder's
 4096-row block boundary.  Addresses stay below ``2**63``: the writer's
 zigzag map covers signed 64-bit deltas.
+
+The v5 column groups are written by the container's row-section writer
+and read back by its row-section reader and by the ``struct``-based
+oracle in ``tests/reference_rows.py``: widths on either side of each
+typecode boundary, negative step and address deltas, empty sections,
+and sequencers with no static id or a static id in another block.
 """
 
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
-from reference_rows import read_access_rows, read_heap_rows, read_varints
+from reference_rows import (
+    read_access_columns,
+    read_access_rows,
+    read_heap_columns,
+    read_heap_rows,
+    read_sequencer_columns,
+    read_strings,
+    read_varints,
+)
 from repro.isa.program import StaticInstructionId
 from repro.record.binary_format import (
     LogFormatError,
@@ -23,9 +37,12 @@ from repro.record.binary_format import (
     _read_access_rows,
     _read_heap_rows,
     _Reader,
+    _RowSectionReader,
+    _RowSectionWriter,
     _Writer,
     _write_access_rows,
 )
+from repro.record.log import SequencerRecord
 from repro.record.compression import encode_varint
 
 _SETTINGS = settings(max_examples=40, deadline=None)
@@ -211,3 +228,194 @@ def test_truncated_blocks_raise_log_format_error(values, data):
     cut = data.draw(st.integers(0, len(encoded) - 1))
     with pytest.raises(LogFormatError):
         _decode_varints(encoded[:cut], 0, len(values))
+
+
+# ----------------------------------------------------------------------
+# v5 column groups against the struct oracle.
+# ----------------------------------------------------------------------
+
+#: Unsigned values on either side of each column width boundary.
+WIDTH_EDGES = (0, 255, 256, 65535, 65536, 2**32 - 1, 2**32, U64)
+edge_u64s = st.one_of(st.sampled_from(WIDTH_EDGES), u64s)
+
+
+def _sid(index, block=BLOCK):
+    return StaticInstructionId(block=block, index=index)
+
+
+def _encode_v5_access(rows):
+    writer = _Writer()
+    _RowSectionWriter(5).access(
+        writer,
+        [
+            (step, flag, address, value, _sid(index))
+            for step, flag, address, value, index in rows
+        ],
+    )
+    return bytes(writer.out)
+
+
+def _check_v5_access(rows):
+    """Round-trip ``rows`` through the v5 access columns; returns the
+    oracle's typecodes."""
+    data = _encode_v5_access(rows)
+    reader = _Reader(data)
+    decoded = []
+    for steps, flags, addresses, values, ids in _RowSectionReader(
+        reader, 5, "trailer"
+    ).access(BLOCK, {}):
+        decoded.extend(zip(steps, flags, addresses, values, [sid.index for sid in ids]))
+    expected, codes, end = read_access_columns(data)
+    problem = _mismatch(expected, rows) or _mismatch(decoded, rows)
+    assert problem is None, problem
+    assert reader.offset == end == len(data)
+    return codes
+
+
+@pytest.mark.parametrize(
+    "top, code",
+    [
+        (255, "B"),
+        (256, "H"),
+        (65535, "H"),
+        (65536, "I"),
+        (2**32 - 1, "I"),
+        (2**32, "Q"),
+        (U64, "Q"),
+    ],
+)
+def test_v5_value_width_either_side_of_each_boundary(top, code):
+    codes = _check_v5_access([(0, 0, 0, 0, 0), (1, 1, 8, top, top % 7)])
+    assert codes[3] == code  # values
+    assert codes[1] == "B"  # flags
+
+
+@pytest.mark.parametrize(
+    "delta, code",
+    [
+        (127, "b"),
+        (128, "h"),
+        (-128, "b"),
+        (-129, "h"),
+        (2**15 - 1, "h"),
+        (2**15, "i"),
+        (-(2**15) - 1, "i"),
+        (2**31 - 1, "i"),
+        (2**31, "q"),
+        (-(2**31) - 1, "q"),
+        (2**63 - 1, "q"),
+        (-(2**63), "q"),
+    ],
+)
+def test_v5_delta_width_either_side_of_each_boundary(delta, code):
+    # The first row's deltas are 0, so the second row's fixes the width.
+    codes = _check_v5_access([(0, 0, 0, 1, 0), (delta, 0, delta, 1, 0)])
+    assert codes[0] == codes[2] == code  # step and address deltas
+
+
+v5_access_rows = st.tuples(
+    st.integers(-(2**40), 2**40),  # absolute step: deltas of either sign
+    st.integers(0, 255),
+    addresses,
+    edge_u64s,
+    st.integers(0, 2**20),
+)
+
+
+@_SETTINGS
+@given(rows=st.lists(v5_access_rows, max_size=300))
+def test_v5_access_columns_match_the_oracle(rows):
+    _check_v5_access(rows)
+
+
+@_SETTINGS
+@given(
+    rows=st.lists(
+        st.tuples(
+            st.integers(-(2**40), 2**40), st.integers(0, 1), edge_u64s, edge_u64s
+        ),
+        max_size=60,
+    )
+)
+def test_v5_heap_columns_match_the_oracle(rows):
+    writer = _Writer()
+    _RowSectionWriter(5).heap(writer, rows)
+    data = bytes(writer.out)
+    reader = _Reader(data)
+    decoded = [
+        row
+        for block in _RowSectionReader(reader, 5, "trailer").heap()
+        for row in zip(*block)
+    ]
+    expected, end = read_heap_columns(data)
+    assert decoded == expected == rows
+    assert reader.offset == end == len(data)
+
+
+def _check_v5_sequencers(records):
+    rows = _RowSectionWriter(5)
+    body = _Writer()
+    rows.sequencers(body, records)
+    data = _Writer()
+    rows.write_strings(data)
+    data = bytes(data.out + body.out)
+    reader = _Reader(data)
+    decoded = _RowSectionReader(reader, 5, "segment").sequencers()
+    strings, offset = read_strings(data)
+    expected, end = read_sequencer_columns(data, strings, offset)
+    want = [
+        (
+            record.thread_step,
+            record.timestamp,
+            record.kind,
+            None
+            if record.static_id is None
+            else (record.static_id.block, record.static_id.index),
+        )
+        for record in records
+    ]
+    assert decoded == records
+    assert expected == want
+    assert reader.offset == end == len(data)
+
+
+sequencer_records = st.builds(
+    SequencerRecord,
+    thread_step=st.integers(-1, 2**40),
+    timestamp=st.integers(0, 2**40),
+    kind=st.sampled_from(("thread-start", "lock", "unlock", "syscall", "thread-end")),
+    # The thread's own block, another block, or no static id at all.
+    static_id=st.none()
+    | st.builds(
+        StaticInstructionId,
+        block=st.sampled_from((BLOCK, "other", "lib")),
+        index=st.sampled_from((0, 255, 256, 65536, 2**32)),
+    ),
+)
+
+
+@_SETTINGS
+@given(records=st.lists(sequencer_records, max_size=40))
+def test_v5_sequencer_columns_match_the_oracle(records):
+    _check_v5_sequencers(records)
+
+
+def test_v5_sequencers_without_static_ids_and_in_other_blocks():
+    _check_v5_sequencers(
+        [
+            SequencerRecord(-1, 0, "thread-start"),
+            SequencerRecord(4, 3, "lock", _sid(2, "lib")),
+            SequencerRecord(4, 9, "unlock", _sid(2)),
+            SequencerRecord(9, 12, "thread-end"),
+        ]
+    )
+
+
+def test_v5_empty_sections():
+    _check_v5_sequencers([])
+    assert _check_v5_access([]) == ["b", "B", "b", "B", "B"]
+    writer = _Writer()
+    _RowSectionWriter(5).heap(writer, [])
+    data = bytes(writer.out)
+    assert read_heap_columns(data) == ([], len(data))
+    assert list(_RowSectionReader(_Reader(data), 5, "trailer").heap()) == []

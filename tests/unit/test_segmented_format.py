@@ -373,27 +373,35 @@ class TestStreamingRecorder:
 
 
 def _frames(data):
-    """``(tag, compressed payload)`` for each frame of a v4 container."""
+    """``(tag, compressed payload)`` for each frame of a segmented
+    container (a v5 frame head also declares the inflated length)."""
     frames = []
     offset = len(MAGIC) + 1
     while offset < len(data):
         tag, offset = decode_varint(data, offset)
         length, offset = decode_varint(data, offset)
+        if data[len(MAGIC)] >= 5:
+            _, offset = decode_varint(data, offset)
         frames.append((tag, data[offset : offset + length]))
         offset += length
     return frames
 
 
 def _container(data, frames):
+    def head(tag, payload):
+        head = encode_varint(tag) + encode_varint(len(payload))
+        if data[len(MAGIC)] >= 5:
+            head += encode_varint(len(zlib.decompress(payload)))
+        return head
+
     return data[: len(MAGIC) + 1] + b"".join(
-        encode_varint(tag) + encode_varint(len(payload)) + payload
-        for tag, payload in frames
+        head(tag, payload) + payload for tag, payload in frames
     )
 
 
 def _cut_mid_row(raw):
-    """Cut a decompressed segment payload inside the second access row
-    of its first thread."""
+    """Cut a decompressed v4 segment payload inside the second access
+    row of its first thread."""
     reader = _Reader(raw)
     reader.skip_uints(3)  # ordinal, first_ts, last_ts
     reader.uint()  # thread count
@@ -434,7 +442,7 @@ class TestTruncatedContainers:
 
     def test_segment_payload_cut_mid_row(self):
         _, log = _recorded()
-        data = encode_log_segmented(log)
+        data = encode_log(log, version=4)
         frames = _frames(data)
         assert [tag for tag, _ in frames].count(2) == 1
         raw = zlib.decompress(frames[1][1])
@@ -452,10 +460,10 @@ class TestTruncatedContainers:
             assert info.value.segment == 0
             assert info.value.offset is not None
         with pytest.raises(LogFormatError) as info:
-            read_segment_lean(cut, {}, {})
+            read_segment_lean(cut, 4, {}, {})
         assert info.value.segment == 0
         # The uncut payload still decodes through the same readers.
-        assert read_segment_lean(raw, {}, {})[0] == 0
+        assert read_segment_lean(raw, 4, {}, {})[0] == 0
 
     def test_v3_captured_section_cut(self):
         _, log = _recorded()
