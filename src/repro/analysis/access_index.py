@@ -30,10 +30,10 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 from itertools import compress, repeat
-from operator import itemgetter
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from ..replay.events import ReplayedAccess
+from ..replay.log_view import RowView, row_columns
 from ..replay.regions import SequencingRegion
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (replay builds us)
@@ -54,6 +54,19 @@ def _drop_sync_rows(flags: bytes, columns: list) -> Tuple[bytes, list]:
         flags = bytes(compress(flags, plain))
         columns = [list(compress(column, plain)) for column in columns]
     return flags, columns
+
+
+def _rows_at(columns: tuple, lo: int, hi: int, address: int) -> List[tuple]:
+    """Rows ``[lo, hi)`` at one address of the parallel ``(steps, flags,
+    addresses, values, static_ids)`` columns, as ``(step, is_write,
+    value, static_id)`` in step order (bit 0 of a flag is the write bit)
+    — the one row-at-address scan of both row stores."""
+    steps, flags, addresses, values, static_ids = columns
+    return [
+        (steps[p], flags[p] & 1 == 1, values[p], static_ids[p])
+        for p in range(lo, hi)
+        if addresses[p] == address
+    ]
 
 
 class AccessIndex:
@@ -336,14 +349,16 @@ class AccessIndex:
         cached = self._at.setdefault(ordinal, {})
         rows = cached.get(address)
         if rows is None:
-            start, end = self._slices[ordinal]
-            steps, addresses, values = self.steps, self.addresses, self.values
-            writes, static_ids = self.write_flags, self._static_id_col
-            rows = cached[address] = [
-                (steps[p], writes[p] == 1, values[p], static_ids[p])
-                for p in range(start, end)
-                if addresses[p] == address
-            ]
+            columns = (
+                self.steps,
+                self.write_flags,
+                self.addresses,
+                self.values,
+                self._static_id_col,
+            )
+            rows = cached[address] = _rows_at(
+                columns, *self._slices[ordinal], address
+            )
         return rows
 
     def retire(self, ordinal: int) -> None:
@@ -372,13 +387,13 @@ class StreamingAccessWindow:
     The row store of every sweep that reads regions one at a time — the
     streaming detector and each fan-out worker.  Regions are *admitted*
     in opening-timestamp order (from the segment cursor) with their
-    captured ``(step, flag, address, value, static_id)`` rows and
-    *retired* as soon as the sweep expires them, so resident state is
-    the active overlap window, not the trace.  Rows stay as captured
-    tuples; :meth:`accesses_at` reshapes a region's rows at one address,
-    exactly as :meth:`AccessIndex.accesses_at` returns them, only when
-    the sweep pairs the region up on that address (most regions never
-    conflict).
+    rows — a :class:`~repro.replay.log_view.RowView` over the segment's
+    decoded columns — and *retired* as soon as the sweep expires them,
+    so resident state is the active overlap window, not the trace.  Rows
+    stay in the columns; :meth:`accesses_at` builds a region's rows at
+    one address, exactly as :meth:`AccessIndex.accesses_at` returns
+    them, only when the sweep pairs the region up on that address (most
+    regions never conflict).
 
     Ordinals are assigned in admission order; only their *relative*
     order matters to the sweep, and it matches the batch index's
@@ -411,25 +426,37 @@ class StreamingAccessWindow:
         self.writes = 0
         self.addresses_seen: Dict[int, None] = {}
 
-    def admit(self, region: SequencingRegion, rows: list, counted: bool = True) -> Optional[int]:
+    def admit(
+        self, region: SequencingRegion, rows, counted: bool = True
+    ) -> Optional[int]:
         """Store one region's rows; returns its ordinal, or ``None`` when
         the region carries no plain access (not admitted).
 
-        ``rows`` are in step order, already bounded to the region's step
-        range; sync rows (``flag & 2``) are dropped here by
-        :func:`_drop_sync_rows`, as the batch index drops them.
-        ``counted`` regions add to the totals whether or not they are
-        admitted; a fan-out worker passes ``False`` for the straddlers
-        it preloads, which the worker owning them counts.
+        ``rows`` is the segment cursor's
+        :class:`~repro.replay.log_view.RowView`, already bounded to the
+        region's step range; only its flags and addresses are read, as
+        column slices.  A list of ``(step, flag, address, value,
+        static_id)`` tuples, or a view holding sync rows (``flag & 2``,
+        dropped as the batch index drops them), becomes a new view here,
+        the one place rows are copied.  ``counted`` regions add to the
+        totals whether or not they are admitted; a fan-out worker passes
+        ``False`` for the straddlers it preloads, which the worker owning
+        them counts.
         """
-        flags, (rows,) = _drop_sync_rows(bytes(map(itemgetter(1), rows)), [rows])
-        addresses = dict.fromkeys(map(itemgetter(2), rows))
+        if isinstance(rows, RowView):
+            flags = bytes(rows.columns.flags[rows.lo : rows.hi])
+        if not isinstance(rows, RowView) or 0 in flags.translate(_PLAIN_BIT):
+            # Row tuples, or sync rows to drop: the one copy.
+            rows = RowView.of_rows(row for row in rows if not row[1] & 2)
+            flags = bytes(rows.columns.flags)
+        columns, lo, hi = rows.columns, rows.lo, rows.hi
+        addresses = dict.fromkeys(columns.addresses[lo:hi])
         if counted:
             self.regions += 1
-            self.accesses += len(rows)
+            self.accesses += hi - lo
             self.writes += flags.translate(_WRITE_BIT).count(1)
             self.addresses_seen.update(addresses)
-        if not rows:
+        if lo == hi:
             return None
         ordinal = self._next_ordinal
         self._next_ordinal += 1
@@ -455,11 +482,10 @@ class StreamingAccessWindow:
         cached = self._at.setdefault(ordinal, {})
         rows = cached.get(address)
         if rows is None:
-            rows = cached[address] = [
-                (step, flag & 1 == 1, value, static_id)
-                for step, flag, at, value, static_id in self._rows[ordinal]
-                if at == address
-            ]
+            view = self._rows[ordinal]
+            rows = cached[address] = _rows_at(
+                row_columns(view.columns), view.lo, view.hi, address
+            )
         return rows
 
     @property

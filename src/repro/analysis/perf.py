@@ -92,17 +92,17 @@ class PerfStats:
     replay_captured_handoffs: int = 0
     #: Detect passes whose regions and index came straight from the log.
     detect_log_native: int = 0
-    #: Streaming analyses run (``repro analyze`` of a v4 container and
+    #: Streaming analyses run (``repro analyze`` of a v4/v5 container and
     #: service stream jobs).
     stream_jobs: int = 0
-    #: v4 segments fed through the streaming cursor.
+    #: Segments fed through the streaming cursor.
     stream_segments: int = 0
     #: Sealed windows eager classification fired on.
     stream_windows: int = 0
     #: Wall seconds from stream start to the first classified verdict,
     #: summed over streaming analyses (``/metrics`` shows the average in ms).
     stream_first_verdict_s: float = 0.0
-    #: v4 segments fanned out across the parallel detect pool.
+    #: Segments fanned out across the parallel detect pool.
     parallel_segments: int = 0
     #: Partition workers the fan-out dispatched (1 = inline, no pool).
     parallel_workers: int = 0

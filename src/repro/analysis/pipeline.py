@@ -297,7 +297,7 @@ def analyze_log_stream(
     """Analyse a recorded log with streaming detection and eager,
     per-window classification.
 
-    ``source`` is RPRB container bytes (v4 streams segment by segment;
+    ``source`` is RPRB container bytes (v4/v5 stream segment by segment;
     monolithic v3 logs are re-chunked in memory) or a decoded
     :class:`ReplayLog`; ``log`` optionally supplies the already-decoded
     log when the caller holds both, so the container isn't decoded twice.
@@ -435,7 +435,7 @@ def detect_only(
     file; every other path reads it into bytes).  The input picks the
     path (``mode="auto"``, the only choice the CLI and service make):
 
-    * a v4 segmented container with captured columns and ``jobs > 1``
+    * a segmented (v4, v5) container with captured columns and ``jobs > 1``
       — ``"parallel"``: the segments partition across ``jobs`` worker
       processes, each mmap-reading only its own range;
     * such a container with ``jobs == 1`` — ``"stream"``: regions sweep
@@ -452,7 +452,7 @@ def detect_only(
     :class:`~repro.replay.log_view.LogViewUnavailable` on a log without
     captured columns (``"stream"`` re-chunks a monolithic v3 log in
     memory), and a forced ``"parallel"`` raises :class:`ValueError` for
-    anything but a v4 container with captured columns.
+    anything but a segmented container with captured columns.
 
     Race sets are byte-identical between all paths (the equivalence
     suite enforces it); they differ only in cost profile.
@@ -665,7 +665,7 @@ class ParallelLogView:
 
 
 def is_streamable_container(source) -> bool:
-    """True for a v4 segmented container with captured columns, as bytes
+    """True for a segmented (v4, v5) container with captured columns, as bytes
     or a file path (only its header frame is read): the input that
     :func:`detect_only` and ``repro analyze`` stream segment by segment,
     and that ``detect_only`` fans out when ``jobs > 1``."""

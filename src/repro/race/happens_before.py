@@ -42,6 +42,11 @@ from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from typing import Dict, List, Optional, Set, Tuple
 
+from ..record.binary_format import (
+    MappedSegmentedReader,
+    read_segment_payload,
+    scan_segment_sequencers,
+)
 from ..replay.log_view import LogView, SegmentCursor
 from ..replay.ordered_replay import OrderedReplay
 from ..replay.regions import SequencingRegion
@@ -297,8 +302,8 @@ class StreamingHappensBeforeDetector:
     def add_region(self, region: SequencingRegion, rows) -> List[RaceInstance]:
         """Sweep one region; returns the race instances it completed.
 
-        ``rows`` are the region's captured ``(step, flag, address,
-        value, static_id)`` tuples (sync rows filtered by the window).
+        ``rows`` is the cursor's :class:`~repro.replay.log_view.RowView`
+        of the region's captured rows (sync rows filtered by the window).
         Regions must arrive in strictly increasing ``start_ts`` order —
         the segment cursor's release order.
         """
@@ -353,7 +358,7 @@ def find_races(
 # ----------------------------------------------------------------------
 # Parallel segment-fanout detection.
 #
-# A v4 container's segments are self-contained and indexed by the
+# A segmented container's segments are self-contained and indexed by the
 # footer, so the sweep partitions cleanly: worker *k* owns the regions
 # whose opening sequencer timestamp falls inside its contiguous segment
 # range.  Because timestamps are globally unique and a thread has at
@@ -377,19 +382,14 @@ def _partition_worker(task: tuple) -> dict:
     worker mmaps the container itself, skips the access rows of
     every prelude segment (it only needs per-thread sequencer counts and
     each thread's last pre-range sequencer — the opener of its possible
-    straddler), lean-decodes its owned range, and keeps reading past the
-    range only while a thread still has an open region that started at
-    or below the range end.
+    straddler), reads its owned range through the same per-segment
+    reader as :func:`~repro.record.binary_format.iter_segments` (heap
+    rows skipped), and keeps reading past the range only while a thread
+    still has an open region that started at or below the range end.
     """
     path, s_lo, s_hi, max_pairs = task
     started = time.perf_counter()
     cpu_started = time.process_time()
-    from ..record.binary_format import (
-        MappedSegmentedReader,
-        read_segment_lean,
-        scan_segment_sequencers,
-    )
-
     cursor = SegmentCursor()
     detector = StreamingHappensBeforeDetector(max_pairs_per_location=max_pairs)
     stitches = 0
@@ -403,8 +403,6 @@ def _partition_worker(task: tuple) -> dict:
                 payload, reader.version
             ):
                 cursor.skip(name, tid, count, (step, ts, kind))
-        kinds: Dict[str, str] = {}
-        interned: Dict[str, Dict[int, object]] = {}
         blocks: Dict[str, str] = {}
         for position in range(s_lo, len(entries)):
             if position >= s_hi:
@@ -412,14 +410,11 @@ def _partition_worker(task: tuple) -> dict:
                 if earliest is None or earliest > range_end:
                     break  # every region we could still own has closed
             payload = reader.segment_payload(entries[position])
-            ordinal, _, last_ts, segment_threads = read_segment_lean(
-                payload, reader.version, kinds, interned
-            )
-            for name, tid, block, sequencers, rows in segment_threads:
-                blocks.setdefault(name, block)
-                cursor.add(ordinal, name, tid, sequencers, rows)
+            segment = read_segment_payload(payload, reader.version, keep_heap=False)
+            for name, thread in segment.threads.items():
+                blocks.setdefault(name, thread.block)
             stitches += _sweep_range(
-                detector, cursor.seal(last_ts), range_start, range_end
+                detector, cursor.feed(segment), range_start, range_end
             )
     stitches += _sweep_range(detector, cursor.finish(), range_start, range_end)
     instances = detector.finish()
@@ -529,7 +524,7 @@ def parallel_detect_races(
     max_pairs_per_location: Optional[int] = 256,
     perf=None,
 ) -> ParallelDetectOutcome:
-    """Fan a v4 container's segments across a process pool and merge.
+    """Fan a v4/v5 container's segments across a process pool and merge.
 
     The parent maps the file, decodes only the header and footer (the
     segment index), and never holds the container bytes; each worker
@@ -538,8 +533,6 @@ def parallel_detect_races(
     byte-identical to the serial sweep's.
     """
     from contextlib import nullcontext
-
-    from ..record.binary_format import MappedSegmentedReader
 
     path = os.fspath(path)
     with MappedSegmentedReader(path) as reader:

@@ -62,7 +62,7 @@ predicted bit alone says whether a value field is present.
 **One row decoder.**  Fixed-width rows (access, heap, global order,
 footer) decode a block of varints at a time (:func:`_decode_varints`);
 :func:`_read_access_rows` is the only access-row parser, and the full,
-sectioned, per-segment and lean reads project it.  Truncated or
+sectioned and per-segment reads project it.  Truncated or
 malformed input raises :class:`LogFormatError`.
 
 **Version 5: columnar segments.**  v5 keeps v4's frames, trailer, footer
@@ -83,6 +83,7 @@ import os
 import sys
 import zlib
 from array import array
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate, chain
 from operator import attrgetter, sub
@@ -1747,12 +1748,9 @@ class _SegmentViewCollector(_SegmentAccumulator):
         threads: Dict[str, SegmentThreadView] = {}
         for buffer in sorted(buffers.values(), key=lambda buffer: buffer.tid):
             columns = CapturedColumnView()
-            for step, flag, address, value, static_id in buffer.access_rows:
-                columns.steps.append(step)
-                columns.flags.append(flag)
-                columns.addresses.append(address)
-                columns.values.append(value)
-                columns.static_ids.append(static_id)
+            if buffer.access_rows:
+                block = list(map(list, zip(*buffer.access_rows)))
+                _extend_access_columns(columns, [block])
             threads[buffer.name] = SegmentThreadView(
                 name=buffer.name,
                 tid=buffer.tid,
@@ -1810,50 +1808,17 @@ class _SegmentPlanner:
         columns = self._captured.get(name)
         if columns is None:
             return []
-        steps = columns.steps
-        position = self._row_at.get(name, 0)
-        total = len(steps)
-        if position >= total or steps[position] > seq_step:
-            return []
-        flags = columns.flags
-        addresses = columns.addresses
-        values = columns.values
-        static_ids = columns.static_ids
-        rows = []
-        while position < total and steps[position] <= seq_step:
-            rows.append(
-                (
-                    steps[position],
-                    flags[position],
-                    addresses[position],
-                    values[position],
-                    static_ids[position],
-                )
-            )
-            position += 1
-        self._row_at[name] = position
-        return rows
+        lo = self._row_at.get(name, 0)
+        hi = self._row_at[name] = bisect_right(columns.steps, seq_step, lo)
+        return _access_rows_of(columns, lo, hi)
 
     def _attached_heap(self, name: str, seq_step: int) -> list:
         columns = self._captured.get(name)
         if columns is None or not getattr(columns, "heap_steps", None):
             return []
-        steps = columns.heap_steps
-        position = self._heap_at.get(name, 0)
-        total = len(steps)
-        rows = []
-        while position < total and steps[position] <= seq_step:
-            rows.append(
-                (
-                    steps[position],
-                    0 if columns.heap_kinds[position] == "alloc" else 1,
-                    columns.heap_bases[position],
-                    columns.heap_sizes[position],
-                )
-            )
-            position += 1
-        self._heap_at[name] = position
-        return rows
+        lo = self._heap_at.get(name, 0)
+        hi = self._heap_at[name] = bisect_right(columns.heap_steps, seq_step, lo)
+        return _heap_rows_of(columns, lo, hi)
 
     def residuals(self) -> Dict[str, Tuple[list, list]]:
         """Rows no sequencer claimed (synthetic logs only, in practice)."""
@@ -1862,32 +1827,38 @@ class _SegmentPlanner:
             columns = self._captured.get(name)
             if columns is None:
                 continue
-            access_rows = []
-            position = self._row_at.get(name, 0)
-            for row in range(position, len(columns.steps)):
-                access_rows.append(
-                    (
-                        columns.steps[row],
-                        columns.flags[row],
-                        columns.addresses[row],
-                        columns.values[row],
-                        columns.static_ids[row],
-                    )
+            access_rows = _access_rows_of(
+                columns, self._row_at.get(name, 0), len(columns.steps)
+            )
+            heap_rows = (
+                _heap_rows_of(
+                    columns, self._heap_at.get(name, 0), len(columns.heap_steps)
                 )
-            heap_rows = []
-            position = self._heap_at.get(name, 0)
-            for row in range(position, len(getattr(columns, "heap_steps", ()))):
-                heap_rows.append(
-                    (
-                        columns.heap_steps[row],
-                        0 if columns.heap_kinds[row] == "alloc" else 1,
-                        columns.heap_bases[row],
-                        columns.heap_sizes[row],
-                    )
-                )
+                if getattr(columns, "heap_steps", None)
+                else []
+            )
             if access_rows or heap_rows:
                 leftover[name] = (access_rows, heap_rows)
         return leftover
+
+
+def _access_rows_of(columns, lo: int, hi: int) -> list:
+    """Captured rows ``[lo, hi)`` as ``(step, flag, address, value,
+    static_id)`` tuples, the shape the segment writers take."""
+    return list(zip(*(column[lo:hi] for column in _access_columns(columns))))
+
+
+def _heap_rows_of(columns, lo: int, hi: int) -> list:
+    """Heap rows ``[lo, hi)`` as ``(step, kind, base, size)`` tuples
+    (kind 0 = alloc)."""
+    return list(
+        zip(
+            columns.heap_steps[lo:hi],
+            [0 if kind == "alloc" else 1 for kind in columns.heap_kinds[lo:hi]],
+            columns.heap_bases[lo:hi],
+            columns.heap_sizes[lo:hi],
+        )
+    )
 
 
 def encode_log_segmented(
@@ -1961,13 +1932,8 @@ def segment_views_of_log(
     Requires ``log.captured`` (there are no access rows to stream
     otherwise).
     """
-    if log.captured is None:
-        raise ValueError(
-            "cannot segment a log without captured access columns: "
-            "the streaming path needs a v3+ capture — re-record, or use "
-            "the batch path"
-        )
-    return _collect_segment_views(log.threads, log.captured.threads, segment_bytes)
+    captured = log.captured.threads if log.captured is not None else None
+    return _collect_segment_views(log.threads, captured, segment_bytes)
 
 
 def segment_views_of_sections(
@@ -1981,20 +1947,18 @@ def segment_views_of_sections(
     same cut rule a segmented file would have.  Requires the captured section
     (``sections.captured``).
     """
-    if sections.captured is None:
-        raise ValueError(
-            "cannot segment a log without captured access columns: "
-            "the streaming path needs a v3+ capture — re-record, or use "
-            "the batch path"
-        )
-    return _collect_segment_views(
-        sections.threads, sections.captured, segment_bytes
-    )
+    return _collect_segment_views(sections.threads, sections.captured, segment_bytes)
 
 
 def _collect_segment_views(
     threads, captured_threads, segment_bytes: int
 ) -> List[LogSegmentView]:
+    if captured_threads is None:
+        raise ValueError(
+            "cannot segment a log without captured access columns: "
+            "the streaming path needs a v3+ capture — re-record, or use "
+            "the batch path"
+        )
     collector = _SegmentViewCollector(segment_bytes)
     planner = _SegmentPlanner(threads, captured_threads)
     for name, tid, block, sequencer, access_rows, heap_rows in planner.walk():
@@ -2088,8 +2052,12 @@ def read_segmented_header(data: bytes) -> SegmentedHeader:
     raise LogFormatError("missing header section")
 
 
-def _read_segment_payload(payload: bytes, version: int) -> LogSegmentView:
-    """Decode one decompressed segment payload into a view."""
+def read_segment_payload(
+    payload: bytes, version: int, keep_heap: bool = True
+) -> LogSegmentView:
+    """Decode one decompressed segment payload into a view, for
+    :func:`iter_segments` and the fan-out (heap rows skipped unless
+    ``keep_heap``)."""
     reader = _Reader(payload)
     ordinal, first_ts, last_ts = reader.uints(3)
     threads: Dict[str, SegmentThreadView] = {}
@@ -2101,6 +2069,9 @@ def _read_segment_payload(payload: bytes, version: int) -> LogSegmentView:
                 name=name, tid=tid, block=block, sequencers=rows.sequencers()
             )
             _extend_access_columns(view.columns, rows.access(block, {}))
+            if not keep_heap:
+                rows.skip_heap()
+                continue
             for heap_block in rows.heap():
                 view.heap_rows.extend(zip(*heap_block))
     except LogFormatError as error:
@@ -2123,7 +2094,7 @@ def iter_segments(data: bytes) -> Iterator[LogSegmentView]:
     for tag, start, end, size in _iter_frames(data):
         if tag == _SECTION_SEGMENT:
             payload = _inflate((data[start:end], size), ordinal)
-            yield _read_segment_payload(payload, version)
+            yield read_segment_payload(payload, version)
             ordinal += 1
 
 
@@ -2254,48 +2225,6 @@ def scan_segment_sequencers(payload: bytes, version: int) -> List[tuple]:
         rows.skip_heap()
         threads.append((name, tid, block, count, step, timestamp, kind))
     return threads
-
-
-def read_segment_lean(
-    payload: bytes,
-    version: int,
-    kinds: Dict[str, str],
-    interned: Dict[str, Dict[int, StaticInstructionId]],
-) -> Tuple[int, int, int, List[tuple]]:
-    """Fused single-pass decode of one segment for a partition worker.
-
-    Like :func:`_read_segment_payload` but shaped for the parallel
-    sweep: sequencers come back as ``(thread_step, timestamp, kind)``
-    tuples, access rows as ``(step, flag, address, value, static_id)``
-    tuples — the exact row shape the region cursor hands the detector —
-    heap rows are skipped (detection never reads them), and no
-    column lists are built.  ``version`` is the container's;
-    ``kinds``/``interned`` are caller-held interning maps (``interned``
-    maps block → index → static id) so kind strings and static ids stay
-    shared across every segment a worker touches.
-
-    Returns ``(ordinal, first_ts, last_ts, threads)`` with ``threads``
-    as ``(name, tid, block, sequencers, rows)`` tuples.
-    """
-    reader = _Reader(payload)
-    ordinal, first_ts, last_ts = reader.uints(3)
-    threads: List[tuple] = []
-    try:
-        rows = _RowSectionReader(reader, version, "segment")
-        for _ in range(reader.uint()):
-            name, tid, block = reader.text(), reader.uint(), reader.text()
-            sequencers = []
-            for record in rows.sequencers():
-                kind = kinds.setdefault(record.kind, record.kind)
-                sequencers.append((record.thread_step, record.timestamp, kind))
-            access: List[tuple] = []
-            for columns in rows.access(block, interned.setdefault(block, {})):
-                access.extend(zip(*columns))
-            rows.skip_heap()
-            threads.append((name, tid, block, sequencers, access))
-    except LogFormatError as error:
-        raise error.in_segment(ordinal) from None
-    return ordinal, first_ts, last_ts, threads
 
 
 @dataclass

@@ -26,7 +26,7 @@ straight from the recording instead of re-deriving every access by replay.
 :class:`~repro.record.binary_format.SegmentedLogWriter` ``sink``, the
 recorder flushes the big access columns to disk *while the machine is
 still running*: every sequencer hook ships the rows it claims (thread
-step ≤ the sequencer's) into the writer — which seals a v4 segment
+step ≤ the sequencer's) into the writer — which seals a v5 segment
 whenever its cost window fills — and deletes them from the in-memory
 arrays, so resident capture state is bounded by the inter-sequencer gap
 instead of the whole trace.  The VM emits a sync instruction's sequencer
@@ -331,7 +331,7 @@ class Recorder(Observer):
 
         With a segment sink attached, this also seals the pending segment
         and writes the trailer + footer, and the returned log carries
-        ``captured=None`` — the access columns already live in the v4
+        ``captured=None`` — the access columns already live in the v5
         segments on disk (that is the bounded-memory point), so callers
         on the streaming path read them back via
         :func:`~repro.record.binary_format.iter_segments` rather than

@@ -130,25 +130,31 @@ def log_to_json(log: ReplayLog) -> Dict[str, Any]:
 
 
 def log_from_json(data: Dict[str, Any]) -> ReplayLog:
-    """Rebuild a :class:`ReplayLog` from :func:`log_to_json` output."""
+    """Rebuild a :class:`ReplayLog` from :func:`log_to_json` output (a
+    document of any other shape raises :class:`ValueError`)."""
+    if not isinstance(data, dict):
+        raise ValueError("not a replay-log document: a JSON %s" % type(data).__name__)
     version = data.get("format_version")
     if version != FORMAT_VERSION:
         raise ValueError("unsupported replay-log format version: %r" % version)
-    return ReplayLog(
-        program_name=data["program_name"],
-        program_source=data["program_source"],
-        threads={
-            name: thread_log_from_json(thread)
-            for name, thread in data["threads"].items()
-        },
-        seed=data["seed"],
-        scheduler=data["scheduler"],
-        global_order=(
-            [(tid, step) for tid, step in data["global_order"]]
-            if data["global_order"] is not None
-            else None
-        ),
-    )
+    try:
+        return ReplayLog(
+            program_name=data["program_name"],
+            program_source=data["program_source"],
+            threads={
+                name: thread_log_from_json(thread)
+                for name, thread in data["threads"].items()
+            },
+            seed=data["seed"],
+            scheduler=data["scheduler"],
+            global_order=(
+                [(tid, step) for tid, step in data["global_order"]]
+                if data["global_order"] is not None
+                else None
+            ),
+        )
+    except (AttributeError, KeyError, TypeError) as error:
+        raise ValueError("malformed replay-log document (%r)" % error) from None
 
 
 def save_log(

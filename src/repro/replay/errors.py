@@ -23,7 +23,7 @@ def stream_context(segment=None, thread_step=None) -> str:
     """Render optional streaming position as a message suffix.
 
     Streaming consumers (the segment cursor, eager classification) know
-    which v4 segment ordinal and thread step they were digesting when
+    which segment ordinal and thread step they were digesting when
     something broke; batch callers pass nothing and the suffix is empty.
     """
     parts = []
@@ -38,7 +38,7 @@ class ReplayDivergence(ReplayError):
     """The log and program disagree — the replay infrastructure failed.
 
     ``segment``/``thread_step`` carry the streaming position when the
-    divergence surfaced while digesting a v4 segment stream — the message
+    divergence surfaced while digesting a segment stream — the message
     then ends with ``(at segment N, step S)`` so stream debugging starts
     from the offending chunk instead of the whole trace.
     """

@@ -30,20 +30,26 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from heapq import heappop, heappush
+from operator import attrgetter
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
-from ..record.binary_format import decode_log_sections, is_binary_log
+from ..record.binary_format import (
+    DEFAULT_SEGMENT_BYTES,
+    CapturedColumnView,
+    decode_log_sections,
+    is_binary_log,
+    is_segmented_log,
+    iter_segments,
+    read_segmented_header,
+    segment_views_of_log,
+    segment_views_of_sections,
+)
 from ..record.log import ReplayLog
 from .errors import thread_block
 from .regions import SequencingRegion, regions_of_thread
 
-#: Why a log cannot serve the zero-replay path, by cause.
-_NO_CAPTURE = (
-    "log has no captured-columns section (v%d%s): the zero-replay detect "
-    "path needs a v3 log recorded with captured columns — re-record, or "
-    "leave the detect mode to the input (such logs take the full-replay "
-    "path)"
-)
+#: A column carrier's five row columns, in row-tuple order.
+row_columns = attrgetter("steps", "flags", "addresses", "values", "static_ids")
 
 
 class LogViewUnavailable(ValueError):
@@ -54,6 +60,28 @@ class LogViewUnavailable(ValueError):
     :class:`ValueError` so existing CLI/service error handling converts
     it into a clean nonzero exit / 400 instead of an ``AttributeError``.
     """
+
+
+def _require_binary(data: bytes, path: str) -> None:
+    """Refuse bytes that are not an RPRB container, for detect ``path``."""
+    if not is_binary_log(data):
+        raise LogViewUnavailable(
+            "not a binary replay log: the %s detect path reads RPRB "
+            "containers only — leave the detect mode to the input (JSON "
+            "logs take the full-replay path)" % path
+        )
+
+
+def _require_capture(captured, version: Optional[int], path: str) -> None:
+    """Refuse a log without captured columns (``version`` is the
+    container's, None for an in-memory log)."""
+    if captured is None:
+        raise LogViewUnavailable(
+            "%s has no captured access columns (v3+ recorded with capture): "
+            "the %s detect path needs them — re-record, or leave the detect "
+            "mode to the input (such logs take the full-replay path)"
+            % ("log" if version is None else "v%d container" % version, path)
+        )
 
 
 class LogView:
@@ -107,21 +135,9 @@ class LogView:
         :class:`LogViewUnavailable` when the container has no captured
         columns, and plain :class:`ValueError` for non-RPRB bytes.
         """
-        if not is_binary_log(data):
-            raise LogViewUnavailable(
-                "not a binary replay log: the zero-replay detect path reads "
-                "RPRB containers only — leave the detect mode to the input "
-                "(JSON logs take the full-replay path)"
-            )
+        _require_binary(data, "zero-replay")
         sections = decode_log_sections(data)
-        if sections.captured is None:
-            raise LogViewUnavailable(
-                _NO_CAPTURE
-                % (
-                    sections.version,
-                    "" if sections.version >= 3 else "; captured columns need v3",
-                )
-            )
+        _require_capture(sections.captured, sections.version, "zero-replay")
         return cls(
             program_name=sections.program_name,
             program_source=sections.program_source,
@@ -140,13 +156,7 @@ class LogView:
         a fresh recording (``record_run`` output) or a fully decoded log;
         requires ``log.captured``.
         """
-        if log.captured is None:
-            raise LogViewUnavailable(
-                "log carries no captured access columns (pre-v3 container, "
-                "or v3 encoded without capture): the zero-replay detect "
-                "path needs them — re-record, or leave the detect mode to the "
-                "input (such logs take the full-replay path)"
-            )
+        _require_capture(log.captured, None, "zero-replay")
         return cls(
             program_name=log.program_name,
             program_source=log.program_source,
@@ -209,10 +219,53 @@ class LogView:
 # ----------------------------------------------------------------------
 
 
+class RowView:
+    """One released region's access rows: rows ``[lo, hi)`` of the five
+    parallel columns (``steps``/``flags``/``addresses``/``values``/
+    ``static_ids``) the segment reader decoded, none of them copied.
+
+    The :class:`~repro.analysis.access_index.StreamingAccessWindow`
+    slices the columns; anything else can iterate the view as the
+    ``(step, flag, address, value, static_id)`` row tuples, and compare
+    it with a list of them.
+    """
+
+    __slots__ = ("columns", "lo", "hi")
+
+    def __init__(self, columns, lo: int, hi: int):
+        self.columns = columns
+        self.lo = lo
+        self.hi = hi
+
+    @classmethod
+    def of_rows(cls, rows) -> "RowView":
+        """A view over row tuples, columns built once."""
+        rows = list(rows)
+        if not rows:
+            return _NO_ROWS
+        return cls(CapturedColumnView(*zip(*rows)), 0, len(rows))
+
+    def __len__(self) -> int:
+        return self.hi - self.lo
+
+    def __iter__(self) -> Iterator[tuple]:
+        lo, hi = self.lo, self.hi
+        return zip(*(column[lo:hi] for column in row_columns(self.columns)))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (RowView, list)):
+            return NotImplemented
+        return len(self) == len(other) and list(self) == list(other)
+
+
+#: The rows of a region that holds no access (shared: views are read-only).
+_NO_ROWS = RowView(CapturedColumnView(), 0, 0)
+
+
 class _ThreadCursor:
     """Per-thread progress while digesting a segment stream."""
 
-    __slots__ = ("name", "tid", "opener", "region_index", "rows")
+    __slots__ = ("name", "tid", "opener", "region_index", "chunks")
 
     def __init__(self, name: str, tid: int):
         self.name = name
@@ -225,69 +278,65 @@ class _ThreadCursor:
         #: sequencer order, step-empty ones included, exactly as
         #: :func:`~repro.replay.regions.regions_of_thread` numbers them.
         self.region_index = 0
-        #: Buffered ``(step, flag, address, value, static_id)`` rows not
-        #: yet claimed by a completed region, in step order.
-        self.rows: List[tuple] = []
+        #: ``[columns, offset]`` per fed segment, in step order: rows
+        #: from ``offset`` on are not yet claimed by a completed region.
+        self.chunks: List[list] = []
 
 
 class SegmentCursor:
-    """Turn a v4 segment stream into completed regions in sweep order.
+    """Turn a v4 or v5 segment stream into completed regions in sweep
+    order.
 
-    The one region builder for segment streams: the streaming detect path
-    feeds it whole :class:`~repro.record.binary_format.LogSegmentView`
-    objects (:meth:`feed`), and each fan-out worker feeds it lean-decoded
-    per-thread rows (:meth:`add`, then :meth:`seal`) after skipping the
-    segments before its range (:meth:`skip`).  Each sealed segment
-    releases the regions whose rows are now final *and* provably next in
-    global opening-timestamp order — exactly the order
-    :meth:`LogView.all_regions` (and therefore the batch sweep) visits
-    them.  A region is released once every still-live thread's open
-    region starts later than it; the v4 attachment rule guarantees a
-    region's rows arrive no later than the segment carrying its closing
-    sequencer, so released regions never grow.
+    The one region builder for segment streams: the streaming detect
+    path and each fan-out worker feed it whole
+    :class:`~repro.record.binary_format.LogSegmentView` objects
+    (:meth:`feed`); a worker first skips the segments before its range
+    (:meth:`skip`).  Each sealed segment releases the regions whose rows
+    are now final *and* provably next in global opening-timestamp order
+    — exactly the order :meth:`LogView.all_regions` (and therefore the
+    batch sweep) visits them.  A region is released once every
+    still-live thread's open region starts later than it; the segment
+    attachment rule guarantees a region's rows arrive no later than the
+    segment carrying its closing sequencer, so released regions never
+    grow.
 
-    Only regions with at least one step are released (step-empty regions
-    hold no access, and no detect path indexes them).  :meth:`finish`
-    drains the remainder after the last segment.  Resident state is the
-    per-thread open-region row buffers plus the not-yet releasable
-    completed regions — bounded by the active overlap window, not the
-    trace.
+    A released region's rows are a :class:`RowView` over the fed
+    segment's columns: no row is copied unless the region's rows span
+    two segments.  Only regions with at least one step are released
+    (step-empty regions hold no access, and no detect path indexes
+    them).  :meth:`finish` drains the remainder after the last segment.
+    Resident state is the columns of segments with unclaimed rows plus
+    the not-yet releasable completed regions — bounded by the active
+    overlap window, not the trace.
     """
 
     def __init__(self):
         self._threads: Dict[str, _ThreadCursor] = {}
-        self._pending: List[Tuple[int, int, SequencingRegion, List[tuple]]] = []
+        self._pending: List[Tuple[int, int, SequencingRegion, RowView]] = []
         self._tiebreak = 0
         self.segments_fed = 0
 
-    def feed(self, segment) -> List[Tuple[SequencingRegion, List[tuple]]]:
+    def feed(self, segment) -> List[Tuple[SequencingRegion, RowView]]:
         """Digest one segment; return newly releasable (region, rows)."""
         for name, view in segment.threads.items():
-            columns = view.columns
-            self.add(
-                segment.ordinal,
-                name,
-                view.tid,
-                [
-                    (sequencer.thread_step, sequencer.timestamp, sequencer.kind)
-                    for sequencer in view.sequencers
-                ],
-                zip(
-                    columns.steps,
-                    columns.flags,
-                    columns.addresses,
-                    columns.values,
-                    columns.static_ids,
-                ),
-            )
+            sequencers = [
+                (record.thread_step, record.timestamp, record.kind)
+                for record in view.sequencers
+            ]
+            self.add(segment.ordinal, name, view.tid, sequencers, view.columns)
         return self.seal(segment.last_ts)
 
-    def add(self, segment_ordinal: int, name: str, tid: int, sequencers, rows) -> None:
+    def add(
+        self, segment_ordinal: int, name: str, tid: int, sequencers, columns
+    ) -> None:
         """Digest one thread's part of a segment: its sequencers as
-        ``(thread_step, timestamp, kind)`` and its access rows as
-        ``(step, flag, address, value, static_id)``, both in order."""
+        ``(thread_step, timestamp, kind)`` in order, and its access rows
+        as step-sorted ``steps``/``flags``/``addresses``/``values``/
+        ``static_ids`` columns (any carrier of those five; kept, not
+        copied)."""
         cursor = self._thread(name, tid)
-        cursor.rows.extend(rows)
+        if len(columns.steps):
+            cursor.chunks.append([columns, 0])
         for sequencer in sequencers:
             opener = cursor.opener
             if opener is not None:
@@ -313,7 +362,7 @@ class SegmentCursor:
         cursor.region_index += count if cursor.opener is not None else count - 1
         cursor.opener = last
 
-    def seal(self, segment_last_ts: int) -> List[Tuple[SequencingRegion, List[tuple]]]:
+    def seal(self, segment_last_ts: int) -> List[Tuple[SequencingRegion, RowView]]:
         """End one segment; return newly releasable (region, rows).
 
         Every sequencer with timestamp ≤ the segment's ``last_ts`` has
@@ -328,7 +377,7 @@ class SegmentCursor:
             bound = earliest
         return self._release(bound)
 
-    def finish(self) -> List[Tuple[SequencingRegion, List[tuple]]]:
+    def finish(self) -> List[Tuple[SequencingRegion, RowView]]:
         """Release everything still pending (the stream is over)."""
         return self._release(None)
 
@@ -360,29 +409,37 @@ class SegmentCursor:
         start_step = open_step + 1
         region_index = cursor.region_index
         cursor.region_index += 1
-        # Claim the region's rows from the buffer front.  Rows below
-        # start_step are stragglers of the *previous* closing sequencer's
-        # step (the VM emits a sync instruction's sequencer before its
-        # access hooks) — always sync-flagged, outside every region.
-        # Rows are step-sorted tuples, so ``(end_step,)`` sorts before
-        # every row at end_step (a prefix compares lower) and after every
-        # earlier one: the comparison never reaches a row's other fields.
-        buffered = cursor.rows
-        position = bisect_left(buffered, (end_step,))
-        rows = buffered[:position]
-        del buffered[:position]
-        if rows and rows[0][0] < start_step:
-            kept = []
-            for row in rows:
-                if row[0] >= start_step:
-                    kept.append(row)
-                elif not row[1] & 2:
-                    raise LogViewUnavailable(
-                        "segment stream inconsistent: thread %r has a plain "
-                        "access row below its region window (at segment %d, "
-                        "step %d)" % (cursor.name, segment_ordinal, row[0])
-                    )
-            rows = kept
+        # Claim the unclaimed rows below end_step, chunk by chunk, by
+        # bisecting each chunk's step column (only steps are compared).
+        # Rows below start_step are stragglers of the *previous* closing
+        # sequencer's step (the VM emits a sync instruction's sequencer
+        # before its access hooks) — always sync-flagged, outside every
+        # region.
+        rows = _NO_ROWS
+        chunks = cursor.chunks
+        while chunks:
+            chunk = chunks[0]
+            columns, lo = chunk
+            steps = columns.steps
+            hi = bisect_left(steps, end_step, lo)
+            if lo < hi and steps[lo] < start_step:
+                first = bisect_left(steps, start_step, lo, hi)
+                for position in range(lo, first):
+                    if not columns.flags[position] & 2:
+                        raise LogViewUnavailable(
+                            "segment stream inconsistent: thread %r has a "
+                            "plain access row below its region window (at "
+                            "segment %d, step %d)"
+                            % (cursor.name, segment_ordinal, steps[position])
+                        )
+                lo = first
+            if lo < hi:
+                part = RowView(columns, lo, hi)
+                rows = part if rows is _NO_ROWS else _joined(rows, part)
+            if hi < len(steps):
+                chunk[1] = hi
+                break
+            del chunks[0]
         if end_step <= start_step:
             return  # step-empty: holds no access
         region = SequencingRegion(
@@ -401,8 +458,8 @@ class SegmentCursor:
 
     def _release(
         self, bound: Optional[int]
-    ) -> List[Tuple[SequencingRegion, List[tuple]]]:
-        released: List[Tuple[SequencingRegion, List[tuple]]] = []
+    ) -> List[Tuple[SequencingRegion, RowView]]:
+        released: List[Tuple[SequencingRegion, RowView]] = []
         pending = self._pending
         while pending and (bound is None or pending[0][0] < bound):
             _, _, region, rows = heappop(pending)
@@ -410,11 +467,26 @@ class SegmentCursor:
         return released
 
 
+def _joined(first: RowView, second: RowView) -> RowView:
+    """One view over the rows of two segments' views — the only place
+    the cursor copies rows (a region's rows normally all arrive in the
+    segment of its closing sequencer)."""
+    columns = CapturedColumnView(
+        *(
+            head[first.lo : first.hi] + tail[second.lo : second.hi]
+            for head, tail in zip(
+                row_columns(first.columns), row_columns(second.columns)
+            )
+        )
+    )
+    return RowView(columns, 0, len(first) + len(second))
+
+
 class StreamingLogView:
     """Streaming sibling of :class:`LogView`: regions in sweep order,
     with resident state bounded by the segment window.
 
-    Wraps a segment iterator (a v4 file's
+    Wraps a segment iterator (a segmented file's
     :func:`~repro.record.binary_format.iter_segments`, or the in-memory
     re-chunking of a v1–v3 sectioned read / decoded log) and a
     :class:`SegmentCursor`.  :meth:`stream_windows` yields
@@ -459,32 +531,16 @@ class StreamingLogView:
     def from_bytes(cls, data: bytes, perf=None, segment_bytes: Optional[int] = None):
         """Stream from RPRB container bytes.
 
-        v4 containers stream segment frames directly (one decompressed
-        at a time).  Monolithic v3 containers are read through the
-        sectioned reader and re-chunked with the v4 cut rule —
+        Segmented (v4, v5) containers stream segment frames directly (one
+        decompressed at a time).  Monolithic v3 containers are read through
+        the sectioned reader and re-chunked with the segment cut rule —
         ``segment_bytes`` sizes those synthetic segments.  v1/v2 and
         captureless logs raise :class:`LogViewUnavailable`.
         """
-        from ..record.binary_format import (
-            DEFAULT_SEGMENT_BYTES,
-            is_segmented_log,
-            iter_segments,
-            read_segmented_header,
-            segment_views_of_sections,
-        )
-
-        if not is_binary_log(data):
-            raise LogViewUnavailable(
-                "not a binary replay log: the streaming detect path reads "
-                "RPRB containers only — leave the detect mode to the input "
-                "(JSON logs take the full-replay path)"
-            )
+        _require_binary(data, "streaming")
         if is_segmented_log(data):
             header = read_segmented_header(data)
-            if not header.has_captured:
-                raise LogViewUnavailable(
-                    _NO_CAPTURE % (header.version, "")
-                )
+            _require_capture(header.has_captured or None, header.version, "streaming")
             return cls(
                 program_name=header.program_name,
                 program_source=header.program_source,
@@ -494,14 +550,7 @@ class StreamingLogView:
                 perf=perf,
             )
         sections = decode_log_sections(data)
-        if sections.captured is None:
-            raise LogViewUnavailable(
-                _NO_CAPTURE
-                % (
-                    sections.version,
-                    "" if sections.version >= 3 else "; captured columns need v3",
-                )
-            )
+        _require_capture(sections.captured, sections.version, "streaming")
         return cls(
             program_name=sections.program_name,
             program_source=sections.program_source,
@@ -517,20 +566,9 @@ class StreamingLogView:
     def from_log(
         cls, log: ReplayLog, perf=None, segment_bytes: Optional[int] = None
     ):
-        """Stream an in-memory captured log (re-chunked with the v4 cut
-        rule); requires ``log.captured``."""
-        from ..record.binary_format import (
-            DEFAULT_SEGMENT_BYTES,
-            segment_views_of_log,
-        )
-
-        if log.captured is None:
-            raise LogViewUnavailable(
-                "log carries no captured access columns (pre-v3 container, "
-                "or v3 encoded without capture): the streaming detect path "
-                "needs them — re-record, or leave the detect mode to the "
-                "input (such logs take the full-replay path)"
-            )
+        """Stream an in-memory captured log (re-chunked with the segment
+        cut rule); requires ``log.captured``."""
+        _require_capture(log.captured, None, "streaming")
         return cls(
             program_name=log.program_name,
             program_source=log.program_source,
@@ -584,7 +622,7 @@ class StreamingLogView:
     @property
     def program(self):
         """The embedded program, assembled on first use (presentation
-        only — streaming detection never touches it).  A v4 container
+        only — streaming detection never touches it).  A segmented container
         names a thread's block only inside its segments, so the pairing
         checks every block the stream has fed."""
         if self._program is None:

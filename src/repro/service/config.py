@@ -91,7 +91,7 @@ class ServiceConfig:
     incremental: bool = True
     #: Worker processes for the detection sweep of a single detect-only
     #: job (the ``jobs=`` argument of
-    #: :func:`repro.analysis.pipeline.detect_only`).  Above 1, a v4
+    #: :func:`repro.analysis.pipeline.detect_only`).  Above 1, a v4/v5
     #: segmented upload fans its segments across a per-job process pool;
     #: any other upload, and every full or stream job, runs in-process.
     detect_jobs: int = 1

@@ -53,6 +53,7 @@ from __future__ import annotations
 
 import json
 import threading
+import traceback
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
@@ -182,7 +183,7 @@ class AnalysisRequestHandler(BaseHTTPRequestHandler):
                 )
             elif content_type.startswith("application/json") or not content_type:
                 document = json.loads(body.decode("utf-8"))
-                if "workload" not in document:
+                if not isinstance(document, dict) or "workload" not in document:
                     raise UnknownWorkloadError("submission without a workload name")
                 job, created = self.service.submit_workload(
                     document["workload"],
@@ -207,6 +208,10 @@ class AnalysisRequestHandler(BaseHTTPRequestHandler):
             return
         except (UnknownWorkloadError, BadLogError, ValueError) as error:
             self._send_json(400, {"error": str(error)})
+            return
+        except Exception as error:  # noqa: BLE001 - a server fault, not the upload's
+            traceback.print_exc()
+            self._send_json(500, {"error": "internal error: %r" % error})
             return
         self._submission_response(job, created)
 

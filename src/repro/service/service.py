@@ -199,7 +199,7 @@ class AnalysisService:
         """Submit an uploaded replay log (binary container or JSON).
 
         ``mode="detect"`` runs detection only, on the path the upload
-        picks (:func:`repro.analysis.pipeline.detect_only`): a v4
+        picks (:func:`repro.analysis.pipeline.detect_only`): a v4 or v5
         container streams (or fans out under ``detect_jobs``), another
         log with captured columns takes the zero-replay from-log path,
         anything else replays.  ``mode="stream"`` runs
@@ -212,7 +212,9 @@ class AnalysisService:
         full decode — large uploads are admitted without materializing
         every load/syscall array; deep corruption there surfaces as a
         job failure rather than a submission error.  JSON containers
-        still validate by full decode.
+        still validate by full decode.  Only a :class:`ValueError` — what
+        every decoder raises for bytes that are not a log — becomes a
+        :class:`BadLogError`; anything else is a server fault.
         """
         mode = self._check_mode(mode)
         log = None
@@ -220,7 +222,7 @@ class AnalysisService:
             sections = load_log_sections_bytes(data)
             if sections is None:
                 log = load_log_bytes(data)
-        except Exception as error:  # noqa: BLE001 - any decode failure
+        except ValueError as error:  # LogFormatError, JSON and UTF-8 errors
             raise BadLogError("undecodable replay log: %s" % error)
         if mode == "stream":
             if sections is not None:

@@ -212,7 +212,7 @@ def _run_detect_only(payload: dict, context: dict, stats: PerfStats) -> dict:
             perf=stats,
         )
     else:
-        # The upload picks the detect path; jobs= lets a v4 segmented
+        # The upload picks the detect path; jobs= lets a v4/v5 segmented
         # upload fan its segments across a process pool.  A shard-thread
         # spool (see ShardedWorkerPool._spool_for) is preferred over the
         # raw bytes: detect_only then never creates its own temp file in
@@ -235,7 +235,7 @@ def _run_stream(payload: dict, context: dict, stats: PerfStats) -> dict:
     changes is the cost profile, and the perf dump picks up the
     ``stream_*`` counters that ``GET /metrics`` surfaces, first-verdict
     latency included.  Log jobs stream the uploaded container directly
-    (v4 files segment by segment); workload jobs record first, then
+    (v4/v5 files segment by segment); workload jobs record first, then
     stream the in-memory log re-chunked.
     """
     from ..analysis.pipeline import execution_report
@@ -406,7 +406,7 @@ class ShardedWorkerPool:
 
         Only jobs that would otherwise self-spool inside the worker
         process qualify: log uploads in detect mode, a ``detect_jobs``
-        fan-out configured, and a v4 container with captured columns.
+        fan-out configured, and a v4/v5 container with captured columns.
         Writing the spool here — on the shard thread — is the leak fix:
         the shard thread's ``finally`` unlinks it even when the worker
         process is terminated mid-job by :meth:`_recycle_executor`, which

@@ -17,7 +17,7 @@ import pytest
 
 from repro.analysis.engine import ClassificationEngine, EngineConfig
 from repro.analysis.pipeline import analyze_log, execution_report, render_report
-from repro.record.binary_format import encode_log
+from repro.record.binary_format import MAGIC, encode_log, encode_log_segmented
 from repro.service import (
     AnalysisService,
     JobState,
@@ -202,6 +202,39 @@ class TestErrors:
         with pytest.raises(ServiceError) as caught:
             client.submit_log(b"\x00\x01 definitely not a replay log")
         assert caught.value.status == 400
+
+    def test_json_array_upload_is_400(self, deployment):
+        _, _, client = deployment
+        with pytest.raises(ServiceError) as caught:
+            client.submit_log(b'[{"format_version": 1}]')
+        assert caught.value.status == 400
+        assert "not a replay-log document" in str(caught.value)
+
+    def test_truncated_v5_container_is_400(self, deployment, direct):
+        _, _, client = deployment
+        data = encode_log_segmented(direct["log"])
+        assert data[len(MAGIC)] == 5
+        with pytest.raises(ServiceError) as caught:
+            client.submit_log(data[: len(data) // 2])
+        assert caught.value.status == 400
+
+    def test_a_decoder_fault_is_500(self, deployment, direct, monkeypatch):
+        """Only bytes that are not a log are the upload's fault: any
+        other exception is the server's, and the client still gets an
+        answer."""
+        from repro.service import service as service_module
+
+        def broken(data):
+            raise RuntimeError("decoder bug")
+
+        monkeypatch.setattr(service_module, "load_log_sections_bytes", broken)
+        _, _, client = deployment
+        with pytest.raises(ServiceError) as caught:
+            client.submit_log(encode_log_segmented(direct["log"]))
+        assert caught.value.status == 500
+        assert "decoder bug" in str(caught.value)
+        monkeypatch.undo()
+        assert client.health()["status"] == "ok"
 
     def test_unknown_job_is_404(self, deployment):
         _, _, client = deployment

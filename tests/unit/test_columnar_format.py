@@ -4,7 +4,7 @@ Covers what the round-trip properties cannot reach from valid logs: the
 bounded inflate of a frame that declares its inflated length (a
 decompression bomb, a short stream, trailing input), the typed column
 errors with the row section they occurred in, the one-line CLI error on
-such a file, and the fan-out readers (sequencer scan, lean decode) over
+such a file, and the fan-out readers (sequencer scan, segment read) over
 v4 and v5 encodings of one recording.
 """
 
@@ -29,7 +29,7 @@ from repro.record.binary_format import (
     encode_log,
     encode_log_segmented,
     iter_segments,
-    read_segment_lean,
+    read_segment_payload,
     scan_segment_sequencers,
 )
 from repro.record.compression import encode_varint
@@ -305,7 +305,7 @@ def _drop_last_value(raw, group, width):
 
 
 class TestFanOutReaders:
-    def test_scan_and_lean_agree_across_versions(self, tmp_path):
+    def test_scan_and_segment_read_agree_across_versions(self, tmp_path):
         from repro.record.binary_format import _encode_segmented
 
         log = _recorded()
@@ -327,9 +327,9 @@ class TestFanOutReaders:
                 assert scan_segment_sequencers(
                     old_payload, 4
                 ) == scan_segment_sequencers(new_payload, 5)
-                assert read_segment_lean(old_payload, 4, {}, {}) == read_segment_lean(
-                    new_payload, 5, {}, {}
-                )
+                assert read_segment_payload(
+                    old_payload, 4, keep_heap=False
+                ) == read_segment_payload(new_payload, 5, keep_heap=False)
 
     def test_v5_segment_cut_mid_column(self):
         data = encode_log_segmented(_recorded())
@@ -345,9 +345,9 @@ class TestFanOutReaders:
             assert info.value.segment == 0, name
             assert info.value.section == "segment.access", name
         with pytest.raises(LogFormatError) as info:
-            read_segment_lean(cut, 5, {}, {})
+            read_segment_payload(cut, 5, keep_heap=False)
         assert info.value.segment == 0
-        assert read_segment_lean(raw, 5, {}, {})[0] == 0
+        assert read_segment_payload(raw, 5, keep_heap=False).ordinal == 0
 
     @pytest.mark.parametrize("value", (255, 65535, 2**32 - 1, 2**64 - 1))
     def test_every_value_width_reads_into_packed_columns(self, value):

@@ -18,6 +18,7 @@ from repro.record import load_log, record_run, record_run_segmented
 from repro.record.binary_format import (
     MAGIC,
     SEGMENTED_FORMAT_VERSION,
+    CapturedColumnView,
     LogFormatError,
     MappedSegmentedReader,
     SegmentedLogWriter,
@@ -30,7 +31,7 @@ from repro.record.binary_format import (
     is_segmented_log,
     iter_segments,
     read_segment_index,
-    read_segment_lean,
+    read_segment_payload,
     read_segmented_header,
     segment_views_of_log,
 )
@@ -38,6 +39,7 @@ from repro.record.compression import decode_varint, encode_varint
 from repro.replay.errors import ReplayDivergence, stream_context
 from repro.replay.log_view import (
     LogViewUnavailable,
+    RowView,
     SegmentCursor,
     StreamingLogView,
 )
@@ -212,7 +214,7 @@ class TestCursorSkip:
         cursor = SegmentCursor()
         for view in views:
             cursor.feed(view)
-            buffered = sum(len(thread.rows) for thread in cursor._threads.values())
+            buffered = sum(len(_buffered(cursor, name)) for name in cursor._threads)
             fed = sum(len(thread.columns.steps) for thread in view.threads.values())
             # Only the sync rows of each thread's last sequencer wait for
             # the next region.
@@ -241,6 +243,28 @@ class _Opaque:
     __hash__ = object.__hash__
 
 
+def _columns(rows):
+    """``(step, flag, address, value, static_id)`` rows as the five
+    columns a segment carries."""
+    columns = CapturedColumnView()
+    for step, flag, address, value, static_id in rows:
+        columns.steps.append(step)
+        columns.flags.append(flag)
+        columns.addresses.append(address)
+        columns.values.append(value)
+        columns.static_ids.append(static_id)
+    return columns
+
+
+def _buffered(cursor, name):
+    """A thread's fed rows no completed region has claimed yet."""
+    return [
+        row
+        for columns, offset in cursor._threads[name].chunks
+        for row in RowView(columns, offset, len(columns.steps))
+    ]
+
+
 class TestCursorClaim:
     def test_rows_at_the_closing_step_wait_for_the_next_region(self):
         """A region claims the rows below its closing step.  The rows at
@@ -253,10 +277,16 @@ class TestCursorClaim:
         at_close = [(5, 2, 0x40, 1, sid), (5, 3, 0x40, 0, sid), (5, 2, 0x48, 0, sid)]
         second = [(6, 1, 0x10, 7, sid), (6, 0, 0x18, 7, sid)]
         cursor = SegmentCursor()
-        cursor.add(0, "t", 1, [(2, 1, "lock"), (5, 3, "unlock")], stragglers + first + at_close)
-        assert cursor._threads["t"].rows == at_close
-        cursor.add(1, "t", 1, [(7, 5, "lock")], second)
-        assert cursor._threads["t"].rows == []
+        cursor.add(
+            0,
+            "t",
+            1,
+            [(2, 1, "lock"), (5, 3, "unlock")],
+            _columns(stragglers + first + at_close),
+        )
+        assert _buffered(cursor, "t") == at_close
+        cursor.add(1, "t", 1, [(7, 5, "lock")], _columns(second))
+        assert _buffered(cursor, "t") == []
         released = cursor.finish()
         assert [(region.start_step, region.end_step) for region, _ in released] == [
             (3, 5),
@@ -269,8 +299,37 @@ class TestCursorClaim:
         with pytest.raises(LogViewUnavailable, match="below its region window"):
             cursor.add(
                 0, "t", 1, [(2, 1, "lock"), (5, 3, "unlock")],
-                [(2, 0, 0x10, 0, None), (3, 0, 0x10, 0, None)],
+                _columns([(2, 0, 0x10, 0, None), (3, 0, 0x10, 0, None)]),
             )
+
+    def test_a_region_inside_one_segment_is_a_view_of_its_columns(self):
+        """No copy: every released region of a recorded stream lies in
+        one segment, and its rows are a slice of that segment's own
+        column objects."""
+        _, log = _recorded()
+        cursor = SegmentCursor()
+        fed = []
+        released = []
+        for view in segment_views_of_log(log, segment_bytes=64):
+            fed.extend(thread.columns for thread in view.threads.values())
+            released.extend(cursor.feed(view))
+        released.extend(cursor.finish())
+        assert any(len(rows) for _, rows in released)
+        for region, rows in released:
+            if len(rows):
+                assert any(rows.columns is columns for columns in fed), region
+
+    def test_a_region_across_segments_copies_its_rows_once(self):
+        sid = _Opaque()
+        head = [(3, 0, 0x10, 5, sid), (4, 1, 0x10, 6, sid)]
+        tail = [(4, 0, 0x18, 6, sid), (5, 2, 0x40, 1, sid)]
+        cursor = SegmentCursor()
+        cursor.add(0, "t", 1, [(2, 1, "lock")], _columns(head))
+        cursor.add(1, "t", 1, [(5, 3, "unlock")], _columns(tail))
+        [(region, rows)] = cursor.finish()
+        assert (region.start_step, region.end_step) == (3, 5)
+        assert rows == head + tail[:1]
+        assert (rows.lo, rows.hi) == (0, 3)
 
 
 class TestCursorErrors:
@@ -459,11 +518,12 @@ class TestTruncatedContainers:
                 read(truncated)
             assert info.value.segment == 0
             assert info.value.offset is not None
+        # The fan-out worker's read of one owned segment (heap rows skipped).
         with pytest.raises(LogFormatError) as info:
-            read_segment_lean(cut, 4, {}, {})
+            read_segment_payload(cut, 4, keep_heap=False)
         assert info.value.segment == 0
         # The uncut payload still decodes through the same readers.
-        assert read_segment_lean(raw, 4, {}, {})[0] == 0
+        assert read_segment_payload(raw, 4, keep_heap=False).ordinal == 0
 
     def test_v3_captured_section_cut(self):
         _, log = _recorded()
