@@ -53,6 +53,7 @@ from .pipeline import (
     analyze_execution,
     analyze_log,
     analyze_log_stream,
+    is_streamable_container,
 )
 
 
@@ -806,11 +807,24 @@ class ClassificationEngine:
     ) -> ExecutionAnalysis:
         """Analyse an already-recorded log through this engine.
 
-        The engine counterpart of :func:`repro.analysis.pipeline.analyze_log`
-        — same report bytes — plus the engine's verdict memoization,
-        batching and incremental splicing (``prior=`` and the persisted
+        ``log`` is a decoded :class:`~repro.record.log.ReplayLog` or log
+        bytes (a binary container or a JSON document), and the input
+        picks the path: a segmented (v4, v5) container with captured
+        columns streams (:meth:`analyze_log_stream`); any other bytes
+        decode and take the batch pass.  The engine counterpart of
+        :func:`repro.analysis.pipeline.analyze_log` — same report bytes
+        on either path — plus the engine's verdict memoization, batching
+        and incremental splicing (``prior=`` and the persisted
         per-program verdict index, exactly as in :meth:`analyze_execution`).
         """
+        if isinstance(log, (bytes, bytearray, memoryview)):
+            if is_streamable_container(log):
+                return self.analyze_log_stream(
+                    log, execution_id=execution_id, perf=perf, prior=prior
+                )
+            from ..record.serialization import load_log_bytes
+
+            log = load_log_bytes(bytes(log))
         snapshot = self._cache_snapshot()
         stats = perf if perf is not None else PerfStats()
         persisted = self._absorb_prior(
@@ -833,10 +847,10 @@ class ClassificationEngine:
         execution_id: Optional[str] = None,
         perf: Optional[PerfStats] = None,
         prior=None,
-        segment_bytes: Optional[int] = None,
     ) -> ExecutionAnalysis:
-        """Analyse a log with streaming detection and eager per-window
-        classification (:func:`repro.analysis.pipeline.analyze_log_stream`).
+        """Analyse segmented (v4, v5) container bytes with streaming
+        detection and eager per-window classification
+        (:func:`repro.analysis.pipeline.analyze_log_stream`).
 
         Report bytes match :meth:`analyze_log` exactly; the difference is
         the cost profile — verdicts start landing after the first sealed
@@ -846,12 +860,9 @@ class ClassificationEngine:
         """
         snapshot = self._cache_snapshot()
         stats = perf if perf is not None else PerfStats()
-        if isinstance(source, (bytes, bytearray, memoryview)):
-            from ..record.serialization import load_log_bytes
+        from ..record.serialization import load_log_bytes
 
-            log = load_log_bytes(bytes(source))
-        else:
-            log = source
+        log = load_log_bytes(bytes(source))
         persisted = self._absorb_prior(
             prior, log.program_name, log.program_source
         )
@@ -862,7 +873,6 @@ class ClassificationEngine:
             max_pairs_per_location=self.config.max_pairs_per_location,
             classifier_factory=self._classifier_factory,
             perf=stats,
-            segment_bytes=segment_bytes,
             log=log,
         )
         self._finish_analysis(analysis, stats, snapshot, persisted)

@@ -291,16 +291,16 @@ def analyze_log_stream(
     max_pairs_per_location: Optional[int] = 256,
     classifier_factory=None,
     perf: Optional[PerfStats] = None,
-    segment_bytes: Optional[int] = None,
     log: Optional[ReplayLog] = None,
 ) -> ExecutionAnalysis:
     """Analyse a recorded log with streaming detection and eager,
     per-window classification.
 
-    ``source`` is RPRB container bytes (v4/v5 stream segment by segment;
-    monolithic v3 logs are re-chunked in memory) or a decoded
-    :class:`ReplayLog`; ``log`` optionally supplies the already-decoded
-    log when the caller holds both, so the container isn't decoded twice.
+    ``source`` is the bytes of a segmented (v4, v5) container with
+    captured columns, streamed segment by segment; any other input
+    raises :class:`~repro.replay.log_view.LogViewUnavailable`.  ``log``
+    optionally supplies the already-decoded log when the caller holds
+    it, so the container isn't decoded twice.
 
     Detection runs through the segment cursor and the incremental sweep,
     and every sealed window whose races are final is classified
@@ -318,15 +318,11 @@ def analyze_log_stream(
 
     started = _time.perf_counter()
     stats = perf if perf is not None else PerfStats()
-    data: Optional[bytes] = None
-    if isinstance(source, (bytes, bytearray, memoryview)):
-        data = bytes(source)
-        if log is None:
-            from ..record.serialization import load_log_bytes
+    view, detector = _streaming_detector(source, max_pairs_per_location, stats)
+    if log is None:
+        from ..record.serialization import load_log_bytes
 
-            log = load_log_bytes(data)
-    elif log is None:
-        log = source
+        log = load_log_bytes(bytes(source))
     workload = Workload(
         name=log.program_name,
         source=log.program_source,
@@ -343,15 +339,6 @@ def analyze_log_stream(
         )
     else:
         classifier = classifier_factory(ordered, classifier_config, execution_id)
-    from ..record.binary_format import is_binary_log
-
-    # JSON containers (or bare ReplayLogs) re-chunk in memory.
-    view, detector = _streaming_detector(
-        data if data is not None and is_binary_log(data) else log,
-        max_pairs_per_location,
-        stats,
-        segment_bytes,
-    )
     #: Eagerly classified verdicts, keyed by detector instance identity;
     #: reassembled into canonical order once the sweep finishes.
     verdicts: Dict[int, ClassifiedInstance] = {}
@@ -448,11 +435,11 @@ def detect_only(
 
     Naming a ``mode`` forces that path.  The pipeline benchmark does so
     to gate each path against the ``"replay"`` oracle; a forced
-    ``"from-log"`` or ``"stream"`` raises
+    ``"from-log"`` raises
     :class:`~repro.replay.log_view.LogViewUnavailable` on a log without
-    captured columns (``"stream"`` re-chunks a monolithic v3 log in
-    memory), and a forced ``"parallel"`` raises :class:`ValueError` for
-    anything but a segmented container with captured columns.
+    captured columns, a forced ``"stream"`` raises it for anything but
+    a segmented container with captured columns, and a forced
+    ``"parallel"`` raises :class:`ValueError` for that same input.
 
     Race sets are byte-identical between all paths (the equivalence
     suite enforces it); they differ only in cost profile.
@@ -553,7 +540,6 @@ def _detect_streaming(
     execution_id: Optional[str],
     max_pairs_per_location: Optional[int],
     perf: Optional[PerfStats],
-    segment_bytes: Optional[int] = None,
 ) -> DetectionAnalysis:
     """The ``mode="stream"`` body of :func:`detect_only`.
 
@@ -564,9 +550,7 @@ def _detect_streaming(
     classification engine consumes the increments).
     """
     stats = perf if perf is not None else PerfStats()
-    view, detector = _streaming_detector(
-        source, max_pairs_per_location, stats, segment_bytes
-    )
+    view, detector = _streaming_detector(source, max_pairs_per_location, stats)
     with stats.stage("detect"):
         for window in view.stream_windows():
             for region, rows in window:
@@ -590,22 +574,15 @@ def _detect_streaming(
     )
 
 
-def _streaming_detector(source, max_pairs_per_location, stats, segment_bytes):
-    """A :class:`~repro.replay.log_view.StreamingLogView` over ``source``
-    (container bytes or a decoded log) and the streaming detector whose
-    window stands in for its access index."""
+def _streaming_detector(source, max_pairs_per_location, stats):
+    """A :class:`~repro.replay.log_view.StreamingLogView` over segmented
+    container bytes and the streaming detector whose window stands in
+    for its access index."""
     from ..race.happens_before import StreamingHappensBeforeDetector
     from ..replay.log_view import StreamingLogView
 
     with stats.stage("detect.view"):
-        if isinstance(source, (bytes, bytearray, memoryview)):
-            view = StreamingLogView.from_bytes(
-                bytes(source), perf=stats, segment_bytes=segment_bytes
-            )
-        else:
-            view = StreamingLogView.from_log(
-                source, perf=stats, segment_bytes=segment_bytes
-            )
+        view = StreamingLogView.from_bytes(source, perf=stats)
     detector = StreamingHappensBeforeDetector(
         max_pairs_per_location=max_pairs_per_location, perf=stats
     )

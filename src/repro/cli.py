@@ -50,7 +50,7 @@ from .race.happens_before import find_races
 from .record.compression import compression_stats
 from .record.metrics import log_metrics
 from .record.recorder import record_run
-from .record.serialization import load_log, load_log_bytes, save_log
+from .record.serialization import load_log, save_log
 from .replay.ordered_replay import OrderedReplay
 from .vm.scheduler import RandomScheduler, RoundRobinScheduler
 
@@ -685,11 +685,7 @@ def _cmd_analyze(args, out) -> int:
 
     from .analysis.engine import ClassificationEngine, EngineConfig
     from .analysis.perf import PerfStats
-    from .analysis.pipeline import (
-        execution_report,
-        is_streamable_container,
-        render_report,
-    )
+    from .analysis.pipeline import execution_report, render_report
 
     engine = ClassificationEngine(EngineConfig(cache_dir=args.cache_dir))
     prior = None
@@ -705,13 +701,9 @@ def _cmd_analyze(args, out) -> int:
                 load_log(args.incremental_from)
             )
     perf = PerfStats()
-    # A segmented container streams: eager per-window classification, the same
-    # report bytes as the batch pass every other log takes.
-    data = args.log.read_bytes()
-    if is_streamable_container(data):
-        analysis = engine.analyze_log_stream(data, perf=perf, prior=prior)
-    else:
-        analysis = engine.analyze_log(load_log_bytes(data), perf=perf, prior=prior)
+    # The log picks the path: a segmented container streams, any other
+    # log takes the batch pass, with the same report bytes.
+    analysis = engine.analyze_log(args.log.read_bytes(), perf=perf, prior=prior)
     report = render_report(execution_report(analysis))
     # Side-channel prints go to stderr when the report itself goes to
     # stdout: `repro analyze log > report.json` must stay byte-clean.

@@ -11,7 +11,6 @@ from .binary_format import (
     is_segmented_log,
     iter_segments,
     read_segment_index,
-    segment_views_of_log,
 )
 from .compression import (
     CompressionStats,
@@ -48,7 +47,6 @@ __all__ = [
     "is_segmented_log",
     "iter_segments",
     "read_segment_index",
-    "segment_views_of_log",
     "CompressionStats",
     "aggregate_stats",
     "compression_stats",

@@ -1176,10 +1176,9 @@ def decode_log_sections(data: bytes) -> LogSections:
 #
 # Segments are cut by a deterministic rule — walk sequencers in global
 # timestamp order, accumulate estimated row costs, seal at
-# ``segment_bytes`` — shared by the streaming :class:`SegmentedLogWriter`
-# and the in-memory re-encoder, so ``encode → decode → encode`` is
-# byte-stable and the in-memory segmentation of a v3 log matches what a
-# segmented file of the same trace would contain.
+# ``segment_bytes`` — held by :class:`SegmentedLogWriter`, which both the
+# streaming recorder and :func:`encode_log_segmented` drive, so
+# ``encode → decode → encode`` is byte-stable.
 
 
 @dataclass
@@ -1244,68 +1243,6 @@ class _SegmentBuffer:
         #: indices; the writer narrows to ``static_id.index`` on the wire.
         self.access_rows: list = []
         self.heap_rows: List[Tuple[int, int, int, int]] = []
-
-
-class _SegmentAccumulator:
-    """The deterministic cut rule, shared by every segment producer.
-
-    ``add_sequencer`` appends one sequencer and its attached rows to the
-    pending segment and seals it once the estimated row cost reaches
-    ``segment_bytes``.  Subclasses implement ``_seal`` — to bytes
-    (:class:`SegmentedLogWriter`) or to in-memory views
-    (:class:`_SegmentViewCollector`).
-    """
-
-    def __init__(self, segment_bytes: int = DEFAULT_SEGMENT_BYTES):
-        if segment_bytes <= 0:
-            raise ValueError("segment_bytes must be positive")
-        self.segment_bytes = segment_bytes
-        self._buffers: Dict[str, _SegmentBuffer] = {}
-        self._cost = 0
-        self._ordinal = 0
-
-    def add_sequencer(
-        self,
-        name: str,
-        tid: int,
-        block: str,
-        sequencer: SequencerRecord,
-        access_rows=(),
-        heap_rows=(),
-    ) -> None:
-        buffer = self._buffers.get(name)
-        if buffer is None:
-            buffer = self._buffers[name] = _SegmentBuffer(name, tid, block)
-        buffer.sequencers.append(sequencer)
-        if access_rows:
-            buffer.access_rows.extend(access_rows)
-        if heap_rows:
-            buffer.heap_rows.extend(heap_rows)
-        self._cost += (
-            _SEQ_ROW_COST
-            + _ACCESS_ROW_COST * len(access_rows)
-            + _HEAP_ROW_COST * len(heap_rows)
-        )
-        if self._cost >= self.segment_bytes:
-            self.seal_segment()
-
-    def seal_segment(self) -> None:
-        """Seal the pending segment, if any rows accumulated."""
-        if not self._buffers:
-            return
-        self._seal(self._ordinal, self._buffers)
-        self._ordinal += 1
-        self._buffers = {}
-        self._cost = 0
-
-    def _seal(self, ordinal: int, buffers: Dict[str, _SegmentBuffer]) -> None:
-        raise NotImplementedError  # pragma: no cover - interface
-
-
-def _segment_ts_range(buffers: Dict[str, _SegmentBuffer]) -> Tuple[int, int]:
-    first_ts = min(b.sequencers[0].timestamp for b in buffers.values())
-    last_ts = max(b.sequencers[-1].timestamp for b in buffers.values())
-    return first_ts, last_ts
 
 
 # -- row sections: v4 varint rows or v5 columns -------------------------
@@ -1550,12 +1487,14 @@ class _RowSectionReader:
             raise error.in_section(self.where + "." + kind) from None
 
 
-class SegmentedLogWriter(_SegmentAccumulator):
+class SegmentedLogWriter:
     """Incremental segmented writer: header up front, segments as they fill.
 
-    Drives the deterministic cut rule over any source of
-    timestamp-ordered sequencer events — the recorder streams into one of
-    these while the machine is still running;
+    Holds the deterministic cut rule: ``add_sequencer`` appends one
+    sequencer and its attached rows to the pending segment and seals it
+    once the estimated row cost reaches ``segment_bytes``.  It runs over
+    any source of timestamp-ordered sequencer events — the recorder
+    streams into one of these while the machine is still running;
     :func:`encode_log_segmented` replays an in-memory log through the
     same code.  ``out`` is any binary file-like object.  It writes the
     current segmented version; ``version=4`` is for compatibility
@@ -1575,10 +1514,15 @@ class SegmentedLogWriter(_SegmentAccumulator):
         elide_predicted_loads: bool = True,
         version: int = SEGMENTED_FORMAT_VERSION,
     ):
-        super().__init__(segment_bytes)
+        if segment_bytes <= 0:
+            raise ValueError("segment_bytes must be positive")
         if not FIRST_SEGMENTED_VERSION <= version <= SEGMENTED_FORMAT_VERSION:
             raise ValueError("not a segmented container version: %d" % version)
         self.version = version
+        self.segment_bytes = segment_bytes
+        self._buffers: Dict[str, _SegmentBuffer] = {}
+        self._cost = 0
+        self._ordinal = 0
         self._out = out
         self._offset = 0
         self._elide = elide_predicted_loads
@@ -1615,8 +1559,40 @@ class SegmentedLogWriter(_SegmentAccumulator):
 
     # -- segments -------------------------------------------------------
 
-    def _seal(self, ordinal: int, buffers: Dict[str, _SegmentBuffer]) -> None:
-        entries = sorted(buffers.values(), key=lambda buffer: buffer.tid)
+    def add_sequencer(
+        self,
+        name: str,
+        tid: int,
+        block: str,
+        sequencer: SequencerRecord,
+        access_rows=(),
+        heap_rows=(),
+    ) -> None:
+        buffer = self._buffers.get(name)
+        if buffer is None:
+            buffer = self._buffers[name] = _SegmentBuffer(name, tid, block)
+        buffer.sequencers.append(sequencer)
+        if access_rows:
+            buffer.access_rows.extend(access_rows)
+        if heap_rows:
+            buffer.heap_rows.extend(heap_rows)
+        self._cost += (
+            _SEQ_ROW_COST
+            + _ACCESS_ROW_COST * len(access_rows)
+            + _HEAP_ROW_COST * len(heap_rows)
+        )
+        if self._cost >= self.segment_bytes:
+            self.seal_segment()
+
+    def seal_segment(self) -> None:
+        """Write the pending segment's frame, if any rows accumulated."""
+        if not self._buffers:
+            return
+        entries = sorted(self._buffers.values(), key=lambda buffer: buffer.tid)
+        ordinal = self._ordinal
+        self._ordinal += 1
+        self._buffers = {}
+        self._cost = 0
         rows = _RowSectionWriter(self.version)
         body = _Writer()
         sequencer_rows = 0
@@ -1632,7 +1608,8 @@ class SegmentedLogWriter(_SegmentAccumulator):
             access_rows += len(buffer.access_rows)
         writer = _Writer()
         writer.uint(ordinal)
-        first_ts, last_ts = _segment_ts_range(buffers)
+        first_ts = min(buffer.sequencers[0].timestamp for buffer in entries)
+        last_ts = max(buffer.sequencers[-1].timestamp for buffer in entries)
         writer.uint(first_ts)
         writer.uint(last_ts)
         rows.write_strings(writer)
@@ -1731,44 +1708,6 @@ def _write_access_rows(writer: _Writer, rows) -> None:
         previous_address = address
 
 
-class _SegmentViewCollector(_SegmentAccumulator):
-    """Seal segments into :class:`LogSegmentView` objects (no bytes).
-
-    The in-memory twin of :class:`SegmentedLogWriter`: v3 logs (and fresh
-    recordings) stream through the same cut rule without an encode/decode
-    round trip.
-    """
-
-    def __init__(self, segment_bytes: int = DEFAULT_SEGMENT_BYTES):
-        super().__init__(segment_bytes)
-        self.views: List[LogSegmentView] = []
-
-    def _seal(self, ordinal: int, buffers: Dict[str, _SegmentBuffer]) -> None:
-        first_ts, last_ts = _segment_ts_range(buffers)
-        threads: Dict[str, SegmentThreadView] = {}
-        for buffer in sorted(buffers.values(), key=lambda buffer: buffer.tid):
-            columns = CapturedColumnView()
-            if buffer.access_rows:
-                block = list(map(list, zip(*buffer.access_rows)))
-                _extend_access_columns(columns, [block])
-            threads[buffer.name] = SegmentThreadView(
-                name=buffer.name,
-                tid=buffer.tid,
-                block=buffer.block,
-                sequencers=buffer.sequencers,
-                columns=columns,
-                heap_rows=buffer.heap_rows,
-            )
-        self.views.append(
-            LogSegmentView(
-                ordinal=ordinal,
-                first_ts=first_ts,
-                last_ts=last_ts,
-                threads=threads,
-            )
-        )
-
-
 class _SegmentPlanner:
     """Walk an in-memory log in global sequencer-timestamp order,
     attaching each thread's captured rows to their claiming sequencer."""
@@ -1844,7 +1783,7 @@ class _SegmentPlanner:
 
 def _access_rows_of(columns, lo: int, hi: int) -> list:
     """Captured rows ``[lo, hi)`` as ``(step, flag, address, value,
-    static_id)`` tuples, the shape the segment writers take."""
+    static_id)`` tuples, the shape the segment writer takes."""
     return list(zip(*(column[lo:hi] for column in _access_columns(columns))))
 
 
@@ -1919,52 +1858,6 @@ def _encode_segmented(
         stats=stats,
     )
     return out.getvalue()
-
-
-def segment_views_of_log(
-    log: ReplayLog, segment_bytes: int = DEFAULT_SEGMENT_BYTES
-) -> List[LogSegmentView]:
-    """Segment an in-memory captured log with the segment cut rule — no bytes.
-
-    The streaming detect path for v3 logs and fresh recordings: the views
-    are exactly what :func:`iter_segments` would yield over
-    :func:`encode_log_segmented` output for the same ``segment_bytes``.
-    Requires ``log.captured`` (there are no access rows to stream
-    otherwise).
-    """
-    captured = log.captured.threads if log.captured is not None else None
-    return _collect_segment_views(log.threads, captured, segment_bytes)
-
-
-def segment_views_of_sections(
-    sections: LogSections, segment_bytes: int = DEFAULT_SEGMENT_BYTES
-) -> List[LogSegmentView]:
-    """Segment a sectioned-reader result (:func:`decode_log_sections`).
-
-    Lets the streaming detect path run over a monolithic v1–v3 container
-    without a full decode: the sectioned reader already skipped the
-    replay-only payload, and this re-chunks what it did read with the
-    same cut rule a segmented file would have.  Requires the captured section
-    (``sections.captured``).
-    """
-    return _collect_segment_views(sections.threads, sections.captured, segment_bytes)
-
-
-def _collect_segment_views(
-    threads, captured_threads, segment_bytes: int
-) -> List[LogSegmentView]:
-    if captured_threads is None:
-        raise ValueError(
-            "cannot segment a log without captured access columns: "
-            "the streaming path needs a v3+ capture — re-record, or use "
-            "the batch path"
-        )
-    collector = _SegmentViewCollector(segment_bytes)
-    planner = _SegmentPlanner(threads, captured_threads)
-    for name, tid, block, sequencer, access_rows, heap_rows in planner.walk():
-        collector.add_sequencer(name, tid, block, sequencer, access_rows, heap_rows)
-    collector.seal_segment()
-    return collector.views
 
 
 # -- segmented reading -------------------------------------------------

@@ -157,8 +157,15 @@ class ReplayLog:
 
     ``global_order`` optionally lists ``(tid, thread_step)`` in the global
     retirement order.  iDNA does not have this for plain memory operations;
-    it is recorded here (when ``capture_global_order`` is on) only as debug
-    information — analyses must work without it, and tests verify they do.
+    it is recorded here when ``capture_global_order`` is on.  It is not
+    just debug information: the classifier's ``_original_first`` takes
+    from it which of two racing operations ran first, and so which
+    replay is the original one.  Without it, the classifier falls back
+    to "the region that opened first", which changes verdicts: the
+    paper suite's instances split 547/384/99 (no state change / state
+    change / replay failure) without the order against 524/406/100 with
+    it (ROADMAP item 10).  Analyses run without the order, but tests
+    check only that they run, not the verdicts they give.
     """
 
     program_name: str

@@ -34,15 +34,12 @@ from operator import attrgetter
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..record.binary_format import (
-    DEFAULT_SEGMENT_BYTES,
     CapturedColumnView,
     decode_log_sections,
     is_binary_log,
     is_segmented_log,
     iter_segments,
     read_segmented_header,
-    segment_views_of_log,
-    segment_views_of_sections,
 )
 from ..record.log import ReplayLog
 from .errors import thread_block
@@ -486,9 +483,8 @@ class StreamingLogView:
     """Streaming sibling of :class:`LogView`: regions in sweep order,
     with resident state bounded by the segment window.
 
-    Wraps a segment iterator (a segmented file's
-    :func:`~repro.record.binary_format.iter_segments`, or the in-memory
-    re-chunking of a v1–v3 sectioned read / decoded log) and a
+    Wraps a segmented container's
+    :func:`~repro.record.binary_format.iter_segments` and a
     :class:`SegmentCursor`.  :meth:`stream_windows` yields
     ``(region, rows)`` in exactly the opening-timestamp order the batch
     detector sweeps, so feeding them to the streaming detector
@@ -528,55 +524,27 @@ class StreamingLogView:
     # -- construction ---------------------------------------------------
 
     @classmethod
-    def from_bytes(cls, data: bytes, perf=None, segment_bytes: Optional[int] = None):
-        """Stream from RPRB container bytes.
-
-        Segmented (v4, v5) containers stream segment frames directly (one
-        decompressed at a time).  Monolithic v3 containers are read through
-        the sectioned reader and re-chunked with the segment cut rule —
-        ``segment_bytes`` sizes those synthetic segments.  v1/v2 and
-        captureless logs raise :class:`LogViewUnavailable`.
-        """
-        _require_binary(data, "streaming")
-        if is_segmented_log(data):
-            header = read_segmented_header(data)
-            _require_capture(header.has_captured or None, header.version, "streaming")
-            return cls(
-                program_name=header.program_name,
-                program_source=header.program_source,
-                seed=header.seed,
-                scheduler=header.scheduler,
-                segments=iter_segments(data),
-                perf=perf,
+    def from_bytes(cls, data: bytes, perf=None):
+        """Stream a segmented (v4, v5) container, one segment frame
+        decompressed at a time.  Any other input — monolithic v1–v3
+        bytes, JSON, a decoded log — and a captureless container raise
+        :class:`LogViewUnavailable`."""
+        if isinstance(data, (bytearray, memoryview)):
+            data = bytes(data)
+        if not isinstance(data, bytes) or not is_segmented_log(data):
+            raise LogViewUnavailable(
+                "the streaming path reads segmented (v4, v5) containers "
+                "only: record with --segment-bytes, or leave the mode to "
+                "the input"
             )
-        sections = decode_log_sections(data)
-        _require_capture(sections.captured, sections.version, "streaming")
+        header = read_segmented_header(data)
+        _require_capture(header.has_captured or None, header.version, "streaming")
         return cls(
-            program_name=sections.program_name,
-            program_source=sections.program_source,
-            seed=sections.seed,
-            scheduler=sections.scheduler,
-            segments=segment_views_of_sections(
-                sections, segment_bytes or DEFAULT_SEGMENT_BYTES
-            ),
-            perf=perf,
-        )
-
-    @classmethod
-    def from_log(
-        cls, log: ReplayLog, perf=None, segment_bytes: Optional[int] = None
-    ):
-        """Stream an in-memory captured log (re-chunked with the segment
-        cut rule); requires ``log.captured``."""
-        _require_capture(log.captured, None, "streaming")
-        return cls(
-            program_name=log.program_name,
-            program_source=log.program_source,
-            seed=log.seed,
-            scheduler=log.scheduler,
-            segments=segment_views_of_log(
-                log, segment_bytes or DEFAULT_SEGMENT_BYTES
-            ),
+            program_name=header.program_name,
+            program_source=header.program_source,
+            seed=header.seed,
+            scheduler=header.scheduler,
+            segments=iter_segments(data),
             perf=perf,
         )
 

@@ -93,7 +93,7 @@ class ServiceConfig:
     #: job (the ``jobs=`` argument of
     #: :func:`repro.analysis.pipeline.detect_only`).  Above 1, a v4/v5
     #: segmented upload fans its segments across a per-job process pool;
-    #: any other upload, and every full or stream job, runs in-process.
+    #: any other upload, and every full job, runs in-process.
     detect_jobs: int = 1
 
     def effective_shards(self) -> int:

@@ -34,12 +34,12 @@ they reply 404 with an explanatory error.
   mode via ``X-Repro-Mode``.
 
 Every shape accepts ``mode``: ``"full"`` (default) runs the whole
-detect-and-classify funnel; ``"detect"`` stops after detection and —
-for v3+ logs with captured columns — runs the zero-replay log-native
-detect path; ``"stream"`` runs the full funnel with streaming detection
-and eager per-window classification (same report bytes as ``"full"``),
-and is rejected with a ``400`` for logs without captured columns
-(v1/v2, or captureless encodes).  An unknown mode is a ``400``.
+detect-and-classify funnel; ``"detect"`` stops after detection.  In
+either mode the upload picks the path, as ``repro analyze`` and
+``repro detect`` do: a v4/v5 container with captured columns streams,
+with eager per-window classification in a full job (same report bytes
+as the batch pass); a v3+ log with captured columns detects on the
+zero-replay log-native path.  An unknown mode is a ``400``.
 
 Submission replies ``202`` with ``{"job_id", "state", "created", "mode"}``
 (``created`` false = idempotent dedup hit), ``429`` when the bounded

@@ -67,12 +67,12 @@ class JobSpec:
     ``kind`` is ``"workload"`` (record + analyse a named suite workload
     under a seed) or ``"log"`` (analyse uploaded replay-log bytes).
     ``mode`` selects the pipeline depth: ``"full"`` runs the whole
-    detect-and-classify funnel; ``"detect"`` stops after detection and
-    — for logs with captured columns — runs the zero-replay log-native
-    path, so triage jobs never pay for replay or classification;
-    ``"stream"`` runs the full funnel with streaming detection and
-    eager per-window classification (same report bytes as ``"full"``,
-    first verdicts land before the sweep finishes).
+    detect-and-classify funnel (a v4/v5 upload with captured columns
+    streams, so first verdicts land before the sweep finishes);
+    ``"detect"`` stops after detection and — for logs with captured
+    columns — runs the zero-replay log-native path, so triage jobs never
+    pay for replay or classification.  A journal written while
+    ``"stream"`` was still a mode replays its jobs as full ones.
     """
 
     kind: str

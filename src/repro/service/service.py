@@ -151,10 +151,9 @@ class AnalysisService:
 
     @staticmethod
     def _check_mode(mode: str) -> str:
-        if mode not in ("full", "detect", "stream"):
+        if mode not in ("full", "detect"):
             raise ValueError(
-                "unknown job mode %r (expected 'full', 'detect' or 'stream')"
-                % mode
+                "unknown job mode %r (expected 'full' or 'detect')" % mode
             )
         return mode
 
@@ -198,14 +197,15 @@ class AnalysisService:
     ) -> Tuple[Job, bool]:
         """Submit an uploaded replay log (binary container or JSON).
 
-        ``mode="detect"`` runs detection only, on the path the upload
-        picks (:func:`repro.analysis.pipeline.detect_only`): a v4 or v5
+        The upload picks the path in either mode.  ``mode="full"`` (the
+        default) runs the whole funnel as ``repro analyze`` does: a v4
+        or v5 container with captured columns streams, with eager
+        per-window classification; any other log takes the batch pass.
+        ``mode="detect"`` runs detection only
+        (:func:`repro.analysis.pipeline.detect_only`): a v4 or v5
         container streams (or fans out under ``detect_jobs``), another
         log with captured columns takes the zero-replay from-log path,
-        anything else replays.  ``mode="stream"`` runs
-        the full pipeline with streaming detection and eager per-window
-        classification — it needs captured columns, so v1/v2 (and
-        captureless) uploads are rejected up front with a 400.
+        anything else replays.
 
         Admission validates binary containers through the sectioned
         reader (header + sequencer + captured framing) rather than a
@@ -217,27 +217,11 @@ class AnalysisService:
         :class:`BadLogError`; anything else is a server fault.
         """
         mode = self._check_mode(mode)
-        log = None
         try:
-            sections = load_log_sections_bytes(data)
-            if sections is None:
-                log = load_log_bytes(data)
+            if load_log_sections_bytes(data) is None:
+                load_log_bytes(data)
         except ValueError as error:  # LogFormatError, JSON and UTF-8 errors
             raise BadLogError("undecodable replay log: %s" % error)
-        if mode == "stream":
-            if sections is not None:
-                if sections.captured is None:
-                    raise BadLogError(
-                        "stream jobs need captured access columns: got a "
-                        "v%d container without them (record with v3+ and "
-                        "capture enabled, or submit mode 'full')"
-                        % sections.version
-                    )
-            elif log is None or log.captured is None:
-                raise BadLogError(
-                    "stream jobs need captured access columns: this JSON "
-                    "log has none (submit mode 'full' instead)"
-                )
         spec = JobSpec.for_log(data, mode=mode)
         key = content_key_for(
             spec,
@@ -435,10 +419,10 @@ class AnalysisService:
 
         ``stream_first_verdict_ms`` is the headline number — average wall
         milliseconds from job start to the first classified verdict,
-        across every stream-mode job this deployment has run.  Segment
-        and window counts size the streaming work (how many sealed
-        segments were swept, how many windows fired eager
-        classification).
+        across every full job that streamed (a v4/v5 upload) on this
+        deployment.  Segment and window counts size the streaming work
+        (how many sealed segments were swept, how many windows fired
+        eager classification).
         """
         jobs = perf.get("stream_jobs", 0)
         total_ms = perf.get("stream_first_verdict_s", 0.0) * 1000.0

@@ -140,11 +140,8 @@ def run_job_payload(payload: dict) -> dict:
         elapsed = time.monotonic() - started
         stats.pool_workers.add(os.getpid())
         return {"report": report, "perf": stats.to_json(), "elapsed_s": elapsed}
-    if mode == "stream":
-        report = _run_stream(payload, context, stats)
-        elapsed = time.monotonic() - started
-        stats.pool_workers.add(os.getpid())
-        return {"report": report, "perf": stats.to_json(), "elapsed_s": elapsed}
+    # Any other mode runs the whole funnel: "full", and "stream" from a
+    # journal written while that was still a job mode.
     if payload["kind"] == "workload":
         registry = context.setdefault("workloads", all_workloads())
         workload = registry.get(payload["workload"])
@@ -159,14 +156,14 @@ def run_job_payload(payload: dict) -> dict:
         )
         analysis = engine.analyze_execution(spec.execution(workload), perf=stats)
     else:
-        from ..record.serialization import load_log_bytes
-
-        log = load_log_bytes(payload["log_data"])
-        # engine.analyze_log (rather than the bare pipeline) gives log
-        # jobs the incremental path: on a dedup near-miss resubmission
-        # the worker splices verdicts from the program's persisted
-        # verdict index and replays only content-changed instances.
-        analysis = engine.analyze_log(log, perf=stats)
+        # The upload picks the path, as in `repro analyze`: a v4/v5
+        # container with captured columns streams, any other log takes
+        # the batch pass.  engine.analyze_log (rather than the bare
+        # pipeline) gives log jobs the incremental path: on a dedup
+        # near-miss resubmission the worker splices verdicts from the
+        # program's persisted verdict index and replays only
+        # content-changed instances.
+        analysis = engine.analyze_log(payload["log_data"], perf=stats)
     report = execution_report(analysis)
     elapsed = time.monotonic() - started
     stats.pool_workers.add(os.getpid())
@@ -225,51 +222,6 @@ def _run_detect_only(payload: dict, context: dict, stats: PerfStats) -> dict:
             jobs=config.detect_jobs,
         )
     return detection_report(analysis)
-
-
-def _run_stream(payload: dict, context: dict, stats: PerfStats) -> dict:
-    """Stream-mode jobs: streaming detection + eager classification.
-
-    The report is the same execution report a full-mode job produces
-    (byte-identical — the streaming equivalence suite asserts it); what
-    changes is the cost profile, and the perf dump picks up the
-    ``stream_*`` counters that ``GET /metrics`` surfaces, first-verdict
-    latency included.  Log jobs stream the uploaded container directly
-    (v4/v5 files segment by segment); workload jobs record first, then
-    stream the in-memory log re-chunked.
-    """
-    from ..analysis.pipeline import execution_report
-
-    config: ServiceConfig = context["config"]
-    engine = context["engine"]
-    if payload["kind"] == "workload":
-        from ..record.recorder import record_run
-        from ..vm.scheduler import RandomScheduler
-        from ..workloads.suite import all_workloads
-
-        registry = context.setdefault("workloads", all_workloads())
-        workload = registry.get(payload["workload"])
-        if workload is None:
-            raise ValueError("unknown workload: %r" % payload["workload"])
-        with stats.stage("record"):
-            _, log = record_run(
-                workload.program(),
-                scheduler=RandomScheduler(
-                    seed=payload["seed"],
-                    switch_probability=payload["switch_probability"],
-                ),
-                seed=payload["seed"],
-                max_steps=config.max_steps,
-                capture_global_order=config.capture_global_order,
-            )
-        analysis = engine.analyze_log_stream(
-            log,
-            execution_id="%s#s%d" % (payload["workload"], payload["seed"]),
-            perf=stats,
-        )
-    else:
-        analysis = engine.analyze_log_stream(payload["log_data"], perf=stats)
-    return execution_report(analysis)
 
 
 def _pooled_run(payload: dict) -> dict:

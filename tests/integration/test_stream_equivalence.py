@@ -6,10 +6,10 @@ The tentpole equivalence, asserted at every user-facing surface:
   take the batch path on a monolithic v3 file; their output is
   byte-identical across the two encodings of each recording in the
   workload suite sample.
-* **Service** — ``mode="stream"`` jobs over HTTP return the same report
-  bytes as ``mode="full"`` jobs for the same log, ``/metrics`` surfaces
-  the first-verdict latency and segment counters, and v1/v2 or
-  captureless uploads in stream mode are a clean ``400``.
+* **Service** — a default (full) job on a v5 upload streams and returns
+  the same report bytes as a full job on the v3 encoding of the same
+  log, ``/metrics`` surfaces the first-verdict latency and segment
+  counters, and ``mode="stream"`` is an unknown mode: a clean ``400``.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import threading
 import pytest
 
 from repro.analysis.engine import ClassificationEngine, EngineConfig
+from repro.analysis.perf import PerfStats
 from repro.analysis.pipeline import execution_report, render_report
 from repro.cli import main
 from repro.isa import assemble
@@ -109,10 +110,15 @@ class TestCliStreamEquivalence:
         code, _ = run_cli(["analyze", str(v4), "--json", str(stream4_json)])
         assert code == 0
         assert stream4_json.read_bytes() == batch_json.read_bytes()
-        # Streaming the v3 file (re-chunked in memory) matches too.
-        engine = ClassificationEngine(EngineConfig())
-        stream3 = engine.analyze_log_stream(v3.read_bytes())
-        assert render_report(execution_report(stream3)) == batch_json.read_bytes()
+        # The engine picks the same paths from the bytes: the v5
+        # container streams, the v3 one takes the batch pass.
+        for path, stream_jobs in ((v4, 1), (v3, 0)):
+            perf = PerfStats()
+            analysis = ClassificationEngine(EngineConfig()).analyze_log(
+                path.read_bytes(), perf=perf
+            )
+            assert perf.stream_jobs == stream_jobs
+            assert render_report(execution_report(analysis)) == batch_json.read_bytes()
 
     def test_record_segmented_then_stream_detect(self, tmp_path):
         workload = all_workloads()[SAMPLE[0]]
@@ -162,14 +168,14 @@ def deployment():
 
 
 class TestServiceStreamMode:
+    """A full job streams when its upload is a segmented container."""
+
     def test_stream_job_matches_full_job_bytes(self, deployment):
         _, _, client = deployment
         log = _recording(SAMPLE[0])
-        full = client.submit_log(encode_log(log, version=3), mode="full")
-        stream = client.submit_log(
-            encode_log_segmented(log, segment_bytes=512), mode="stream"
-        )
-        assert stream.mode == "stream"
+        full = client.submit_log(encode_log(log, version=3))
+        stream = client.submit_log(encode_log_segmented(log, segment_bytes=512))
+        assert stream.mode == "full"
         assert full.job_id != stream.job_id  # distinct work, both live
         client.wait(full.job_id, timeout_s=60)
         client.wait(stream.job_id, timeout_s=60)
@@ -181,7 +187,7 @@ class TestServiceStreamMode:
         service, _, client = deployment
         log = _recording(SAMPLE[1])
         data = encode_log_segmented(log, segment_bytes=512)
-        job = client.submit_log(data, mode="stream")
+        job = client.submit_log(data)
         client.wait(job.job_id, timeout_s=60)
         engine = ClassificationEngine(
             EngineConfig(
@@ -189,28 +195,13 @@ class TestServiceStreamMode:
                 max_pairs_per_location=service.config.max_pairs_per_location,
             )
         )
-        expected = render_report(
-            execution_report(engine.analyze_log_stream(data))
-        )
+        expected = render_report(execution_report(engine.analyze_log(data)))
         assert client.report_bytes(job.job_id) == expected
-
-    def test_workload_stream_job_matches_full(self, deployment):
-        _, _, client = deployment
-        full = client.submit_workload(SAMPLE[0], seed=SEED + 7, mode="full")
-        stream = client.submit_workload(SAMPLE[0], seed=SEED + 7, mode="stream")
-        assert full.job_id != stream.job_id
-        client.wait(full.job_id, timeout_s=60)
-        client.wait(stream.job_id, timeout_s=60)
-        assert client.report_bytes(stream.job_id) == client.report_bytes(
-            full.job_id
-        )
 
     def test_metrics_surface_stream_counters(self, deployment):
         _, _, client = deployment
         log = _recording(SAMPLE[0], seed=SEED + 21)
-        job = client.submit_log(
-            encode_log_segmented(log, segment_bytes=256), mode="stream"
-        )
+        job = client.submit_log(encode_log_segmented(log, segment_bytes=256))
         client.wait(job.job_id, timeout_s=60)
         metrics = client.metrics()
         stream = metrics["stream"]
@@ -218,23 +209,6 @@ class TestServiceStreamMode:
         assert stream["segments"] >= 1
         assert stream["windows"] >= 1
         assert stream["stream_first_verdict_ms"] > 0
-
-    @pytest.mark.parametrize("version", (1, 2))
-    def test_stream_mode_on_old_containers_is_400(self, deployment, version):
-        _, _, client = deployment
-        log = _recording(SAMPLE[0])
-        with pytest.raises(ServiceError) as excinfo:
-            client.submit_log(encode_log(log, version=version), mode="stream")
-        assert excinfo.value.status == 400
-        assert "captured" in str(excinfo.value)
-
-    def test_stream_mode_on_captureless_v3_is_400(self, deployment):
-        _, _, client = deployment
-        log = _recording(SAMPLE[0])
-        data = encode_log(log, version=3, include_captured=False)
-        with pytest.raises(ServiceError) as excinfo:
-            client.submit_log(data, mode="stream")
-        assert excinfo.value.status == 400
 
     def test_old_containers_still_analyze_in_full_mode(self, deployment):
         _, _, client = deployment
@@ -247,6 +221,9 @@ class TestServiceStreamMode:
     def test_unknown_mode_is_still_400(self, deployment):
         _, _, client = deployment
         log = _recording(SAMPLE[0])
-        with pytest.raises(ServiceError) as excinfo:
-            client.submit_log(encode_log(log, version=3), mode="bogus")
-        assert excinfo.value.status == 400
+        # "stream" was a job mode once; the upload now picks the path.
+        for mode in ("bogus", "stream"):
+            with pytest.raises(ServiceError) as excinfo:
+                client.submit_log(encode_log(log, version=3), mode=mode)
+            assert excinfo.value.status == 400
+            assert "unknown job mode" in str(excinfo.value)

@@ -32,7 +32,11 @@ from repro.race.happens_before import (
     StreamingHappensBeforeDetector,
 )
 from repro.record import record_run
-from repro.record.binary_format import encode_log, segment_views_of_log
+from repro.record.binary_format import (
+    encode_log,
+    encode_log_segmented,
+    iter_segments,
+)
 from repro.replay import LogView, OrderedReplay
 from repro.replay.log_view import SegmentCursor
 from repro.vm import RandomScheduler
@@ -114,7 +118,7 @@ def _window_answers(released):
 def _streamed(log):
     cursor = SegmentCursor()
     released = []
-    for segment in segment_views_of_log(log, segment_bytes=64):
+    for segment in iter_segments(encode_log_segmented(log, segment_bytes=64)):
         released.extend(cursor.feed(segment))
     released.extend(cursor.finish())
     return released

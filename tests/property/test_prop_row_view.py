@@ -8,8 +8,7 @@ random recorded programs and random segment budgets:
 * **A view is the old row shape** — every released region's view
   iterates to exactly the ``(step, flag, address, value, static_id)``
   tuples that bisecting the log's captured columns on the region's step
-  window gives, whether the segments come from the v5 container bytes
-  or from the in-memory re-chunking.
+  window gives, for segments decoded from the v5 container bytes.
 * **Spanning segments changes nothing** — feeding each thread's part of
   a segment as two column chunks split at a random row makes regions
   span two chunks; the cursor must release the same regions with the
@@ -26,7 +25,6 @@ from repro.record.binary_format import (
     CapturedColumnView,
     encode_log_segmented,
     iter_segments,
-    segment_views_of_log,
 )
 from repro.replay.log_view import SegmentCursor
 from repro.vm import RandomScheduler
@@ -54,10 +52,8 @@ def _recording(source, seed):
     return log
 
 
-def _segments(log, budget, from_bytes):
-    if from_bytes:
-        return list(iter_segments(encode_log_segmented(log, segment_bytes=budget)))
-    return segment_views_of_log(log, segment_bytes=budget)
+def _segments(log, budget):
+    return list(iter_segments(encode_log_segmented(log, segment_bytes=budget)))
 
 
 def _released(segments):
@@ -119,14 +115,11 @@ class TestRowViews:
         source=programs(),
         seed=seeds,
         budget=segment_budgets,
-        from_bytes=st.booleans(),
     )
     @_SETTINGS
-    def test_views_iterate_to_the_bisected_rows(
-        self, source, seed, budget, from_bytes
-    ):
+    def test_views_iterate_to_the_bisected_rows(self, source, seed, budget):
         log = _recording(source, seed)
-        released = _released(_segments(log, budget, from_bytes))
+        released = _released(_segments(log, budget))
         assert released
         captured = log.captured.threads
         for region, rows in released:
@@ -138,15 +131,14 @@ class TestRowViews:
         source=programs(),
         seed=seeds,
         budget=segment_budgets,
-        from_bytes=st.booleans(),
         data=st.data(),
     )
     @_SETTINGS
     def test_regions_spanning_chunks_release_the_same_rows(
-        self, source, seed, budget, from_bytes, data
+        self, source, seed, budget, data
     ):
         log = _recording(source, seed)
-        segments = _segments(log, budget, from_bytes)
+        segments = _segments(log, budget)
         whole = _released(segments)
         split = _released_split(segments, data.draw)
         assert [region for region, _ in split] == [region for region, _ in whole]

@@ -4,10 +4,9 @@ Three invariant families over random recorded programs (and random
 segment budgets, so cut points land everywhere):
 
 * **Canonical form** — ``encode_log_segmented`` round-trips: decoding a
-  v4 container reproduces the monolithic decode of the same log, and
-  re-encoding the decoded log is byte-identical for every segment
-  budget; the in-memory ``segment_views_of_log`` equals the views
-  decoded back out of the container bytes.
+  segmented container reproduces the monolithic decode of the same log,
+  and re-encoding the decoded log is byte-identical for every segment
+  budget.
 * **Concatenated segments ≡ monolithic view** — replaying the segment
   stream through the cursor yields exactly the regions the batch
   :class:`LogView` computes (same order, same fields, same rows up to
@@ -16,10 +15,9 @@ segment budgets, so cut points land everywhere):
 * **Stream detect ≡ batch detect ≡ parallel detect** —
   ``detect_only(mode="stream")`` and the segment-fanout
   ``detect_only(mode="parallel", jobs=N)`` both render byte-identically
-  to the from-log and replay paths, for v4 bytes at several budgets
-  (small budgets put racing regions on opposite sides of segment cuts,
-  exercising the fanout's boundary stitching) and — for the stream
-  path — monolithic v3 bytes re-chunked in memory.
+  to the from-log and replay paths, for segmented bytes at several
+  budgets (small budgets put racing regions on opposite sides of segment
+  cuts, exercising the fanout's boundary stitching).
 """
 
 import tempfile
@@ -43,7 +41,6 @@ from repro.record.binary_format import (
     encode_log_segmented,
     iter_segments,
     read_segment_index,
-    segment_views_of_log,
 )
 from repro.replay import LogView
 from repro.replay.log_view import SegmentCursor
@@ -72,6 +69,10 @@ def _recording(source, seed):
     return program, log
 
 
+def _segments(log, budget):
+    return iter_segments(encode_log_segmented(log, segment_bytes=budget))
+
+
 class TestSegmentedContainerCanonicalForm:
     @given(source=programs(), seed=seeds, budget=segment_budgets)
     @_SETTINGS
@@ -91,26 +92,6 @@ class TestSegmentedContainerCanonicalForm:
         first = encode_log_segmented(log, segment_bytes=budget)
         second = encode_log_segmented(decode_log(first), segment_bytes=budget)
         assert first == second
-
-    @given(source=programs(), seed=seeds, budget=segment_budgets)
-    @_SETTINGS
-    def test_views_of_log_equal_views_of_bytes(self, source, seed, budget):
-        _, log = _recording(source, seed)
-        in_memory = segment_views_of_log(log, segment_bytes=budget)
-        data = encode_log_segmented(log, segment_bytes=budget)
-        from_bytes = list(iter_segments(data))
-        assert len(in_memory) == len(from_bytes)
-        for mine, theirs in zip(in_memory, from_bytes):
-            assert mine.ordinal == theirs.ordinal
-            assert mine.first_ts == theirs.first_ts
-            assert mine.last_ts == theirs.last_ts
-            assert set(mine.threads) == set(theirs.threads)
-            for name, thread in mine.threads.items():
-                other = theirs.threads[name]
-                assert thread.tid == other.tid
-                assert thread.sequencers == other.sequencers
-                assert thread.columns == other.columns
-                assert thread.heap_rows == other.heap_rows
 
     @given(source=programs(), seed=seeds, budget=segment_budgets)
     @_SETTINGS
@@ -142,7 +123,7 @@ class TestConcatenatedSegmentsEqualMonolithicView:
         ]
         cursor = SegmentCursor()
         streamed = []
-        for segment in segment_views_of_log(log, segment_bytes=budget):
+        for segment in _segments(log, budget):
             streamed.extend(region for region, _ in cursor.feed(segment))
         streamed.extend(region for region, _ in cursor.finish())
         assert streamed == expected
@@ -161,7 +142,7 @@ class TestConcatenatedSegmentsEqualMonolithicView:
             for region, rows in released:
                 window.admit(region, rows)
 
-        for segment in segment_views_of_log(log, segment_bytes=budget):
+        for segment in _segments(log, budget):
             admit_all(cursor.feed(segment))
         admit_all(cursor.finish())
         stats = window.stats()
@@ -196,10 +177,6 @@ class TestStreamDetectEqualsBatchDetect:
         assert expected == render_report(
             detection_report(detect_only(v4, mode="stream"))
         )
-        # Monolithic v3 bytes stream too (re-chunked in memory).
-        assert expected == render_report(
-            detection_report(detect_only(v3, mode="stream"))
-        )
         # The parallel fanout sweeps the same container from a file —
         # spooled here so the workers can mmap it — and must merge back
         # to the exact same bytes, whatever the cut points and fan width.
@@ -223,6 +200,6 @@ class TestStreamDetectEqualsBatchDetect:
         expected = render_report(execution_report(analyze_log(log)))
         v4 = encode_log_segmented(log, segment_bytes=256)
         streamed = render_report(
-            execution_report(analyze_log_stream(v4, segment_bytes=256))
+            execution_report(analyze_log_stream(v4))
         )
         assert streamed == expected

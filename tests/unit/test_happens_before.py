@@ -7,7 +7,7 @@ from repro.race.happens_before import (
     find_races,
 )
 from repro.record import record_run
-from repro.record.binary_format import segment_views_of_log
+from repro.record.binary_format import encode_log_segmented, iter_segments
 from repro.replay import OrderedReplay
 from repro.replay.log_view import SegmentCursor
 from repro.vm import ExplicitScheduler, RandomScheduler
@@ -196,7 +196,7 @@ def _streamed_regions(source, seed=2, name="kernel"):
     )
     cursor = SegmentCursor()
     released = []
-    for segment in segment_views_of_log(log, segment_bytes=64):
+    for segment in iter_segments(encode_log_segmented(log, segment_bytes=64)):
         released.extend(cursor.feed(segment))
     released.extend(cursor.finish())
     return OrderedReplay(log, program), released

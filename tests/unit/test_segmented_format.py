@@ -33,7 +33,6 @@ from repro.record.binary_format import (
     read_segment_index,
     read_segment_payload,
     read_segmented_header,
-    segment_views_of_log,
 )
 from repro.record.compression import decode_varint, encode_varint
 from repro.replay.errors import ReplayDivergence, stream_context
@@ -84,12 +83,17 @@ def _recorded(seed=9, switch_probability=0.4):
     return program, log
 
 
+def _segments(log, budget):
+    """The segments of ``log``'s v5 container at ``budget``, decoded."""
+    return list(iter_segments(encode_log_segmented(log, segment_bytes=budget)))
+
+
 class TestWindowSealing:
     def test_small_budget_seals_many_segments_deterministically(self):
         _, log = _recorded()
-        small = segment_views_of_log(log, segment_bytes=64)
-        again = segment_views_of_log(log, segment_bytes=64)
-        large = segment_views_of_log(log, segment_bytes=1 << 20)
+        small = _segments(log, 64)
+        again = _segments(log, 64)
+        large = _segments(log, 1 << 20)
         assert len(small) > 1
         assert len(large) == 1
         assert [view.ordinal for view in small] == list(range(len(small)))
@@ -100,7 +104,7 @@ class TestWindowSealing:
 
     def test_segments_are_globally_timestamp_ordered(self):
         _, log = _recorded()
-        views = segment_views_of_log(log, segment_bytes=64)
+        views = _segments(log, 64)
         previous_last = -1
         for view in views:
             assert view.first_ts <= view.last_ts
@@ -108,14 +112,17 @@ class TestWindowSealing:
             previous_last = view.last_ts
 
     def test_file_cuts_match_in_memory_cuts(self):
+        """Cutting the log decoded back out of a container again gives
+        the container's own cuts."""
         _, log = _recorded()
         data = encode_log_segmented(log, segment_bytes=64)
         assert is_segmented_log(data)
         assert read_segmented_header(data).version == SEGMENTED_FORMAT_VERSION
         from_bytes = list(iter_segments(data))
-        in_memory = segment_views_of_log(log, segment_bytes=64)
-        assert [view.ordinal for view in from_bytes] == [
-            view.ordinal for view in in_memory
+        in_memory = _segments(decode_log(data), 64)
+        assert len(from_bytes) > 1
+        assert [(view.ordinal, view.first_ts, view.last_ts) for view in from_bytes] == [
+            (view.ordinal, view.first_ts, view.last_ts) for view in in_memory
         ]
         assert [entry.offset for entry in read_segment_index(data)] == sorted(
             entry.offset for entry in read_segment_index(data)
@@ -124,7 +131,7 @@ class TestWindowSealing:
     def test_non_positive_budget_is_rejected(self):
         _, log = _recorded()
         with pytest.raises(ValueError):
-            segment_views_of_log(log, segment_bytes=0)
+            encode_log_segmented(log, segment_bytes=0)
 
     def test_writer_refuses_double_finish(self):
         import io
@@ -162,7 +169,7 @@ class TestSegmentBoundaryRaces:
         _, log = _recorded()
         cursor = SegmentCursor()
         regions = []
-        for segment in segment_views_of_log(log, segment_bytes=1 << 20):
+        for segment in _segments(log, 1 << 20):
             regions.extend(cursor.feed(segment))
         regions.extend(cursor.finish())
         assert len(regions) >= 2
@@ -178,7 +185,7 @@ class TestCursorSkip:
         cursor must then build exactly the regions that close after the
         cut — numbered as if it had read everything."""
         _, log = _recorded()
-        views = segment_views_of_log(log, segment_bytes=64)
+        views = _segments(log, 64)
         full = SegmentCursor()
         everything = []
         for view in views:
@@ -210,7 +217,7 @@ class TestCursorSkip:
         segment holding a region's closing sequencer is in, its rows
         leave the per-thread buffers."""
         _, log = _recorded()
-        views = segment_views_of_log(log, segment_bytes=64)
+        views = _segments(log, 64)
         cursor = SegmentCursor()
         for view in views:
             cursor.feed(view)
@@ -310,7 +317,7 @@ class TestCursorClaim:
         cursor = SegmentCursor()
         fed = []
         released = []
-        for view in segment_views_of_log(log, segment_bytes=64):
+        for view in _segments(log, 64):
             fed.extend(thread.columns for thread in view.threads.values())
             released.extend(cursor.feed(view))
         released.extend(cursor.finish())
@@ -335,7 +342,7 @@ class TestCursorClaim:
 class TestCursorErrors:
     def test_out_of_order_segments_name_segment_and_step(self):
         _, log = _recorded()
-        views = segment_views_of_log(log, segment_bytes=64)
+        views = _segments(log, 64)
         assert len(views) > 1
         cursor = SegmentCursor()
         cursor.feed(views[-1])
@@ -381,6 +388,23 @@ class TestStreamingViewGates:
     def test_non_binary_bytes_are_refused(self):
         with pytest.raises(LogViewUnavailable):
             StreamingLogView.from_bytes(b'{"not": "a container"}')
+
+    def test_only_segmented_containers_stream(self):
+        """A monolithic v3 container and a JSON log have captured
+        columns but no segments: a forced stream refuses both."""
+        import json
+
+        from repro.analysis.pipeline import analyze_log_stream
+        from repro.record.serialization import log_to_json
+
+        _, log = _recorded()
+        v3 = encode_log(log, version=3)
+        as_json = json.dumps(log_to_json(log)).encode("utf-8")
+        with pytest.raises(LogViewUnavailable, match="segmented"):
+            detect_only(v3, mode="stream")
+        for data in (v3, as_json):
+            with pytest.raises(LogViewUnavailable, match="segmented"):
+                analyze_log_stream(data)
 
 
 class TestStreamingRecorder:

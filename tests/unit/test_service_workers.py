@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import base64
+import json
 import os
 import threading
 import time
@@ -9,7 +11,13 @@ import time
 import pytest
 
 from repro.service.config import RetryPolicy, ServiceConfig
-from repro.service.jobs import JobSpec, JobState, JobStore, content_key_for
+from repro.service.jobs import (
+    JOURNAL_SCHEMA_VERSION,
+    JobSpec,
+    JobState,
+    JobStore,
+    content_key_for,
+)
 from repro.service.queue import BoundedJobQueue
 from repro.service.workers import (
     HISTOGRAM_BOUNDS_S,
@@ -347,13 +355,12 @@ class TestSpoolLifecycle:
         seen = []
         runner = self._capture_runner(seen)
 
-        # full and stream modes, serial detect_jobs, and non-segmented
-        # data all skip the spool: the worker never self-spools for those
-        # either (a stream job always streams in-process).
+        # full mode, serial detect_jobs, and non-segmented data all skip
+        # the spool: the worker never self-spools for those either (a
+        # full job on a segmented upload streams in-process).
         pool, store, queue = _pool(runner, detect_jobs=2)
         jobs = [
             _submit(store, queue, seg_data, mode="full"),
-            _submit(store, queue, seg_data, mode="stream"),
             _submit(store, queue, b"not-a-v4-container", mode="detect"),
         ]
         pool.start()
@@ -367,7 +374,48 @@ class TestSpoolLifecycle:
         _wait_final(serial_store, job)
         serial_pool.shutdown()
 
-        assert seen == [None, None, None, None]
+        assert seen == [None, None, None]
+
+
+class TestOldJournals:
+    def test_a_stream_mode_job_recovers_as_a_full_job(self, tmp_path):
+        """A journal written while "stream" was still a job mode: its
+        queued job comes back on restart, runs as a full job (its v5
+        upload streams) and ends with the full-mode report."""
+        from repro.analysis.pipeline import render_report
+
+        data = _segmented_bytes()
+        old_spec = JobSpec.for_log(data, mode="stream")
+        journal = tmp_path / "journal.jsonl"
+        line = {
+            "event": "submit",
+            "schema": JOURNAL_SCHEMA_VERSION,
+            "job_id": "stream-job",
+            "content_key": content_key_for(old_spec, None, 200_000, True, 256),
+            "priority": 0,
+            "spec": {
+                "kind": "log",
+                "log_b64": base64.b64encode(data).decode("ascii"),
+                "mode": "stream",
+            },
+        }
+        journal.write_text(json.dumps(line, sort_keys=True) + "\n")
+        store = JobStore.open(journal)
+        [old] = store.pending()
+        assert old.recovered and old.spec.mode == "stream"
+        config = ServiceConfig(pool_size=0, queue_capacity=16)
+        queue = BoundedJobQueue(config.queue_capacity, 1)
+        queue.put(old.job_id, 0)
+        full = _submit(store, queue, data)
+        pool = ShardedWorkerPool(config, store, queue)
+        pool.start()
+        _wait_final(store, old, timeout=60.0)
+        _wait_final(store, full, timeout=60.0)
+        pool.shutdown()
+        store.close()
+        assert old.state is JobState.DONE and full.state is JobState.DONE
+        assert old.perf["stream_jobs"] == 1
+        assert render_report(old.report) == render_report(full.report)
 
 
 class TestOnDoneHook:
