@@ -1,17 +1,13 @@
-"""The classification engine: parallel, memoized execution analysis.
+"""The classification engine: memoized execution analysis.
 
 This layer sits between :mod:`repro.analysis.pipeline` (one execution →
 one :class:`ExecutionAnalysis`) and the suite/experiment drivers.  It adds
-two things the per-execution pipeline does not have:
-
-* **fan-out** — executions are independent, so the engine can dispatch
-  them across a ``ProcessPoolExecutor`` (``jobs`` workers) and reassemble
-  the results in submission order;
-* **verdict memoization** — race instances that are structurally identical
-  replays (same racing code, same in-region offsets, same recorded
-  prefix/suffix content, same live-in values *where the replay actually
-  looked*) must produce the same verdict, so the engine caches verdicts
-  and serves repeats without touching the virtual processor.
+**verdict memoization**, which the per-execution pipeline does not have:
+race instances that are structurally identical replays (same racing code,
+same in-region offsets, same recorded prefix/suffix content, same live-in
+values *where the replay actually looked*) must produce the same verdict,
+so the engine caches verdicts and serves repeats without touching the
+virtual processor.
 
 Cache-key soundness (the full argument is in ``docs/performance.md``): a
 verdict is a deterministic function of (a) the two racing regions'
@@ -33,9 +29,7 @@ verdict.
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -616,8 +610,6 @@ class BatchingClassifier(RaceClassifier):
 class EngineConfig:
     """Configuration of a :class:`ClassificationEngine`."""
 
-    #: Worker processes; 1 analyses in-process (no pool).
-    jobs: int = 1
     #: Classify through :class:`BatchingClassifier` and the verdict cache;
     #: False runs the plain :class:`RaceClassifier` (the test oracle and
     #: the paper-table path).  Verdicts are byte-identical either way.
@@ -633,18 +625,14 @@ class EngineConfig:
     max_steps: int = 200_000
     capture_global_order: bool = True
     #: Directory of the content-addressed record cache (None = no cache).
-    #: A string (not a Path) so the config pickles cheaply to pool workers.
     cache_dir: Optional[str] = None
 
 
 class ClassificationEngine:
-    """Analyses batches of executions, in parallel and with verdict reuse.
+    """Analyses executions in-process, with verdict reuse.
 
-    The verdict cache is engine-lifetime: with ``jobs == 1`` every
-    execution in every :meth:`analyze_executions` call shares it; with a
-    pool each worker process keeps its own engine (and cache) alive across
-    the executions it is handed, and the per-worker statistics are merged
-    back into the caller's :class:`PerfStats`.
+    The verdict cache is engine-lifetime: every execution in every
+    :meth:`analyze_executions` call shares it.
     """
 
     def __init__(self, config: Optional[EngineConfig] = None):
@@ -772,7 +760,7 @@ class ClassificationEngine:
         perf: Optional[PerfStats] = None,
         prior=None,
     ) -> ExecutionAnalysis:
-        """Analyse one execution in-process (the pool is for batches).
+        """Analyse one execution.
 
         ``prior`` — a previous :class:`ExecutionAnalysis` of the same
         program (or its portable verdict index) — turns this into an
@@ -883,48 +871,4 @@ class ClassificationEngine:
     ) -> List[ExecutionAnalysis]:
         """Analyse a batch, preserving input order in the result list."""
         stats = perf if perf is not None else PerfStats()
-        stats.jobs = max(stats.jobs, self.config.jobs)
-        if self.config.jobs <= 1 or len(executions) <= 1:
-            return [self.analyze_execution(e, perf=stats) for e in executions]
-        return self._analyze_pooled(list(executions), stats)
-
-    def _analyze_pooled(
-        self, executions: List[Execution], stats: PerfStats
-    ) -> List[ExecutionAnalysis]:
-        workers = min(self.config.jobs, len(executions))
-        with stats.stage("pool"):
-            with ProcessPoolExecutor(
-                max_workers=workers,
-                initializer=_init_worker,
-                initargs=(self.config,),
-            ) as pool:
-                futures = [pool.submit(_worker_analyze, e) for e in executions]
-                outcomes = [future.result() for future in futures]
-        analyses: List[ExecutionAnalysis] = []
-        for analysis, worker_stats in outcomes:
-            analyses.append(analysis)
-            stats.merge(worker_stats)
-        stats.pool_tasks += len(executions)
-        return analyses
-
-
-# ----------------------------------------------------------------------
-# Pool worker plumbing.  The engine (and its verdict cache) lives for the
-# whole worker process, so memoization spans every execution a worker is
-# handed, not just one task.
-# ----------------------------------------------------------------------
-
-_WORKER_ENGINE: Optional[ClassificationEngine] = None
-
-
-def _init_worker(config: EngineConfig) -> None:
-    global _WORKER_ENGINE
-    _WORKER_ENGINE = ClassificationEngine(replace(config, jobs=1))
-
-
-def _worker_analyze(execution: Execution) -> Tuple[ExecutionAnalysis, PerfStats]:
-    assert _WORKER_ENGINE is not None, "worker used before initialization"
-    worker_stats = PerfStats()
-    analysis = _WORKER_ENGINE.analyze_execution(execution, perf=worker_stats)
-    worker_stats.pool_workers.add(os.getpid())
-    return analysis, worker_stats
+        return [self.analyze_execution(e, perf=stats) for e in executions]

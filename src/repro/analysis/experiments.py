@@ -84,20 +84,18 @@ EXPERIMENTS: Dict[str, ExperimentSpec] = {
 
 def run_suite(
     classifier_config: Optional[ClassifierConfig] = None,
-    jobs: int = 1,
     memoize: bool = False,
     cache_dir=None,
 ) -> SuiteAnalysis:
     """Analyse the full paper suite (the input to most experiments).
 
-    ``jobs``/``memoize`` route through the classification engine (process
-    pool + verdict cache); ``cache_dir`` enables the content-addressed
-    record cache.  Verdicts are identical either way.
+    ``memoize`` classifies through the engine's verdict cache;
+    ``cache_dir`` enables the content-addressed record cache.  Verdicts
+    are identical either way.
     """
     return analyze_suite(
         paper_suite(),
         classifier_config=classifier_config,
-        jobs=jobs,
         memoize=memoize,
         cache_dir=cache_dir,
     )

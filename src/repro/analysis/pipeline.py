@@ -88,12 +88,6 @@ class ExecutionAnalysis:
         """Let the first read of :attr:`verdict_index` call ``export``."""
         self.__dict__["_verdict_export"] = export
 
-    def __getstate__(self) -> Dict:
-        # A pickle (a pool worker's result) carries the materialised
-        # index, never the engine cache a deferred export refers to.
-        self.verdict_index
-        return self.__dict__
-
     @property
     def program(self) -> Program:
         return self.ordered.program
@@ -679,9 +673,9 @@ def _detect_parallel(
     Fans the container's segments across ``jobs`` partition workers
     (:func:`repro.race.happens_before.parallel_detect_races`).  The
     parent maps the file and decodes only the header and the footer
-    index — never the log bytes.  Byte sources (the service hands log
-    uploads around as bytes) are spooled to a temporary file first so
-    workers can share the mapping, then the spool is removed.
+    index — never the log bytes.  Byte sources are spooled to a
+    temporary file first so workers can share the mapping, then the
+    spool is removed.
     """
     from ..race.happens_before import parallel_detect_races
     from ..record.binary_format import is_segmented_log
@@ -841,18 +835,18 @@ def analyze_suite(
     executions: Sequence[Execution],
     classifier_config: Optional[ClassifierConfig] = None,
     max_pairs_per_location: Optional[int] = 256,
-    jobs: int = 1,
     memoize: bool = False,
     perf: Optional[PerfStats] = None,
     cache_dir=None,
 ) -> SuiteAnalysis:
     """Analyse a corpus and merge per-static-race results across executions.
 
-    The executions run through :class:`repro.analysis.engine.ClassificationEngine`.
-    ``jobs > 1`` fans them across a process pool and ``memoize`` classifies
-    through the batching classifier and its verdict cache; the default
-    classifies with the plain :class:`RaceClassifier`.  Neither changes a
-    verdict (the engine equivalence tests assert identical results).
+    The executions run in order through
+    :class:`repro.analysis.engine.ClassificationEngine`.  ``memoize``
+    classifies through the batching classifier and its verdict cache; the
+    default classifies with the plain :class:`RaceClassifier`.  Neither
+    changes a verdict (the engine equivalence tests assert identical
+    results).
     ``cache_dir`` enables the content-addressed record cache
     (:mod:`repro.analysis.cache`), letting repeated runs skip record for
     unchanged workloads — again with no effect on any result.
@@ -861,7 +855,6 @@ def analyze_suite(
 
     engine = ClassificationEngine(
         EngineConfig(
-            jobs=jobs,
             memoize=memoize,
             classifier_config=classifier_config,
             max_pairs_per_location=max_pairs_per_location,

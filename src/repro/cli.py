@@ -56,7 +56,7 @@ from .vm.scheduler import RandomScheduler, RoundRobinScheduler
 
 
 def _positive_int(text: str) -> int:
-    """argparse type for ``--jobs``: an integer >= 1, rejected loudly."""
+    """argparse type for ``--limit``: an integer >= 1, rejected loudly."""
     try:
         value = int(text)
     except ValueError:
@@ -104,9 +104,9 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help="stream the recording into a segmented container (v5), sealing "
-        "a segment every ~N payload bytes (bounds recorder memory; detect "
-        "and analyze then stream it segment by segment, and detect --jobs "
-        "can fan its segments out)",
+        "a segment every ~N payload bytes (captured rows leave memory as "
+        "segments seal; detect and analyze then stream it segment by "
+        "segment)",
     )
 
     replay = sub.add_parser("replay", help="replay a log and verify it")
@@ -123,15 +123,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--perf",
         action="store_true",
         help="print the detect-stage breakdown (index/sweep time, pair pruning)",
-    )
-    detect.add_argument(
-        "--jobs",
-        type=_positive_int,
-        default=1,
-        metavar="N",
-        help="worker processes for the detection sweep (default: 1, serial); "
-        "above 1 fans segments across a process pool — needs a log "
-        "recorded with --segment-bytes, race set is identical to serial",
     )
 
     classify = sub.add_parser(
@@ -228,12 +219,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "suite", help="analyse the paper suite and print Table 1/2"
     )
     suite.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker processes for the classification engine (default 1)",
-    )
-    suite.add_argument(
         "--memoize",
         action="store_true",
         help="reuse verdicts of structurally identical race instances",
@@ -287,12 +272,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "experiment_id", choices=sorted(EXPERIMENTS), help="experiment to run"
     )
     experiment.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker processes for suite-based experiments (default 1)",
-    )
-    experiment.add_argument(
         "--memoize",
         action="store_true",
         help="reuse verdicts of structurally identical race instances",
@@ -344,15 +323,6 @@ def _build_parser() -> argparse.ArgumentParser:
         type=Path,
         default=None,
         help="job journal (JSON lines); enables crash recovery on restart",
-    )
-    serve.add_argument(
-        "--detect-jobs",
-        type=_positive_int,
-        default=1,
-        metavar="N",
-        help="worker processes for one job's detection sweep (default: 1, "
-        "serial); above 1, detect-only jobs on segmented uploads fan "
-        "segments across a per-job process pool",
     )
     serve.add_argument(
         "--fleet-dir",
@@ -562,18 +532,10 @@ def _cmd_replay(args, out) -> int:
 
 def _cmd_detect(args, out) -> int:
     from .analysis.perf import PerfStats
-    from .analysis.pipeline import detect_only, is_streamable_container
+    from .analysis.pipeline import detect_only
 
-    if args.jobs > 1 and not is_streamable_container(args.log):
-        raise ValueError(
-            "--jobs above 1 fans out the segments of a segmented container with "
-            "captured columns; record the log with --segment-bytes"
-        )
     perf = PerfStats()
-    # The path (not its bytes) goes to the pipeline so the parallel
-    # fanout can mmap segments in the workers without the parent ever
-    # materializing the full log; the serial paths read it themselves.
-    analysis = detect_only(args.log, perf=perf, jobs=args.jobs)
+    analysis = detect_only(args.log, perf=perf)
     instances = analysis.instances
     source = analysis.source
     path = analysis.path
@@ -801,7 +763,6 @@ def _cmd_suite(args, out) -> int:
     perf = PerfStats()
     suite = analyze_suite(
         paper_suite(),
-        jobs=args.jobs,
         memoize=args.memoize,
         perf=perf,
         cache_dir=cache_dir,
@@ -829,8 +790,8 @@ def _cmd_compare(args, out) -> int:
 
 def _cmd_experiment(args, out) -> int:
     experiment_id = args.experiment_id
-    # Suite-based experiments share one engine-analysed suite so --jobs
-    # and --memoize apply; sec51/ablation_continue time their own runs.
+    # Suite-based experiments share one engine-analysed suite so
+    # --memoize applies; sec51/ablation_continue time their own runs.
     suite = None
     if experiment_id in (
         "table1",
@@ -841,9 +802,7 @@ def _cmd_experiment(args, out) -> int:
         "ablation_detectors",
         "ablation_instances",
     ):
-        suite = run_suite(
-            jobs=args.jobs, memoize=args.memoize, cache_dir=args.cache_dir
-        )
+        suite = run_suite(memoize=args.memoize, cache_dir=args.cache_dir)
     if experiment_id == "table1":
         print(run_table1(suite).render(), file=out)
     elif experiment_id == "table2":
@@ -880,7 +839,6 @@ def _cmd_serve(args, out) -> int:
         job_timeout_s=args.job_timeout,
         cache_dir=str(args.cache_dir) if args.cache_dir else None,
         journal_path=str(args.journal) if args.journal else None,
-        detect_jobs=args.detect_jobs,
         fleet_dir=str(args.fleet_dir) if args.fleet_dir else None,
     )
     return serve_forever(config, out=out)

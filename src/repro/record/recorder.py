@@ -24,16 +24,22 @@ straight from the recording instead of re-deriving every access by replay.
 
 **Segment streaming.**  Attached to a
 :class:`~repro.record.binary_format.SegmentedLogWriter` ``sink``, the
-recorder flushes the big access columns to disk *while the machine is
-still running*: every sequencer hook ships the rows it claims (thread
-step ≤ the sequencer's) into the writer — which seals a v5 segment
-whenever its cost window fills — and deletes them from the in-memory
-arrays, so resident capture state is bounded by the inter-sequencer gap
-instead of the whole trace.  The VM emits a sync instruction's sequencer
-*before* that instruction's own access hooks, so same-step sync rows ride
-one sequencer later; per-thread step order (all the decoder relies on) is
-preserved, and those rows are sync-flagged and thus outside every
-sequencing region anyway.
+recorder flushes the access and heap columns to disk *while the machine
+is still running*: each sequencer ships the rows it claims (thread step
+≤ the sequencer's) into the writer — which seals a v5 segment whenever
+its cost window fills — and deletes them from the in-memory arrays.  The
+VM emits a sync instruction's sequencer *before* that instruction's own
+access hooks, so a sequencer is held until the next sequencer of any
+thread (or :meth:`Recorder.finish`), when every row at its step has been
+captured.  The sink therefore claims the rows ``encode_log_segmented``
+attaches and cuts where it cuts: a recorded container is byte-identical
+to re-encoding its decoded log at the same budget.
+
+Only the shipped access and heap rows leave memory.  The global order
+(two list entries per executed instruction), the logged loads and
+syscalls and the pc footprint stay resident until :meth:`Recorder.finish`
+writes them into the trailer, so recorder memory still grows with the
+run (ROADMAP item 1).
 """
 
 from __future__ import annotations
@@ -187,6 +193,8 @@ class Recorder(Observer):
         self._finished = False
         #: Optional :class:`SegmentedLogWriter` receiving rows as they land.
         self._sink = sink
+        #: The newest sequencer, held until its step's rows are captured.
+        self._pending: Optional[tuple] = None
 
     # ------------------------------------------------------------------
     # Observer hooks.
@@ -202,7 +210,9 @@ class Recorder(Observer):
         capture.seq_kinds.append(kind)
         capture.seq_static_ids.append(static_id)
         if self._sink is not None:
-            self._ship(
+            if self._pending is not None:
+                self._ship(*self._pending)
+            self._pending = (
                 capture,
                 SequencerRecord(
                     thread_step=thread_step,
@@ -329,11 +339,11 @@ class Recorder(Observer):
     def finish(self) -> ReplayLog:
         """Assemble the final :class:`ReplayLog` (idempotent).
 
-        With a segment sink attached, this also seals the pending segment
-        and writes the trailer + footer, and the returned log carries
-        ``captured=None`` — the access columns already live in the v5
-        segments on disk (that is the bounded-memory point), so callers
-        on the streaming path read them back via
+        With a segment sink attached, this also ships the held sequencer,
+        seals the pending segment and writes the trailer + footer, and the
+        returned log carries ``captured=None`` — the access columns
+        already live in the v5 segments on disk, so callers on the
+        streaming path read them back via
         :func:`~repro.record.binary_format.iter_segments` rather than
         from this object.
         """
@@ -364,6 +374,9 @@ class Recorder(Observer):
 
     def _finish_streaming(self) -> ReplayLog:
         """Seal the sink (trailer + footer) and return a captureless log."""
+        if self._pending is not None:
+            self._ship(*self._pending)
+            self._pending = None
         threads = {
             capture.name: capture.to_thread_log()
             for capture in self._captures.values()
@@ -470,10 +483,12 @@ def record_run_segmented(
 ):
     """Record straight into a segmented container (v5) at ``path``.
 
-    The streaming twin of :func:`record_run` + ``save_log``: segments hit
-    the file while the machine runs, peak recorder memory is bounded by
-    the segment window, and a streaming consumer can start detecting on
-    sealed segments before the run ends.  Returns
+    The streaming twin of :func:`record_run` + ``save_log``, and
+    byte-identical to it at the same budget: segments hit the file while
+    the machine runs, so the captured access and heap rows never pile up
+    in memory (the rest of the log still does; see the module
+    docstring), and a streaming consumer can start detecting on sealed
+    segments before the run ends.  Returns
     ``(MachineResult, ReplayLog)`` — the log has ``captured=None``; the
     captured columns live in the file.
     """

@@ -175,9 +175,8 @@ def save_log(
 
     ``segment_bytes`` selects the **segmented container** (v5) with that
     window size — the format ``repro detect`` and ``repro analyze``
-    stream segment by segment, and ``detect --jobs`` fans out.  It is a
-    binary-only knob; combining it with JSON output is an error rather
-    than a silent downgrade.
+    stream segment by segment.  It is a binary-only knob; combining it
+    with JSON output is an error rather than a silent downgrade.
     """
     from .binary_format import encode_log, encode_log_segmented
 

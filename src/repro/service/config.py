@@ -89,12 +89,6 @@ class ServiceConfig:
     #: resubmissions (requires ``cache_dir``); dedup near-miss jobs then
     #: replay only content-changed instances.
     incremental: bool = True
-    #: Worker processes for the detection sweep of a single detect-only
-    #: job (the ``jobs=`` argument of
-    #: :func:`repro.analysis.pipeline.detect_only`).  Above 1, a v4/v5
-    #: segmented upload fans its segments across a per-job process pool;
-    #: any other upload, and every full job, runs in-process.
-    detect_jobs: int = 1
 
     def effective_shards(self) -> int:
         return self.shards if self.shards > 0 else max(self.pool_size, 1)

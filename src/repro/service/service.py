@@ -203,9 +203,8 @@ class AnalysisService:
         per-window classification; any other log takes the batch pass.
         ``mode="detect"`` runs detection only
         (:func:`repro.analysis.pipeline.detect_only`): a v4 or v5
-        container streams (or fans out under ``detect_jobs``), another
-        log with captured columns takes the zero-replay from-log path,
-        anything else replays.
+        container streams, another log with captured columns takes the
+        zero-replay from-log path, anything else replays.
 
         Admission validates binary containers through the sectioned
         reader (header + sequencer + captured framing) rather than a

@@ -102,7 +102,6 @@ def _worker_init(config_dict: dict) -> None:
     config = ServiceConfig.from_dict(config_dict)
     engine = ClassificationEngine(
         EngineConfig(
-            jobs=1,
             max_pairs_per_location=config.max_pairs_per_location,
             max_steps=config.max_steps,
             capture_global_order=config.capture_global_order,
@@ -209,17 +208,11 @@ def _run_detect_only(payload: dict, context: dict, stats: PerfStats) -> dict:
             perf=stats,
         )
     else:
-        # The upload picks the detect path; jobs= lets a v4/v5 segmented
-        # upload fan its segments across a process pool.  A shard-thread
-        # spool (see ShardedWorkerPool._spool_for) is preferred over the
-        # raw bytes: detect_only then never creates its own temp file in
-        # this process, which would leak if the pool recycles a wedged
-        # worker mid-job.
+        # The upload picks the detect path, as in `repro detect`.
         analysis = detect_only(
-            payload.get("spool_path") or payload["log_data"],
+            payload["log_data"],
             max_pairs_per_location=config.max_pairs_per_location,
             perf=stats,
-            jobs=config.detect_jobs,
         )
     return detection_report(analysis)
 
@@ -353,40 +346,6 @@ class ShardedWorkerPool:
             "config": self.config.to_dict(),
         }
 
-    def _spool_for(self, job: Job) -> Optional[str]:
-        """Spool an upload that the worker's parallel path will mmap.
-
-        Only jobs that would otherwise self-spool inside the worker
-        process qualify: log uploads in detect mode, a ``detect_jobs``
-        fan-out configured, and a v4/v5 container with captured columns.
-        Writing the spool here — on the shard thread — is the leak fix:
-        the shard thread's ``finally`` unlinks it even when the worker
-        process is terminated mid-job by :meth:`_recycle_executor`, which
-        would skip any cleanup inside the worker.
-        """
-        spec = job.spec
-        if (
-            spec.kind != "log"
-            or spec.mode != "detect"
-            or self.config.detect_jobs <= 1
-            or spec.log_data is None
-        ):
-            return None
-        from ..analysis.pipeline import is_streamable_container
-
-        if not is_streamable_container(spec.log_data):
-            return None
-        import tempfile
-
-        handle = tempfile.NamedTemporaryFile(
-            prefix="repro-spool-", suffix=".rprb", delete=False
-        )
-        try:
-            handle.write(spec.log_data)
-        finally:
-            handle.close()
-        return handle.name
-
     def _execute(self, shard: int, payload: dict) -> dict:
         if self._runner is not None:
             return self._runner(payload)
@@ -431,14 +390,9 @@ class ShardedWorkerPool:
         # The running count drops only after the terminal transition
         # (mark_done / mark_failed / requeue) is journaled, so drain()
         # returning True means every finished job's report is visible.
-        spool_path: Optional[str] = None
         try:
             try:
-                payload = self._payload_for(job)
-                spool_path = self._spool_for(job)
-                if spool_path is not None:
-                    payload["spool_path"] = spool_path
-                result = self._execute(shard, payload)
+                result = self._execute(shard, self._payload_for(job))
             except Exception as error:  # noqa: BLE001 - any failure is the job's
                 self._handle_failure(shard, job, error)
                 return
@@ -458,11 +412,6 @@ class ShardedWorkerPool:
             )
             self._merge_result(result)
         finally:
-            if spool_path is not None:
-                try:
-                    os.unlink(spool_path)
-                except OSError:  # pragma: no cover - best-effort cleanup
-                    pass
             with self._metrics_lock:
                 self._running_jobs -= 1
 

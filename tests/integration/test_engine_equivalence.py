@@ -136,14 +136,6 @@ class TestPaperSuiteEquivalence:
         assert aggregates(memoized) == aggregates(reference)
         assert perf.cache_hits + perf.cache_misses == perf.instances
 
-    def test_pooled_path_is_byte_identical(self, reference):
-        perf = PerfStats()
-        pooled = analyze_suite(paper_suite(), jobs=2, memoize=True, perf=perf)
-        assert verdicts(pooled) == verdicts(reference)
-        assert aggregates(pooled) == aggregates(reference)
-        assert perf.pool_tasks == len(paper_suite())
-        assert perf.pool_workers
-
 
 class TestBatchingEquivalence:
     """The batched planner and incremental splicing change no verdict."""
@@ -161,11 +153,11 @@ class TestBatchingEquivalence:
     def test_incremental_prior_replays_nothing(self):
         execution = Execution("incr:lost_update#s931", lost_update(90), 931)
         cold_stats = PerfStats()
-        cold = ClassificationEngine(EngineConfig(jobs=1)).analyze_execution(
+        cold = ClassificationEngine(EngineConfig()).analyze_execution(
             execution, perf=cold_stats
         )
         warm_stats = PerfStats()
-        warm = ClassificationEngine(EngineConfig(jobs=1)).analyze_execution(
+        warm = ClassificationEngine(EngineConfig()).analyze_execution(
             execution, perf=warm_stats, prior=cold
         )
 
@@ -191,12 +183,12 @@ class TestBatchingEquivalence:
     def test_reseeded_warm_run_replays_under_a_tenth(self):
         # The service's near-miss resubmission: a different seed of the
         # same program, spliced from the first run's verdict index.
-        cold = ClassificationEngine(EngineConfig(jobs=1)).analyze_log(
+        cold = ClassificationEngine(EngineConfig()).analyze_log(
             racy_loop_log(24, seed=21)
         )
         log = racy_loop_log(24, seed=22)
         stats = PerfStats()
-        warm = ClassificationEngine(EngineConfig(jobs=1)).analyze_log(
+        warm = ClassificationEngine(EngineConfig()).analyze_log(
             log, perf=stats, prior=cold
         )
         plain_stats = PerfStats()
@@ -215,7 +207,7 @@ class TestReseededEquivalence:
     def test_engine_matches_naive_on_unseen_seeds(self):
         executions = reseeded_executions()
         reference = analyze_suite(executions, classifier_config=NAIVE)
-        engine = analyze_suite(executions, jobs=2, memoize=True)
+        engine = analyze_suite(executions, memoize=True)
         assert verdicts(reference)  # the workloads do race
         assert verdicts(engine) == verdicts(reference)
 

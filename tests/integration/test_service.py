@@ -43,7 +43,7 @@ def _direct_report_bytes(workload_name=WORKLOAD, seed=SEED):
         switch_probability=0.3,
         execution_id="%s#s%d" % (workload_name, seed),
     )
-    engine = ClassificationEngine(EngineConfig(jobs=1))
+    engine = ClassificationEngine(EngineConfig())
     analysis = engine.analyze_execution(execution)
     return render_report(execution_report(analysis)), analysis
 
@@ -534,7 +534,7 @@ class TestIncrementalResubmission:
 
         from repro.record.serialization import load_log_bytes
 
-        expected = ClassificationEngine(EngineConfig(jobs=1)).analyze_log(
+        expected = ClassificationEngine(EngineConfig()).analyze_log(
             load_log_bytes(warm_data)
         )
         assert revived.report_bytes(warm_job.job_id) == render_report(

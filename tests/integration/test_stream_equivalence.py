@@ -191,7 +191,6 @@ class TestServiceStreamMode:
         client.wait(job.job_id, timeout_s=60)
         engine = ClassificationEngine(
             EngineConfig(
-                jobs=1,
                 max_pairs_per_location=service.config.max_pairs_per_location,
             )
         )

@@ -41,7 +41,7 @@ def _report(analysis):
 
 
 def _engine():
-    return ClassificationEngine(EngineConfig(jobs=1, memoize=True))
+    return ClassificationEngine(EngineConfig(memoize=True))
 
 
 class TestBatchedEngineEquivalence:
@@ -50,7 +50,7 @@ class TestBatchedEngineEquivalence:
     def test_batched_and_incremental_match_per_instance(self, source, seed):
         log = _recorded_log(source, seed)
         naive = ClassificationEngine(
-            EngineConfig(jobs=1, memoize=False)
+            EngineConfig(memoize=False)
         ).analyze_log(log)
         reference = _report(naive)
 

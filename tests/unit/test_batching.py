@@ -285,7 +285,7 @@ class TestPortableIndex:
         assert cache.absorb_portable(index) == 0
 
     def test_absorb_is_idempotent(self):
-        engine = ClassificationEngine(EngineConfig(jobs=1))
+        engine = ClassificationEngine(EngineConfig())
         index = engine.analyze_log(batchy_log()).verdict_index
         assert index["entries"]
         cache = VerdictCache()
@@ -296,9 +296,9 @@ class TestPortableIndex:
 
     def test_roundtrip_replays_nothing(self):
         log = batchy_log()
-        cold = ClassificationEngine(EngineConfig(jobs=1)).analyze_log(log)
+        cold = ClassificationEngine(EngineConfig()).analyze_log(log)
         stats = PerfStats()
-        warm_engine = ClassificationEngine(EngineConfig(jobs=1))
+        warm_engine = ClassificationEngine(EngineConfig())
         warm = warm_engine.analyze_log(log, perf=stats, prior=cold)
         assert analysis_verdicts(warm) == analysis_verdicts(cold)
         assert stats.cache_misses == 0
@@ -306,7 +306,7 @@ class TestPortableIndex:
         assert stats.incremental_absorbed == len(cold.verdict_index["entries"])
 
     def test_export_after_absorb_is_lossless(self):
-        index = ClassificationEngine(EngineConfig(jobs=1)).analyze_log(
+        index = ClassificationEngine(EngineConfig()).analyze_log(
             batchy_log()
         ).verdict_index
         cache = VerdictCache()
@@ -319,12 +319,12 @@ class TestPortableIndex:
 class TestCollisionGuard:
     def test_shape_mismatch_blocks_splicing_but_not_correctness(self):
         log = batchy_log()
-        cold = ClassificationEngine(EngineConfig(jobs=1)).analyze_log(log)
+        cold = ClassificationEngine(EngineConfig()).analyze_log(log)
         corrupted = copy.deepcopy(cold.verdict_index)
         for entry in corrupted["entries"]:
             entry["shapes"] = [[0, 0, 0], [0, 0, 0]]
         stats = PerfStats()
-        warm = ClassificationEngine(EngineConfig(jobs=1)).analyze_log(
+        warm = ClassificationEngine(EngineConfig()).analyze_log(
             log, perf=stats, prior=corrupted
         )
         # Every key matches by digest, but the shape guard rejects all
@@ -338,16 +338,16 @@ class TestCollisionGuard:
         # collide.  The shape guard and probe agreement must still keep
         # warm-incremental verdicts identical to a cold analysis.
         monkeypatch.setattr(batching, "content_digest", lambda content: "f" * 64)
-        cold = ClassificationEngine(EngineConfig(jobs=1)).analyze_log(batchy_log())
+        cold = ClassificationEngine(EngineConfig()).analyze_log(batchy_log())
         digests = {
             entry["key"][2] for entry in cold.verdict_index["entries"]
         } | {entry["key"][4] for entry in cold.verdict_index["entries"]}
         assert digests == {"f" * 64}
         other_log = batchy_log(seed=8)
-        reference = ClassificationEngine(EngineConfig(jobs=1)).analyze_log(
+        reference = ClassificationEngine(EngineConfig()).analyze_log(
             other_log
         )
-        warm = ClassificationEngine(EngineConfig(jobs=1)).analyze_log(
+        warm = ClassificationEngine(EngineConfig()).analyze_log(
             other_log, prior=cold
         )
         assert analysis_verdicts(warm) == analysis_verdicts(reference)

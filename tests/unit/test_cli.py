@@ -142,9 +142,9 @@ class TestDetect:
         cut = tmp_path / "cut.rprb"
         cut.write_bytes(data[: read_segment_index(data)[1].offset + 1])
         capsys.readouterr()
-        # A v4 container streams in detect and analyze, and fans out
-        # under detect --jobs: each path ends in the same one-line error.
-        for argv in (["detect"], ["analyze"], ["detect", "--jobs", "2"]):
+        # A segmented container streams in detect and analyze: each path
+        # ends in the same one-line error.
+        for argv in (["detect"], ["analyze"]):
             code, _ = run_cli(argv + [str(cut)])
             err = capsys.readouterr().err
             assert code == 1
@@ -163,7 +163,7 @@ class TestDetect:
         future = tmp_path / "future.rprb"
         future.write_bytes(bytes(data))
         capsys.readouterr()
-        for argv in (["detect"], ["analyze"], ["detect", "--jobs", "2"]):
+        for argv in (["detect"], ["analyze"]):
             code, _ = run_cli(argv + [str(future)])
             err = capsys.readouterr().err
             assert code == 1
@@ -201,7 +201,6 @@ class TestDetect:
             ["replay", str(mismatched)],
             ["detect", str(segmented)],
             ["analyze", str(segmented)],
-            ["detect", str(segmented), "--jobs", "2"],
         ):
             code, text = run_cli(argv)
             err = capsys.readouterr().err

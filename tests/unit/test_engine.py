@@ -332,40 +332,6 @@ class TestVerdictIndexSnapshot:
         assert engine.cache.export_portable(program=program) != at_finish
         assert first.verdict_index == at_finish
 
-    def test_pooled_indexes_match_in_process_ones(self):
-        from repro.workloads.suite import paper_suite
-
-        # Three programs: each worker's index then holds what the
-        # in-process engine's holds for the same program.
-        executions = list({e.workload.name: e for e in paper_suite()}.values())[:3]
-        serial = ClassificationEngine(EngineConfig(jobs=1)).analyze_executions(
-            executions
-        )
-        pooled = ClassificationEngine(EngineConfig(jobs=2)).analyze_executions(
-            executions
-        )
-        assert [a.verdict_index for a in pooled] == [
-            a.verdict_index for a in serial
-        ]
-        assert all(a.verdict_index["entries"] for a in serial)
-
-    def test_pickle_does_not_carry_the_engine_cache(self):
-        import pickle
-
-        from repro.workloads.suite import paper_suite
-
-        alone = ClassificationEngine(EngineConfig()).analyze_execution(
-            lost_update_execution(901)
-        )
-        engine = ClassificationEngine(EngineConfig())
-        for execution in paper_suite():  # other programs' verdicts
-            engine.analyze_execution(execution)
-        late = engine.analyze_execution(lost_update_execution(901))
-        assert len(engine.cache) > 5 * len(alone.verdict_index["entries"])
-        data = pickle.dumps(late)
-        assert len(data) == len(pickle.dumps(alone))
-        assert pickle.loads(data).verdict_index == late.verdict_index
-
 
 class TestPersistedVerdictIndex:
     def test_a_run_that_adds_nothing_does_not_rewrite_the_index(

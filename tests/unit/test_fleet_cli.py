@@ -105,6 +105,16 @@ class TestAbsorbAndReport:
         assert document["summary"]["listed"] == 1
         assert document["races"][0]["race"] == RACE_A
 
+    @pytest.mark.parametrize("bad", ["0", "-3", "banana"])
+    def test_report_limit_rejects_bad_values(self, store_dir, bad, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(
+                ["fleet", "--store", str(store_dir), "report", "--limit", bad],
+                out=io.StringIO(),
+            )
+        assert excinfo.value.code == 2
+        assert "expected an integer >= 1" in capsys.readouterr().err
+
 
 class TestSuppress:
     def test_suppress_hides_until_include_suppressed(self, store_dir):

@@ -6,7 +6,8 @@ the serial paths produce — same instances, same order, same truncation —
 including when a racing pair's regions straddle a segment boundary and
 are stitched back together by the boundary-overlap window.  The helpers
 (`partition_segment_ranges`, `MappedSegmentedReader`) and the CLI's
-``--jobs`` validation and input-driven path choice are covered alongside.
+input-driven path choice are covered alongside.  The fan-out is a
+library path only: no CLI flag or service setting reaches it.
 """
 
 import bisect
@@ -239,19 +240,12 @@ class TestCliJobsValidation:
         path, _ = _segmented_file(tmp_path, log)
         return path
 
-    @pytest.mark.parametrize("bad", ["0", "-3", "banana"])
-    def test_non_positive_or_non_integer_jobs_exit_two(self, seg_log, bad, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["detect", str(seg_log), "--jobs", bad], out=io.StringIO())
-        assert excinfo.value.code == 2
-        assert "expected an integer >= 1" in capsys.readouterr().err
-
-    def test_jobs_conflicts_with_explicit_path_flags(self, seg_log, capsys):
-        # The log picks the detect path: there are no path flags to
-        # combine with --jobs, so naming one is a usage error.
-        for flag in ("--stream", "--from-log"):
+    def test_detect_has_no_path_flags(self, seg_log, capsys):
+        # The log picks the detect path: naming a path or a worker count
+        # is a usage error.
+        for flag in ("--stream", "--from-log", "--jobs"):
             with pytest.raises(SystemExit) as excinfo:
-                main(["detect", str(seg_log), "--jobs", "4", flag], out=io.StringIO())
+                main(["detect", str(seg_log), flag], out=io.StringIO())
             assert excinfo.value.code == 2
             assert "unrecognized arguments: %s" % flag in capsys.readouterr().err
 
@@ -299,31 +293,6 @@ class TestCliJobsValidation:
             assert ("stream: 1 jobs" in out.getvalue()) is streams
             reports.append(report.read_bytes())
         assert reports[0] == reports[1]
-
-    def test_detect_jobs_rejects_non_segmented_log(self, tmp_path, capsys):
-        """detect --jobs on a monolithic container errors loudly, in one
-        line, rather than silently running the serial sweep the user
-        asked to fan."""
-        _, log = _recorded()
-        v3 = tmp_path / "v3.rprb"
-        v3.write_bytes(encode_log(log))
-        captureless = tmp_path / "nocap.rprb"
-        captureless.write_bytes(
-            encode_log_segmented(log, 64, include_captured=False)
-        )
-        for path in (v3, captureless):
-            code = main(["detect", str(path), "--jobs", "2"], out=io.StringIO())
-            assert code == 1
-            err = capsys.readouterr().err
-            assert err.count("\n") == 1
-            assert "segment" in err
-
-    def test_detect_output_is_identical_across_jobs(self, seg_log):
-        serial = io.StringIO()
-        fanned = io.StringIO()
-        assert main(["detect", str(seg_log), "--jobs", "1"], out=serial) == 0
-        assert main(["detect", str(seg_log), "--jobs", "4"], out=fanned) == 0
-        assert serial.getvalue() == fanned.getvalue()
 
 
 class TestParallelDetectRaces:

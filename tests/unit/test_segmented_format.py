@@ -447,6 +447,24 @@ class TestStreamingRecorder:
             detection_report(detect_only(data, mode="stream"))
         ) == expected
 
+    @pytest.mark.parametrize("seed", [3, 9, 11, 17])
+    @pytest.mark.parametrize("budget", [32, 64, 128, 4096])
+    def test_recorded_container_is_canonical(self, tmp_path, seed, budget):
+        """The recorder cuts where the encoder cuts: a sync instruction's
+        own rows attach to its sequencer, so re-encoding the decoded
+        recording at the same budget gives back the recorded bytes."""
+        program = assemble(RACY_COUNTER, name="seg_unit")
+        destination = tmp_path / "run.rprb"
+        record_run_segmented(
+            program,
+            destination,
+            scheduler=RandomScheduler(seed=seed, switch_probability=0.4),
+            seed=seed,
+            segment_bytes=budget,
+        )
+        data = destination.read_bytes()
+        assert encode_log_segmented(decode_log(data), segment_bytes=budget) == data
+
     def test_save_log_rejects_json_with_segments(self, tmp_path):
         from repro.record.serialization import save_log
 

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import base64
 import json
-import os
 import threading
 import time
 
@@ -34,12 +33,11 @@ def _submit(store, queue, data=b"payload", priority=0, shard=0, mode="full"):
     return job
 
 
-def _pool(runner, retry=None, shards=1, detect_jobs=1, on_done=None):
+def _pool(runner, retry=None, shards=1, on_done=None):
     config = ServiceConfig(
         pool_size=0,
         shards=shards,
         queue_capacity=16,
-        detect_jobs=detect_jobs,
         retry=retry or RetryPolicy(max_attempts=2, backoff_base_s=0.01),
     )
     store = JobStore()
@@ -253,7 +251,7 @@ class TestInlineContextIsolation:
 
 
 def _segmented_bytes():
-    """A small v4 segmented container (the spool-eligible upload shape)."""
+    """A small v5 segmented container (an upload that streams)."""
     from repro.isa import assemble
     from repro.record import record_run
     from repro.record.binary_format import encode_log_segmented
@@ -273,108 +271,11 @@ counter: .word 0
     store r1, [counter]
     halt
 """
-    program = assemble(source, name="spool_unit")
+    program = assemble(source, name="stream_unit")
     _, log = record_run(
         program, scheduler=RandomScheduler(seed=9, switch_probability=0.4), seed=9
     )
     return encode_log_segmented(log, segment_bytes=64)
-
-
-class TestSpoolLifecycle:
-    """The shard thread owns the parallel-path spool: it writes it before
-    dispatch and unlinks it in ``finally`` — success, failure, or a worker
-    process recycled mid-job (the leak this guards against)."""
-
-    @pytest.fixture(scope="class")
-    def seg_data(self):
-        return _segmented_bytes()
-
-    def _capture_runner(self, seen):
-        def runner(payload):
-            path = payload.get("spool_path")
-            seen.append(path)
-            if path is not None:
-                # Alive and byte-faithful while the job runs.
-                with open(path, "rb") as handle:
-                    assert handle.read() == payload["log_data"]
-            return {"report": {"detect_version": 0}, "perf": {}, "elapsed_s": 0.0}
-
-        return runner
-
-    def test_spool_created_and_removed_on_success(self, seg_data):
-        seen = []
-        pool, store, queue = _pool(self._capture_runner(seen), detect_jobs=2)
-        job = _submit(store, queue, seg_data, mode="detect")
-        pool.start()
-        _wait_final(store, job)
-        pool.shutdown()
-        assert job.state is JobState.DONE
-        assert len(seen) == 1 and seen[0] is not None
-        assert not os.path.exists(seen[0])
-
-    def test_spool_removed_when_runner_raises(self, seg_data):
-        # The regression: a worker terminated (or failing) mid-job must
-        # not strand its spool — cleanup lives on the shard thread.
-        seen = []
-
-        def runner(payload):
-            seen.append(payload["spool_path"])
-            assert os.path.exists(payload["spool_path"])
-            raise RuntimeError("worker died mid-job")
-
-        pool, store, queue = _pool(
-            runner, retry=RetryPolicy(max_attempts=1), detect_jobs=2
-        )
-        job = _submit(store, queue, seg_data, mode="detect")
-        pool.start()
-        _wait_final(store, job)
-        pool.shutdown()
-        assert job.state is JobState.FAILED
-        assert len(seen) == 1
-        assert not os.path.exists(seen[0])
-
-    def test_every_retry_attempt_gets_a_fresh_spool(self, seg_data):
-        seen = []
-
-        def runner(payload):
-            seen.append(payload["spool_path"])
-            if len(seen) == 1:
-                raise RuntimeError("transient")
-            return {"report": {}, "perf": {}, "elapsed_s": 0.0}
-
-        pool, store, queue = _pool(runner, detect_jobs=2)
-        job = _submit(store, queue, seg_data, mode="detect")
-        pool.start()
-        _wait_final(store, job)
-        pool.shutdown()
-        assert job.state is JobState.DONE
-        assert len(seen) == 2 and seen[0] != seen[1]
-        assert not any(os.path.exists(path) for path in seen)
-
-    def test_no_spool_for_ineligible_jobs(self, seg_data):
-        seen = []
-        runner = self._capture_runner(seen)
-
-        # full mode, serial detect_jobs, and non-segmented data all skip
-        # the spool: the worker never self-spools for those either (a
-        # full job on a segmented upload streams in-process).
-        pool, store, queue = _pool(runner, detect_jobs=2)
-        jobs = [
-            _submit(store, queue, seg_data, mode="full"),
-            _submit(store, queue, b"not-a-v4-container", mode="detect"),
-        ]
-        pool.start()
-        for job in jobs:
-            _wait_final(store, job)
-        pool.shutdown()
-
-        serial_pool, serial_store, serial_queue = _pool(runner, detect_jobs=1)
-        job = _submit(serial_store, serial_queue, seg_data, mode="detect")
-        serial_pool.start()
-        _wait_final(serial_store, job)
-        serial_pool.shutdown()
-
-        assert seen == [None, None, None]
 
 
 class TestOldJournals:
