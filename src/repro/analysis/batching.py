@@ -19,7 +19,8 @@ happens.
 The module also owns the *content* functions shared by the verdict
 cache, the incremental re-analysis index and the report exporter:
 :func:`region_content` builds the canonical region-content tuple,
-:func:`content_digest` its stable cross-process hash, and
+:func:`content_digest` its stable cross-process hash,
+:class:`RegionContents` memoizes both per region for one analysis, and
 :func:`instance_batch_key` the triage-facing ``(static race id,
 region-content hashes)`` key exported with harmful verdicts.
 """
@@ -53,28 +54,14 @@ def region_content(
     (loads seed values, stores and their values, sync ops) and the
     region-end state — is a function of this tuple, so two regions with
     equal content are interchangeable for classification.  This is the
-    single definition the verdict cache interns, the incremental index
-    digests and the exporter's batch keys hash.
+    single definition the verdict cache digests and the exporter's batch
+    keys hash; an analysis builds it at most once per region, through
+    :class:`RegionContents`.
     """
     replay = ordered.thread_replays[thread_name]
-    log = ordered.log
     start, end = region.start_step, region.end_step
-    if region.end_kind == "thread_end":
-        thread_end = log.threads[thread_name].end
-        end_state = (
-            "thread_end",
-            None if thread_end is None else thread_end.reason,
-            replay.final_registers,
-            replay.final_pc,
-        )
-    else:
-        end_state = (
-            region.end_kind,
-            replay.region_end_registers.get(end),
-            replay.region_end_pcs.get(end),
-        )
     if footprint is None:
-        footprint = tuple(sorted(set(log.threads[thread_name].pc_footprint)))
+        footprint = tuple(sorted(set(ordered.log.threads[thread_name].pc_footprint)))
     return (
         thread_name,
         # The whole-thread pc footprint gates which control flow an
@@ -84,18 +71,75 @@ def region_content(
         ordered.region_start_pc(region),
         ordered.live_in_registers(region),
         tuple(replay.static_ids[start:end]),
-        tuple(
-            (
-                access.thread_step - start,
-                access.address,
-                access.value,
-                access.is_write,
-                access.is_sync,
-            )
-            for access in replay.accesses_in_steps(start, end)
-        ),
-        end_state,
+        # (step offset, address, value, is_write, is_sync) per access.
+        replay.region_rows(start, end),
+        region_end_state(ordered, thread_name, region),
     )
+
+
+def region_end_state(ordered, thread_name: str, region: SequencingRegion) -> tuple:
+    """The region-end part of :func:`region_content`."""
+    replay = ordered.thread_replays[thread_name]
+    if region.end_kind == "thread_end":
+        thread_end = ordered.log.threads[thread_name].end
+        return (
+            "thread_end",
+            None if thread_end is None else thread_end.reason,
+            replay.final_registers,
+            replay.final_pc,
+        )
+    return (
+        region.end_kind,
+        replay.region_end_registers.get(region.end_step),
+        replay.region_end_pcs.get(region.end_step),
+    )
+
+
+class RegionContents:
+    """One analysis's region contents and digests, each built once.
+
+    Kept by the ordered replay (:meth:`OrderedReplay.region_contents`),
+    so the batching classifier's interning and the report's batch keys
+    share one content tuple and one digest per region — and, being
+    functions of the recording alone, plain and batched reports stay
+    byte-identical.  Each thread's pc footprint is sorted once.
+    """
+
+    def __init__(self, ordered) -> None:
+        self._ordered = ordered
+        self._footprints: Dict[str, Tuple[int, ...]] = {}
+        self._contents: Dict[Tuple[int, int], tuple] = {}
+        self._digests: Dict[Tuple[int, int], str] = {}
+
+    def footprint(self, thread_name: str) -> Tuple[int, ...]:
+        """The thread's pc footprint, sorted."""
+        footprint = self._footprints.get(thread_name)
+        if footprint is None:
+            footprint = tuple(
+                sorted(set(self._ordered.log.threads[thread_name].pc_footprint))
+            )
+            self._footprints[thread_name] = footprint
+        return footprint
+
+    def content(self, thread_name: str, region: SequencingRegion) -> tuple:
+        """:func:`region_content` of ``region``, built on first use."""
+        key = (region.tid, region.index)
+        content = self._contents.get(key)
+        if content is None:
+            content = region_content(
+                self._ordered, thread_name, region, self.footprint(thread_name)
+            )
+            self._contents[key] = content
+        return content
+
+    def digest(self, thread_name: str, region: SequencingRegion) -> str:
+        """:func:`content_digest` of ``region``'s content, built on first use."""
+        key = (region.tid, region.index)
+        digest = self._digests.get(key)
+        if digest is None:
+            digest = content_digest(self.content(thread_name, region))
+            self._digests[key] = digest
+        return digest
 
 
 def content_digest(content: tuple) -> str:
@@ -143,10 +187,9 @@ def instance_batch_key(ordered, instance: RaceInstance) -> Dict:
             region_b=instance.region_a,
         )
     key = instance.static_key
+    contents = ordered.region_contents()
     digests = [
-        content_digest(
-            region_content(ordered, access.thread_name, region)
-        )[:16]
+        contents.digest(access.thread_name, region)[:16]
         for access, region in (
             (instance.access_a, instance.region_a),
             (instance.access_b, instance.region_b),

@@ -31,7 +31,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import partial
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..race.classifier import ClassifierConfig, RaceClassifier
 from ..race.model import RaceInstance
@@ -128,6 +128,11 @@ def _template_from_json(raw) -> _VerdictTemplate:
     )
 
 
+def freed_fingerprint(freed: Dict[int, int]) -> tuple:
+    """The freed-range set as the sorted item tuple cache entries store."""
+    return tuple(sorted(freed.items()))
+
+
 class VerdictCache:
     """Memoized verdicts keyed by structural key + live-in probe set.
 
@@ -151,6 +156,7 @@ class VerdictCache:
         self._entries: Dict[tuple, List[_Candidate]] = {}
         #: Local candidates stamped so far (the next stamp).
         self._stamped = 0
+        #: region intern key -> content id.
         self._interned: Dict[tuple, int] = {}
         #: id -> content tuple (for digesting on export/splice).
         self._contents: List[tuple] = []
@@ -170,18 +176,22 @@ class VerdictCache:
         #: Entries accepted by :meth:`absorb_portable` over the lifetime.
         self.absorbed = 0
 
-    def intern(self, content: tuple) -> int:
-        """Map a (possibly large) content tuple to a stable small id.
+    def intern(
+        self, key: tuple, content: Optional[Callable[[], tuple]] = None
+    ) -> int:
+        """Map a region's intern key to a stable small id.
 
-        Region content is hashed once here, at interning time; the
+        ``key`` must be equal for two regions exactly when their content
+        tuples are; ``content`` builds that tuple, and is called only when
+        a new id is minted (by default the key is the content).  The
         per-instance structural keys then carry only the id, so repeated
         lookups never re-hash whole region transcripts.
         """
-        interned = self._interned.get(content)
+        interned = self._interned.get(key)
         if interned is None:
             interned = len(self._interned)
-            self._interned[content] = interned
-            self._contents.append(content)
+            self._interned[key] = interned
+            self._contents.append(key if content is None else content())
             self._digests.append(None)
             self._shapes.append(None)
         return interned
@@ -214,16 +224,24 @@ class VerdictCache:
         self._stamped += 1
 
     def lookup(
-        self, key: tuple, live_in: Dict[int, int], freed: Dict[int, int]
+        self,
+        key: tuple,
+        live_in: Dict[int, int],
+        freed: Dict[int, int],
+        freed_fp: Optional[tuple] = None,
     ) -> Optional[_VerdictTemplate]:
-        freed_fp = tuple(sorted(freed.items()))
+        """The verdict cached under ``key`` whose probes ``live_in``
+        agrees with, if any.  ``freed_fp`` is ``freed``'s fingerprint
+        (:func:`freed_fingerprint`) when the caller already has it."""
+        if freed_fp is None:
+            freed_fp = freed_fingerprint(freed)
         for probe_items, candidate_freed, template, _ in self._entries.get(key, ()):
             if candidate_freed != freed_fp:
                 continue
-            if all(
-                live_in.get(address, None) == value
-                for address, value in probe_items
-            ):
+            for address, value in probe_items:
+                if live_in.get(address) != value:
+                    break
+            else:
                 self.hits += 1
                 return template
         if self._imported:
@@ -277,11 +295,12 @@ class VerdictCache:
         probes: Dict[int, Optional[int]],
         freed: Dict[int, int],
         template: _VerdictTemplate,
+        freed_fp: Optional[tuple] = None,
     ) -> None:
         self._append_local(
             key,
             tuple(sorted(probes.items())),
-            tuple(sorted(freed.items())),
+            freed_fingerprint(freed) if freed_fp is None else freed_fp,
             template,
         )
 
@@ -435,6 +454,21 @@ class VerdictCache:
         return normalized, portable_key, (shapes, probes, freed, template)
 
 
+class _Pair:
+    """One canonical region pair's classify inputs, built once: both
+    regions' content ids, the lazy live-in view, and the freed ranges
+    with their fingerprint."""
+
+    __slots__ = ("id_a", "id_b", "live_in", "freed", "freed_fp")
+
+    def __init__(self, id_a: int, id_b: int, live_in, freed: Dict[int, int]):
+        self.id_a = id_a
+        self.id_b = id_b
+        self.live_in = live_in
+        self.freed = freed
+        self.freed_fp = freed_fingerprint(freed)
+
+
 class BatchingClassifier(RaceClassifier):
     """A :class:`RaceClassifier` that plans whole batches against a shared
     verdict cache.
@@ -459,8 +493,8 @@ class BatchingClassifier(RaceClassifier):
     def __init__(self, *args, cache: Optional[VerdictCache] = None, **kwargs):
         super().__init__(*args, **kwargs)
         self.cache = cache if cache is not None else VerdictCache()
-        #: (tid, region index) -> interned region-content id.
-        self._region_ids: Dict[Tuple[int, int], int] = {}
+        #: (tid, index) of both canonical regions -> the pair's inputs.
+        self._pairs: Dict[Tuple[int, int, int, int], _Pair] = {}
         self.batches_planned = 0
         self.batch_fanout = 0
         self.batch_fallbacks = 0
@@ -489,40 +523,63 @@ class BatchingClassifier(RaceClassifier):
     # The structural key.
     # ------------------------------------------------------------------
 
-    def _region_content_id(
-        self, thread_name: str, region: SequencingRegion
-    ) -> int:
+    def _region_content_id(self, region: SequencingRegion) -> int:
         """Interned id of everything the recording says about ``region``.
 
         Every input the replay draws from one side — start pc, live-in
         registers, the executed static-id trajectory, every recorded
         access (loads seed values, stores and their values, sync ops) and
-        the region-end state — is a function of this tuple, so two regions
-        with equal content ids are interchangeable for classification.
-        Content is hashed once at interning; instances carry the int.
+        the region-end state — is a function of the content tuple, so two
+        regions with equal content ids are interchangeable for
+        classification.  The intern key holds the same facts as ints and
+        strings only — the block name and pc trace stand for the static
+        ids — so the content tuple (:func:`~repro.analysis.batching.region_content`)
+        is built only when a new id is minted.
         """
-        region_key = (region.tid, region.index)
-        interned = self._region_ids.get(region_key)
-        if interned is None:
-            content = batching.region_content(
-                self.ordered,
+        facts = self._region(region)
+        if facts.content_id is None:
+            thread_name = region.thread_name
+            contents = self.ordered.region_contents()
+            key = (
                 thread_name,
-                region,
-                footprint=tuple(sorted(self._pc_footprint(thread_name))),
+                self.log.threads[thread_name].block,
+                contents.footprint(thread_name),
+                facts.start_pc,
+                facts.registers,
+                tuple(facts.replay.pcs[region.start_step : region.end_step]),
+                facts.rows,
+                batching.region_end_state(self.ordered, thread_name, region),
             )
-            interned = self.cache.intern(content)
-            self._region_ids[region_key] = interned
-        return interned
+            facts.content_id = self.cache.intern(
+                key, partial(contents.content, thread_name, region)
+            )
+        return facts.content_id
+
+    def _pair(self, instance: RaceInstance) -> _Pair:
+        """The canonical instance's region-pair inputs, built once."""
+        region_a, region_b = instance.region_a, instance.region_b
+        key = (region_a.tid, region_a.index, region_b.tid, region_b.index)
+        pair = self._pairs.get(key)
+        if pair is None:
+            live_in, freed = self.ordered.pair_live_in(region_a, region_b)
+            pair = _Pair(
+                self._region_content_id(region_a),
+                self._region_content_id(region_b),
+                live_in,
+                freed,
+            )
+            self._pairs[key] = pair
+        return pair
 
     def _structural_key(self, instance: RaceInstance) -> tuple:
         access_a, access_b = instance.access_a, instance.access_b
-        region_a, region_b = instance.region_a, instance.region_b
+        pair = self._pair(instance)
         return (
             self.log.program_name,
-            access_a.thread_step - region_a.start_step,
-            self._region_content_id(access_a.thread_name, region_a),
-            access_b.thread_step - region_b.start_step,
-            self._region_content_id(access_b.thread_name, region_b),
+            access_a.thread_step - instance.region_a.start_step,
+            pair.id_a,
+            access_b.thread_step - instance.region_b.start_step,
+            pair.id_b,
             self._original_first(instance) == access_a.thread_name,
         )
 
@@ -561,10 +618,9 @@ class BatchingClassifier(RaceClassifier):
             # full pair-image reconstruction or copy.  Values are
             # address-identical to ``pair_snapshot``'s, so every verdict
             # matches the plain classifier's byte for byte.
-            live_in, freed = self.ordered.pair_live_in(
-                member.region_a, member.region_b
-            )
-            template = self.cache.lookup(batch.key, live_in, freed)
+            pair = self._pair(member)
+            live_in, freed = pair.live_in, pair.freed
+            template = self.cache.lookup(batch.key, live_in, freed, pair.freed_fp)
             if template is not None:
                 if computed:
                     self.batch_fanout += 1
@@ -597,6 +653,7 @@ class BatchingClassifier(RaceClassifier):
                     result.failure_kind,
                     result.failure_detail,
                 ),
+                pair.freed_fp,
             )
             results[position] = result
 

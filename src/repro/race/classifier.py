@@ -30,13 +30,13 @@ tests) make step 3 cheap:
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 from ..isa.program import Program
 from ..record.log import ReplayLog
 from ..replay.errors import ReplayFailure, ReplayFailureKind
-from ..replay.events import ReplayedAccess
 from ..replay.ordered_replay import OrderedReplay
 from ..replay.regions import SequencingRegion
 from ..replay.virtual_processor import (
@@ -86,17 +86,90 @@ class ClassifierConfig:
 
 @dataclass
 class _RecordedSide:
-    """One thread's recorded-region live-out, for original synthesis."""
+    """One thread's recorded-region live-out, for original synthesis.
+
+    Writes are ``(address, value)`` pairs in program order.
+    """
 
     name: str
     registers: Tuple[int, ...]
     end_pc: int
     steps: int
     executed: Tuple
-    prefix_writes: Tuple[ReplayedAccess, ...]
-    racing_write: Optional[ReplayedAccess]
-    suffix_writes: Tuple[ReplayedAccess, ...]
+    prefix_writes: Tuple[Tuple[int, int], ...]
+    racing_write: Optional[Tuple[int, int]]
+    suffix_writes: Tuple[Tuple[int, int], ...]
     racing_value: int
+
+
+class _Region:
+    """What classification reads from one recorded region, built once.
+
+    Every instance racing in the region shares it: the virtual
+    processor's start state and the access rows (built with the record),
+    and — each on first use — the recorded loads that seed a thread
+    spec's log-following prefix, the writes, end state and executed
+    static ids the original-order synthesis assembles, and the batching
+    classifier's interned content id.
+    """
+
+    def __init__(self, ordered: OrderedReplay, region: SequencingRegion):
+        self.ordered = ordered
+        self.region = region
+        self.replay = ordered.thread_replays[region.thread_name]
+        self.start_pc = ordered.region_start_pc(region)
+        self.registers = ordered.live_in_registers(region)
+        #: ``(step offset, address, value, is_write, is_sync)`` per access.
+        self.rows = self.replay.region_rows(region.start_step, region.end_step)
+        self.content_id: Optional[int] = None
+
+    @cached_property
+    def recorded_loads(self) -> Dict[int, Tuple[int, int]]:
+        """Step offset -> ``(address, value)`` of each plain load."""
+        return {
+            offset: (address, value)
+            for offset, address, value, is_write, is_sync in self.rows
+            if not is_write and not is_sync
+        }
+
+    @cached_property
+    def writes(self) -> Tuple[Tuple[int, ...], Tuple[Tuple[int, int], ...]]:
+        """The thread steps of the region's writes, and their
+        ``(address, value)`` pairs, in program order."""
+        start = self.region.start_step
+        written = [row for row in self.rows if row[3]]
+        return (
+            tuple(start + row[0] for row in written),
+            tuple((row[1], row[2]) for row in written),
+        )
+
+    @cached_property
+    def executed(self) -> Tuple:
+        """The static ids the region executed."""
+        return tuple(self.replay.static_ids[self.region.start_step : self.region.end_step])
+
+    @cached_property
+    def end_state(self) -> Optional[Tuple[Tuple[int, ...], int]]:
+        """``(registers, end pc)`` of the recorded region; ``None`` when
+        the recording is not provably complete."""
+        region, replay = self.region, self.replay
+        start, end = region.start_step, region.end_step
+        if region.end_kind == "thread_end":
+            thread_end = self.ordered.log.threads[region.thread_name].end
+            if thread_end is None or thread_end.reason == "fault":
+                # The recording stopped mid-instruction: the replay would
+                # run past the recorded envelope.  Fall back to the VP.
+                return None
+            end_pc = (
+                replay.pcs[end - 1]  # halt: the VP stops *on* the halt
+                if thread_end.reason == "halt" and end - 1 >= start
+                else replay.final_pc
+            )
+            return (replay.final_registers, end_pc)
+        try:
+            return (replay.region_end_registers[end], replay.region_end_pcs[end])
+        except KeyError:
+            return None
 
 
 class RaceClassifier:
@@ -117,21 +190,10 @@ class RaceClassifier:
         self.vp_runs = 0
         self.originals_synthesized = 0
         self.prefixes_fast_forwarded = 0
-        # Per-thread / per-region caches shared across instances.
-        self._footprints: Dict[str, set] = {}
-        self._recorded_loads: Dict[
-            Tuple[int, int], Dict[int, Tuple[int, int]]
-        ] = {}
-        # _RecordedSide building blocks, cached per region: with hundreds
-        # of instances per region pair, re-walking the region's accesses
-        # and static ids for every instance dominates synthesis cost.
-        self._region_writes: Dict[
-            Tuple[int, int], Tuple[Tuple[int, ...], Tuple[ReplayedAccess, ...]]
-        ] = {}
-        self._region_end_states: Dict[
-            Tuple[int, int], Optional[Tuple[Tuple[int, ...], int]]
-        ] = {}
-        self._region_executed: Dict[Tuple[int, int], Tuple] = {}
+        #: (tid, region index) -> the region's classify inputs.
+        self._regions: Dict[Tuple[int, int], _Region] = {}
+        #: (tid, region index, racing step) -> that side's thread spec.
+        self._sides: Dict[Tuple[int, int, int], VPThreadSpec] = {}
 
     # ------------------------------------------------------------------
     # Public API.
@@ -281,61 +343,6 @@ class RaceClassifier:
     # Recorded-original synthesis.
     # ------------------------------------------------------------------
 
-    def _region_end_state(
-        self, access: RaceAccess, region: SequencingRegion
-    ) -> Optional[Tuple[Tuple[int, ...], int]]:
-        """``(registers, end pc)`` of the recorded region, cached per
-        region; ``None`` when the recording is not provably complete."""
-        key = (region.tid, region.index)
-        if key in self._region_end_states:
-            return self._region_end_states[key]
-        start, end = region.start_step, region.end_step
-        replay = self.ordered.thread_replays[access.thread_name]
-        end_state: Optional[Tuple[Tuple[int, ...], int]]
-        if region.end_kind == "thread_end":
-            thread_end = self.log.threads[access.thread_name].end
-            if thread_end is None or thread_end.reason == "fault":
-                # The recording stopped mid-instruction: the replay would
-                # run past the recorded envelope.  Fall back to the VP.
-                end_state = None
-            else:
-                end_pc = (
-                    replay.pcs[end - 1]  # halt: the VP stops *on* the halt
-                    if thread_end.reason == "halt" and end - 1 >= start
-                    else replay.final_pc
-                )
-                end_state = (replay.final_registers, end_pc)
-        else:
-            try:
-                end_state = (
-                    replay.region_end_registers[end],
-                    replay.region_end_pcs[end],
-                )
-            except KeyError:
-                end_state = None
-        self._region_end_states[key] = end_state
-        return end_state
-
-    def _region_write_index(
-        self, access: RaceAccess, region: SequencingRegion
-    ) -> Tuple[Tuple[int, ...], Tuple[ReplayedAccess, ...]]:
-        """The region's writes with their (sorted) thread steps, cached."""
-        key = (region.tid, region.index)
-        writes = self._region_writes.get(key)
-        if writes is None:
-            replay = self.ordered.thread_replays[access.thread_name]
-            steps: List[int] = []
-            accesses: List[ReplayedAccess] = []
-            for recorded in replay.accesses_in_steps(
-                region.start_step, region.end_step
-            ):
-                if recorded.is_write:
-                    steps.append(recorded.thread_step)
-                    accesses.append(recorded)
-            writes = (tuple(steps), tuple(accesses))
-            self._region_writes[key] = writes
-        return writes
-
     def _recorded_side(
         self, access: RaceAccess, region: SequencingRegion
     ) -> Optional[_RecordedSide]:
@@ -345,22 +352,16 @@ class RaceClassifier:
 
         The per-instance work is two bisects: the region's end state,
         write list and executed static ids are shared by every instance in
-        the region and cached on first use.
+        the region and built once.
         """
         start, end = region.start_step, region.end_step
         if end - start > self.config.step_limit:
             return None  # the interpreter would fail with STEP_LIMIT
-        end_state = self._region_end_state(access, region)
-        if end_state is None:
+        facts = self._region(region)
+        if facts.end_state is None:
             return None
-        registers, end_pc = end_state
-        key = (region.tid, region.index)
-        executed = self._region_executed.get(key)
-        if executed is None:
-            replay = self.ordered.thread_replays[access.thread_name]
-            executed = tuple(replay.static_ids[start:end])
-            self._region_executed[key] = executed
-        write_steps, writes = self._region_write_index(access, region)
+        registers, end_pc = facts.end_state
+        write_steps, writes = facts.writes
         # One access per step, so the racing step matches at most one write.
         lo = bisect_left(write_steps, access.thread_step)
         hi = bisect_right(write_steps, access.thread_step)
@@ -369,7 +370,7 @@ class RaceClassifier:
             registers=registers,
             end_pc=end_pc,
             steps=end - start,
-            executed=executed,
+            executed=facts.executed,
             prefix_writes=writes[:lo],
             racing_write=writes[lo] if hi > lo else None,
             suffix_writes=writes[hi:],
@@ -399,8 +400,7 @@ class RaceClassifier:
             return None
         dirty: Dict[int, int] = {}
         for side in (side_a, side_b):
-            for write in side.prefix_writes:
-                dirty[write.address] = write.value
+            dirty.update(side.prefix_writes)
         racing_order = (
             (side_a, side_b)
             if original_first == instance.access_a.thread_name
@@ -408,10 +408,10 @@ class RaceClassifier:
         )
         for side in racing_order:
             if side.racing_write is not None:
-                dirty[side.racing_write.address] = side.racing_write.value
+                address, value = side.racing_write
+                dirty[address] = value
         for side in (side_a, side_b):
-            for write in side.suffix_writes:
-                dirty[write.address] = write.value
+            dirty.update(side.suffix_writes)
         return VPOutcome(
             registers={side_a.name: side_a.registers, side_b.name: side_b.registers},
             dirty_memory=dirty,
@@ -459,38 +459,27 @@ class RaceClassifier:
             return instance.region_a
         return instance.region_b
 
-    def _pc_footprint(self, thread_name: str) -> set:
-        footprint = self._footprints.get(thread_name)
-        if footprint is None:
-            footprint = set(self.log.threads[thread_name].pc_footprint)
-            self._footprints[thread_name] = footprint
-        return footprint
-
-    def _region_recorded_loads(
-        self, thread_name: str, region: SequencingRegion
-    ) -> Dict[int, Tuple[int, int]]:
+    def _region(self, region: SequencingRegion) -> _Region:
+        """The region's classify inputs, built on first use."""
         key = (region.tid, region.index)
-        recorded_loads = self._recorded_loads.get(key)
-        if recorded_loads is None:
-            replay = self.ordered.thread_replays[thread_name]
-            recorded_loads = {}
-            for recorded in replay.accesses_in_steps(
-                region.start_step, region.end_step
-            ):
-                if not recorded.is_write and not recorded.is_sync:
-                    recorded_loads[recorded.thread_step - region.start_step] = (
-                        recorded.address,
-                        recorded.value,
-                    )
-            self._recorded_loads[key] = recorded_loads
-        return recorded_loads
+        facts = self._regions.get(key)
+        if facts is None:
+            facts = _Region(self.ordered, region)
+            self._regions[key] = facts
+        return facts
 
     def _thread_spec(
         self, access: RaceAccess, region: SequencingRegion
     ) -> VPThreadSpec:
-        thread_log = self.log.threads[access.thread_name]
-        block = self.program.blocks[thread_log.block]
-        replay = self.ordered.thread_replays[access.thread_name]
+        """One racing side's spec, built once per (thread, region, racing
+        step) and shared by every instance on that side (the processor
+        only reads it)."""
+        side = (region.tid, region.index, access.thread_step)
+        spec = self._sides.get(side)
+        if spec is not None:
+            return spec
+        facts = self._region(region)
+        replay = facts.replay
         racing_registers = racing_pc = None
         prefix_accesses = prefix_static_ids = None
         if self.config.fast_forward_prefix:
@@ -503,34 +492,45 @@ class RaceClassifier:
                 prefix_static_ids = tuple(
                     replay.static_ids[region.start_step : access.thread_step]
                 )
-        return VPThreadSpec(
+        thread_log = self.log.threads[access.thread_name]
+        spec = VPThreadSpec(
             thread_name=access.thread_name,
-            block=block,
-            start_pc=self.ordered.region_start_pc(region),
-            registers=self.ordered.live_in_registers(region),
+            block=self.program.blocks[thread_log.block],
+            start_pc=facts.start_pc,
+            registers=facts.registers,
             racing_step_offset=access.thread_step - region.start_step,
             racing_static_id=access.static_id,
-            pc_footprint=self._pc_footprint(access.thread_name),
-            recorded_loads=self._region_recorded_loads(access.thread_name, region),
+            pc_footprint=thread_log.pc_footprint,
+            recorded_loads=facts.recorded_loads,
             racing_registers=racing_registers,
             racing_pc=racing_pc,
             prefix_accesses=prefix_accesses,
             prefix_static_ids=prefix_static_ids,
         )
+        self._sides[side] = spec
+        return spec
 
     def _original_first(self, instance: RaceInstance) -> str:
         """Which racing operation came first in the recorded execution.
 
-        Exact when the log carries the (debug-only) global order; otherwise
-        falls back to the earlier-opening-region heuristic, which is the
-        best a pure iDNA-style log can do.
+        Taken from the log's global order when it has one, and otherwise
+        from the earlier-opening region.  The choice decides verdicts, not
+        just labels: it picks which replay is the original.  On the paper
+        suite's round 0 the instances split 524/406/100 (no state change /
+        state change / replay failure) with the order and 547/384/99
+        without it.  Deriving the order from the log's values instead is
+        ROADMAP item 10.
         """
-        position_a = self.log.global_position(
-            instance.access_a.tid, instance.access_a.thread_step
-        )
-        position_b = self.log.global_position(
-            instance.access_b.tid, instance.access_b.thread_step
-        )
+        positions = self.log.global_positions()
+        if positions is not None:
+            position_a = positions.get(
+                (instance.access_a.tid, instance.access_a.thread_step)
+            )
+            position_b = positions.get(
+                (instance.access_b.tid, instance.access_b.thread_step)
+            )
+        else:
+            position_a = position_b = None
         if position_a is not None and position_b is not None:
             return (
                 instance.access_a.thread_name

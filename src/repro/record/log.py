@@ -197,18 +197,30 @@ class ReplayLog:
         return assemble(self.program_source, name=self.program_name)
 
     def global_position(self, tid: int, thread_step: int) -> Optional[int]:
-        """Index of ``(tid, thread_step)`` in the recorded global order.
+        """Index of ``(tid, thread_step)`` in the recorded global order."""
+        positions = self.global_positions()
+        return None if positions is None else positions.get((tid, thread_step))
 
-        Indexed once on first query (the classifier asks twice per race
-        instance; a linear scan per query was quadratic in practice).
+    def global_positions(self) -> Optional[Dict[Tuple[int, int], int]]:
+        """``(tid, thread_step) -> index`` in the recorded global order,
+        or ``None`` without an order.
+
+        Indexed once per order on first query (the classifier asks twice
+        per race instance; a linear scan per query was quadratic in
+        practice).  The index remembers the order object and the length
+        it was built from, so replacing or extending the order rebuilds
+        it, and an order with repeated entries (which the index holds
+        once) does not.
         """
-        if self.global_order is None:
+        order = self.global_order
+        if order is None:
             return None
-        index = getattr(self, "_position_index", None)
-        if index is None or len(index) != len(self.global_order):
-            index = {}
-            for position, entry in enumerate(self.global_order):
+        built = getattr(self, "_position_index", None)
+        if built is None or built[0] is not order or built[1] != len(order):
+            index: Dict[Tuple[int, int], int] = {}
+            for position, entry in enumerate(order):
                 if entry not in index:  # match list.index: first occurrence wins
                     index[entry] = position
-            self._position_index = index
-        return index.get((tid, thread_step))
+            built = (order, len(order), index)
+            self._position_index = built
+        return built[2]

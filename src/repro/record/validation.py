@@ -157,11 +157,41 @@ def validate_log(log: ReplayLog, strict: bool = False) -> List[ValidationIssue]:
                 "covers %d steps but threads executed %d"
                 % (len(log.global_order), log.total_instructions),
             )
-        tids = {thread.tid for thread in log.threads.values()}
-        for tid, step in log.global_order:
-            if tid not in tids:
-                issue(None, "global_order", "unknown tid %d" % tid)
-                break
+        steps_of = {thread.tid: thread.steps for thread in log.threads.values()}
+        seen = set()
+        unknown_tid = out_of_range = repeated = None
+        out_of_range_count = repeated_count = 0
+        for position, (tid, step) in enumerate(log.global_order):
+            if tid not in steps_of:
+                if unknown_tid is None:
+                    unknown_tid = tid
+                continue
+            if not 0 <= step < steps_of[tid]:
+                out_of_range_count += 1
+                if out_of_range is None:
+                    out_of_range = (position, tid, step, steps_of[tid])
+            elif (tid, step) in seen:
+                repeated_count += 1
+                if repeated is None:
+                    repeated = (position, tid, step)
+            else:
+                seen.add((tid, step))
+        if unknown_tid is not None:
+            issue(None, "global_order", "unknown tid %d" % unknown_tid)
+        if out_of_range is not None:
+            issue(
+                None,
+                "global_order",
+                "entry %d has tid %d step %d outside [0, %d) "
+                "(%d such entries)" % (out_of_range + (out_of_range_count,)),
+            )
+        if repeated is not None:
+            issue(
+                None,
+                "global_order",
+                "entry %d repeats tid %d step %d (%d repeated entries)"
+                % (repeated + (repeated_count,)),
+            )
 
     if strict and issues:
         raise InvalidLogError(issues)

@@ -4,9 +4,10 @@ The thread replayer (:meth:`ThreadReplayer.run`) produces a
 :class:`ThreadReplay` backed by lazy views: accesses live in
 columnar parallel arrays and become :class:`ReplayedAccess` objects only
 when indexed (:class:`LazyAccessList`), per-step static ids are a view
-over the block's table (:class:`StaticIdView`), and register snapshots
-are reconstructed on first lookup from sparse checkpoints
-(:class:`LazyRegisterDict`).  :meth:`ThreadReplay.materialized` converts
+over the block's table (:class:`StaticIdView`), region-boundary
+register snapshots come from the replay's own boundary checkpoints, and
+per-access snapshots are reconstructed on first lookup from the nearest
+checkpoint (:class:`LazyRegisterDict`).  :meth:`ThreadReplay.materialized` converts
 either representation to the plain eager one, which the equivalence
 tests compare byte for byte.
 """
@@ -30,6 +31,11 @@ class ReplayedAccess:
     value: int
     is_write: bool
     is_sync: bool
+
+
+#: One access as plain data: ``(step offset, address, value, is_write,
+#: is_sync)``.
+AccessRow = Tuple[int, int, int, bool, bool]
 
 
 class StaticIdView:
@@ -139,6 +145,20 @@ class LazyAccessList:
     def __iter__(self) -> Iterator[ReplayedAccess]:
         for index in range(len(self._steps)):
             yield self._materialize(index)
+
+    def rows(self, lo: int, hi: int, origin: int) -> Tuple[AccessRow, ...]:
+        """Rows ``[lo, hi)`` as plain :data:`AccessRow` tuples, steps
+        counted from ``origin``, read straight from the columns."""
+        flags = self._flags[lo:hi]
+        return tuple(
+            zip(
+                [step - origin for step in self._steps[lo:hi]],
+                self._addresses[lo:hi],
+                self._values[lo:hi],
+                [bool(flag & 1) for flag in flags],
+                [bool(flag & 2) for flag in flags],
+            )
+        )
 
     def __eq__(self, other) -> bool:
         try:
@@ -273,6 +293,27 @@ class ThreadReplay:
         lo = bisect_left(self._access_steps, start_step)
         hi = bisect_left(self._access_steps, end_step, lo)
         return self.accesses[lo:hi]
+
+    def region_rows(self, start_step: int, end_step: int) -> Tuple[AccessRow, ...]:
+        """The accesses with ``start_step <= thread_step < end_step`` as
+        :data:`AccessRow` tuples, steps counted from ``start_step``; no
+        :class:`ReplayedAccess` is materialized on a lazy replay."""
+        if self._access_steps is None:
+            self._access_steps = [access.thread_step for access in self.accesses]
+        lo = bisect_left(self._access_steps, start_step)
+        hi = bisect_left(self._access_steps, end_step, lo)
+        if isinstance(self.accesses, LazyAccessList):
+            return self.accesses.rows(lo, hi, start_step)
+        return tuple(
+            (
+                access.thread_step - start_step,
+                access.address,
+                access.value,
+                access.is_write,
+                access.is_sync,
+            )
+            for access in self.accesses[lo:hi]
+        )
 
     def access_at(
         self, thread_step: int, address: Optional[int] = None

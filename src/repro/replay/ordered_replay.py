@@ -122,22 +122,28 @@ class _ColumnarWalkSource:
         return self._heap_by_step.get(step, ())
 
 
+#: One address's store history as three parallel columns: versions
+#: (strictly increasing ints), values, writers.
+_AddressHistory = Tuple[List[int], List[int], List[Optional[RegionKey]]]
+
+
 class VersionedImage:
     """Append-only, writer-tagged memory history with point-in-time reads.
 
-    Every store is appended as ``(version, value, writer)`` under its
-    address; ``writer`` is the region that performed it (``None`` for
-    boundary sync/heap effects, which belong to no region).  Reconstruction
-    at a version — optionally excluding some writers — is a bisect per
-    address, so snapshots cost O(addresses touched) instead of O(full
-    image) per region.
+    Every store is appended under its address as a ``(version, value,
+    writer)`` row of three parallel columns; ``writer`` is the region that
+    performed it (``None`` for boundary sync/heap effects, which belong to
+    no region).  Reconstruction at a version — optionally excluding some
+    writers — is one int bisect per address over the version column, so
+    snapshots cost O(addresses touched) instead of O(full image) per
+    region.
     """
 
     __slots__ = ("_history", "_version")
 
     def __init__(self, initial: Dict[int, int]):
-        self._history: Dict[int, List[Tuple[int, int, Optional[RegionKey]]]] = {
-            address: [(0, value, None)] for address, value in initial.items()
+        self._history: Dict[int, _AddressHistory] = {
+            address: ([0], [value], [None]) for address, value in initial.items()
         }
         self._version = 0
 
@@ -147,23 +153,27 @@ class VersionedImage:
 
     def write(self, address: int, value: int, writer: Optional[RegionKey]) -> None:
         self._version += 1
-        self._history.setdefault(address, []).append(
-            (self._version, value, writer)
-        )
+        columns = self._history.get(address)
+        if columns is None:
+            self._history[address] = ([self._version], [value], [writer])
+        else:
+            columns[0].append(self._version)
+            columns[1].append(value)
+            columns[2].append(writer)
 
     def reconstruct(
         self, version: int, excluded: Optional[Set[RegionKey]] = None
     ) -> Dict[int, int]:
         """The image at ``version``, skipping writes by ``excluded`` regions."""
         image: Dict[int, int] = {}
-        for address, entries in self._history.items():
+        for address, (versions, values, writers) in self._history.items():
             # Last entry with entry_version <= version …
-            position = bisect_right(entries, (version, float("inf"))) - 1
+            position = bisect_right(versions, version) - 1
             # … then skip back over excluded writers.
-            while position >= 0 and excluded and entries[position][2] in excluded:
+            while position >= 0 and excluded and writers[position] in excluded:
                 position -= 1
             if position >= 0:
-                image[address] = entries[position][1]
+                image[address] = values[position]
         return image
 
     def lazy_view(
@@ -183,36 +193,46 @@ class _LazyImageView:
 
     Supports the read-only mapping protocol the classifier and virtual
     processor use on live-in images (``get``/``in``/``[]``) and resolves
-    each address with one bisect on demand.  The batched classifier reads
-    pair live-in state through this view: verdict-cache probes and
+    each address with one int bisect on first query, remembering the
+    answer: a later store gets a later version, which this view never
+    sees, so an answer cannot change.  The batched classifier reads pair
+    live-in state through this view: verdict-cache probes and
     virtual-processor loads only ever touch a handful of addresses, so
     materializing the full image per racing pair is wasted work there.
     """
 
-    __slots__ = ("_history", "_version", "_excluded")
+    __slots__ = ("_history", "_version", "_excluded", "_resolved")
 
     _MISS = object()
 
     def __init__(
         self,
-        history: Dict[int, List[Tuple[int, int, Optional[RegionKey]]]],
+        history: Dict[int, _AddressHistory],
         version: int,
         excluded: FrozenSet[RegionKey],
     ):
         self._history = history
         self._version = version
         self._excluded = excluded
+        self._resolved: Dict[int, object] = {}
 
     def _resolve(self, address: int):
-        entries = self._history.get(address)
-        if entries is None:
-            return self._MISS
-        position = bisect_right(entries, (self._version, float("inf"))) - 1
-        while position >= 0 and entries[position][2] in self._excluded:
-            position -= 1
-        if position < 0:
-            return self._MISS
-        return entries[position][1]
+        try:
+            return self._resolved[address]
+        except KeyError:
+            pass
+        value = self._MISS
+        columns = self._history.get(address)
+        if columns is not None:
+            versions, values, writers = columns
+            position = bisect_right(versions, self._version) - 1
+            excluded = self._excluded
+            while position >= 0 and writers[position] in excluded:
+                position -= 1
+            if position >= 0:
+                value = values[position]
+        self._resolved[address] = value
+        return value
 
     def get(self, address: int, default=None):
         value = self._resolve(address)
@@ -286,6 +306,8 @@ class OrderedReplay:
         self._final_freed: Dict[int, int] = {}
         #: Columnar access index, built once on first analysis query.
         self._access_index = None
+        #: Per-region content memo, built once on first analysis query.
+        self._region_contents = None
         self._walk()
 
     # ------------------------------------------------------------------
@@ -581,6 +603,17 @@ class OrderedReplay:
 
             self._access_index = AccessIndex(self)
         return self._access_index
+
+    def region_contents(self):
+        """This replay's :class:`~repro.analysis.batching.RegionContents`,
+        built on first use: every region's content tuple and digest,
+        built at most once for the classifier's interning and the
+        report's batch keys together."""
+        if self._region_contents is None:
+            from ..analysis.batching import RegionContents
+
+            self._region_contents = RegionContents(self)
+        return self._region_contents
 
     def invalidate_access_index(self) -> None:
         """Drop the cached index (benchmarks re-time the build with this)."""

@@ -54,8 +54,8 @@ CHECKPOINT_INTERVAL = 1024
 class RegisterReconstructor:
     """Targeted partial re-execution: register state just before any step.
 
-    Holds the sparse checkpoints :meth:`ThreadReplayer.run` took
-    every :data:`CHECKPOINT_INTERVAL` steps plus the columnar replay
+    Holds the checkpoints :meth:`ThreadReplayer.run` took (every region
+    boundary and every :data:`CHECKPOINT_INTERVAL` steps) plus the columnar replay
     products (pc trace, access value column, syscall records).
     ``state_before(k)`` replays *register effects only* forward from the
     nearest checkpoint at or below ``k`` — loads and atomics take their
@@ -164,12 +164,13 @@ class ThreadReplayer:
 
         One dense-tuple fetch and an int if-chain per step; accesses are
         appended to columnar parallel arrays instead of one
-        :class:`ReplayedAccess` per event, and register snapshots are
-        *not* taken at all — only sparse checkpoints every
-        :data:`CHECKPOINT_INTERVAL` steps, from which the lazy views on
-        the returned :class:`ThreadReplay` reconstruct any snapshot a
-        downstream consumer (usually the classifier, for the handful of
-        racy regions) actually asks for.  The equivalence tests assert
+        :class:`ReplayedAccess` per event.  Register snapshots are taken
+        only at checkpoints: every region boundary (the sequencer steps,
+        known before the loop), which fill the region start and end
+        register dicts, and every :data:`CHECKPOINT_INTERVAL` steps, from
+        which the lazy ``registers_at_step`` view reconstructs the
+        per-access snapshots a downstream consumer (usually the
+        classifier, for its racing steps) asks for.  The equivalence tests assert
         ``run().materialized()`` equals the eager replay of the generic
         string-dispatch oracle (``tests/reference_interp.py``) bit for bit.
         """
@@ -190,14 +191,36 @@ class ThreadReplayer:
         col_flags: List[int] = []
         heap_events: List[HeapEvent] = []
         output: List[Tuple[str, int]] = []
+        # Region boundaries are known from the sequencers before the loop,
+        # so the forward pass checkpoints at each of them too: region
+        # start and end registers are then lookups, not re-executions.
+        sequencers = thread_log.sequencers
+        start_valid = frozenset(
+            sequencer.thread_step + 1
+            for sequencer in sequencers
+            if 0 <= sequencer.thread_step + 1 < steps
+        )
+        boundary_in_range = frozenset(
+            sequencer.thread_step
+            for sequencer in sequencers
+            if 0 <= sequencer.thread_step < steps
+        )
+        checkpoints = iter(
+            sorted(
+                start_valid.union(
+                    boundary_in_range, range(0, steps, CHECKPOINT_INTERVAL)
+                )
+            )
+        )
+        next_checkpoint = next(checkpoints, -1)
         cp_steps: List[int] = []
         cp_regs: List[Tuple[int, ...]] = []
-        cp_mask = CHECKPOINT_INTERVAL - 1
         pc = 0
         for step in range(steps):
-            if not step & cp_mask:
+            if step == next_checkpoint:
                 cp_steps.append(step)
                 cp_regs.append(tuple(regs))
+                next_checkpoint = next(checkpoints, -1)
             if pc >= block_len:
                 raise ReplayDivergence(
                     "thread %r ran past the end of block %r at step %d"
@@ -358,18 +381,8 @@ class ThreadReplayer:
                 raise NotImplementedError("unhandled dispatch kind %r" % kind)
             pc = next_pc
         final_registers = tuple(regs)
+        at_checkpoint = dict(zip(cp_steps, cp_regs))
 
-        sequencers = thread_log.sequencers
-        start_valid = frozenset(
-            sequencer.thread_step + 1
-            for sequencer in sequencers
-            if 0 <= sequencer.thread_step + 1 < steps
-        )
-        boundary_in_range = frozenset(
-            sequencer.thread_step
-            for sequencer in sequencers
-            if 0 <= sequencer.thread_step < steps
-        )
         has_final_boundary = any(
             sequencer.thread_step == steps for sequencer in sequencers
         )
@@ -381,7 +394,13 @@ class ThreadReplayer:
             block, thread_log, pcs, col_steps, col_values, cp_steps, cp_regs, perf
         )
         region_start_registers = LazyRegisterDict(reconstructor, start_valid)
+        region_start_registers.update(
+            (boundary, at_checkpoint[boundary]) for boundary in start_valid
+        )
         region_end_registers = LazyRegisterDict(reconstructor, end_valid)
+        region_end_registers.update(
+            (boundary, at_checkpoint[boundary]) for boundary in boundary_in_range
+        )
         region_end_pcs = {boundary: pcs[boundary] for boundary in boundary_in_range}
         if has_final_boundary:
             region_end_registers[steps] = final_registers

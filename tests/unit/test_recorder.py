@@ -124,6 +124,30 @@ class TestGlobalOrder:
         first = log.global_order[0]
         assert log.global_position(*first) == 0
 
+    def test_global_position_indexes_a_repeating_order_once(self):
+        """An order that repeats an entry (the index holds it once) is
+        still indexed once, not once per query."""
+
+        class CountingOrder(list):
+            walks = 0
+
+            def __iter__(self):
+                CountingOrder.walks += 1
+                return super().__iter__()
+
+        program = assemble(".thread a b\n    nop\n    halt\n")
+        _, log = record_run(program, scheduler=ExplicitScheduler([1, 1, 0, 0]))
+        order = CountingOrder(log.global_order)
+        order[-1] = order[0]
+        log.global_order = order
+        for tid, step in list.__iter__(order):
+            log.global_position(tid, step)
+        assert CountingOrder.walks == 1
+        assert log.global_position(*order[0]) == 0
+        # A new order object is indexed afresh.
+        log.global_order = list(reversed(order))
+        assert log.global_position(*order[1]) == len(order) - 2
+
 
 class TestEndRecords:
     def test_halt_reason(self):

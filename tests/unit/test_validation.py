@@ -1,9 +1,13 @@
 """Unit tests for replay-log validation."""
 
+import io
+
 import pytest
 
+from repro.cli import main
 from repro.isa import assemble
 from repro.record import record_run
+from repro.record.serialization import save_log
 from repro.record.log import LoadRecord, SequencerRecord
 from repro.record.validation import InvalidLogError, validate_log
 from repro.vm import RandomScheduler
@@ -116,6 +120,35 @@ class TestCorruptions:
         log.global_order = log.global_order[:-1]
         issues = validate_log(log)
         assert any(issue.field == "global_order" for issue in issues)
+
+    def test_global_order_repeated_entry(self):
+        log = fresh_log()
+        log.global_order[-1] = log.global_order[0]
+        issues = validate_log(log)
+        assert any(
+            issue.field == "global_order" and "repeats" in issue.message
+            for issue in issues
+        )
+
+    def test_global_order_step_out_of_range(self):
+        log = fresh_log()
+        tid, _ = log.global_order[-1]
+        steps = next(t.steps for t in log.threads.values() if t.tid == tid)
+        log.global_order[-1] = (tid, steps)
+        issues = validate_log(log)
+        assert any(
+            issue.field == "global_order" and "outside" in issue.message
+            for issue in issues
+        )
+
+    def test_cli_validate_flags_repeated_order_entry(self, tmp_path):
+        log = fresh_log()
+        log.global_order[-1] = log.global_order[0]
+        path = tmp_path / "repeated.json"
+        save_log(log, path)
+        out = io.StringIO()
+        assert main(["validate", str(path), "--strict"], out=out) != 0
+        assert "repeats" in out.getvalue()
 
     def test_strict_raises_with_details(self):
         log = fresh_log()
