@@ -31,6 +31,7 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..race.happens_before import RaceGroup
 from ..race.model import RaceInstance
 from ..replay.regions import SequencingRegion
 
@@ -204,9 +205,11 @@ class PlannedBatch:
 
     #: The structural key every member shares (see BatchingClassifier).
     key: tuple
-    #: ``(input position, canonicalized instance)`` in input order; the
-    #: first member is the batch leader (it replays, the rest fan out).
-    members: List[Tuple[int, RaceInstance]] = field(default_factory=list)
+    #: Members in visit order; the first member is the batch leader (it
+    #: replays, the rest fan out).  From :meth:`BatchingClassifier.plan_groups`
+    #: a member is ``(group index, pair index, row_a, row_b)``; from
+    #: :func:`plan_batches`, ``(input position, canonicalized instance)``.
+    members: List[tuple] = field(default_factory=list)
     #: The leader's virtual processor, built lazily on the first member
     #: that actually replays and rebound (shared specs + seeded prefix
     #: image) for any probe-divergence fallback members.
@@ -223,6 +226,8 @@ class BatchPlan:
 
     batches: List[PlannedBatch]
     total_instances: int
+    #: Per planned group, its region pair's classify inputs.
+    pairs: List = field(default_factory=list)
 
     @property
     def batch_count(self) -> int:
@@ -243,18 +248,11 @@ def plan_batches(classifier, instances: Sequence[RaceInstance]) -> BatchPlan:
     """Group instances by structural key, preserving input order.
 
     ``classifier`` is a :class:`~repro.analysis.engine.BatchingClassifier`:
-    its canonicalization and key construction build the keys, interning
-    region contents in input order.
+    each canonicalized instance is planned as a one-instance race group
+    (:meth:`~repro.analysis.engine.BatchingClassifier.plan_groups`).
     """
-    batches: Dict[tuple, PlannedBatch] = {}
-    for position, instance in enumerate(instances):
-        canonical = classifier._canonicalize(instance)
-        key = classifier._structural_key(canonical)
-        batch = batches.get(key)
-        if batch is None:
-            batch = PlannedBatch(key=key)
-            batches[key] = batch
-        batch.members.append((position, canonical))
-    return BatchPlan(
-        batches=list(batches.values()), total_instances=len(instances)
-    )
+    canonical = [classifier._canonicalize(instance) for instance in instances]
+    plan = classifier.plan_groups([RaceGroup.of_instance(c) for c in canonical])
+    for batch in plan.batches:
+        batch.members = [(position, canonical[position]) for position, *_ in batch.members]
+    return plan

@@ -34,13 +34,20 @@ from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..race.classifier import ClassifierConfig, RaceClassifier
+from ..race.happens_before import RaceGroup, emission_pairs
 from ..race.model import RaceInstance
-from ..race.outcomes import ClassifiedInstance, InstanceOutcome
+from ..race.outcomes import (
+    ClassifiedInstance,
+    InstanceOutcome,
+    VerdictTemplate,
+    classified_from_template,
+)
+from ..record.log import NOT_IN_ORDER
 from ..replay.errors import ReplayFailureKind
 from ..replay.regions import SequencingRegion
 from ..workloads.suite import Execution
 from . import batching
-from .batching import VERDICT_INDEX_VERSION, PlannedBatch, plan_batches
+from .batching import VERDICT_INDEX_VERSION, BatchPlan, PlannedBatch
 from .perf import PerfStats
 from .pipeline import (
     ExecutionAnalysis,
@@ -93,18 +100,13 @@ class TrackingView:
         return value
 
 
-#: What the cache stores per verdict: everything needed to rebuild a
-#: ClassifiedInstance around a *different* RaceInstance object.
-#: (outcome, original-first-was-side-a, pre_value, failure_kind, detail)
-_VerdictTemplate = Tuple[InstanceOutcome, bool, int, object, str]
-
 #: One local cache candidate: (probe items, freed fingerprint, template,
 #: stamp).  The stamp numbers candidates in the order they were added, so
 #: a :meth:`VerdictCache.snapshot` is a mark and copies no entry.
-_Candidate = Tuple[Tuple[Tuple[int, Optional[int]], ...], tuple, _VerdictTemplate, int]
+_Candidate = Tuple[Tuple[Tuple[int, Optional[int]], ...], tuple, VerdictTemplate, int]
 
 
-def _template_to_json(template: _VerdictTemplate) -> list:
+def _template_to_json(template: VerdictTemplate) -> list:
     outcome, first_is_a, pre_value, failure_kind, failure_detail = template
     return [
         outcome.value,
@@ -115,7 +117,7 @@ def _template_to_json(template: _VerdictTemplate) -> list:
     ]
 
 
-def _template_from_json(raw) -> _VerdictTemplate:
+def _template_from_json(raw) -> VerdictTemplate:
     outcome, first_is_a, pre_value, failure_kind, failure_detail = raw
     if failure_detail is not None and not isinstance(failure_detail, str):
         raise ValueError("malformed failure detail %r" % (failure_detail,))
@@ -229,7 +231,7 @@ class VerdictCache:
         live_in: Dict[int, int],
         freed: Dict[int, int],
         freed_fp: Optional[tuple] = None,
-    ) -> Optional[_VerdictTemplate]:
+    ) -> Optional[VerdictTemplate]:
         """The verdict cached under ``key`` whose probes ``live_in``
         agrees with, if any.  ``freed_fp`` is ``freed``'s fingerprint
         (:func:`freed_fingerprint`) when the caller already has it."""
@@ -255,7 +257,7 @@ class VerdictCache:
 
     def _splice_imported(
         self, key: tuple, live_in: Dict[int, int], freed_fp: tuple
-    ) -> Optional[_VerdictTemplate]:
+    ) -> Optional[VerdictTemplate]:
         """Serve a verdict from an absorbed portable index, if one matches.
 
         Digesting the interned contents happens lazily here (and is cached
@@ -294,7 +296,7 @@ class VerdictCache:
         key: tuple,
         probes: Dict[int, Optional[int]],
         freed: Dict[int, int],
-        template: _VerdictTemplate,
+        template: VerdictTemplate,
         freed_fp: Optional[tuple] = None,
     ) -> None:
         self._append_local(
@@ -473,9 +475,9 @@ class BatchingClassifier(RaceClassifier):
     """A :class:`RaceClassifier` that plans whole batches against a shared
     verdict cache.
 
-    :meth:`classify_all` groups the instances by full structural key
-    (:func:`repro.analysis.batching.plan_batches`) and walks each batch:
-    the first member that misses the verdict cache replays (the batch
+    :meth:`classify_groups` groups the detector's instances by full
+    structural key (:meth:`plan_groups`) and walks each batch: the
+    first member that misses the verdict cache replays (the batch
     *leader*), and every later member is served by a cache lookup — from
     the leader's stored verdict when its live-in agrees on the probed
     addresses (``batch_fanout``), or by its own replay through the
@@ -484,6 +486,9 @@ class BatchingClassifier(RaceClassifier):
     and probe set pin down, so verdicts are byte-identical to the plain
     :class:`RaceClassifier` — the equivalence tests assert it.
 
+    The walk never builds an instance it does not replay: keys come from
+    the groups' rows as ints, a verdict is a reference to its cache
+    template, and only a cache miss builds its :class:`RaceInstance`.
     Per fanned-out member the batch path skips the pair-snapshot dict
     copies (``pair_live_in`` resolves one probed address at a time), and
     fallback members reuse the leader's thread specs and seeded prefix
@@ -502,22 +507,9 @@ class BatchingClassifier(RaceClassifier):
         self.batch_sizes: Dict[int, int] = {}
 
     def _from_template(
-        self, instance: RaceInstance, template: _VerdictTemplate
+        self, instance: RaceInstance, template: VerdictTemplate
     ) -> ClassifiedInstance:
-        outcome, first_is_a, pre_value, failure_kind, failure_detail = template
-        return ClassifiedInstance(
-            instance=instance,
-            outcome=outcome,
-            original_first=(
-                instance.access_a.thread_name
-                if first_is_a
-                else instance.access_b.thread_name
-            ),
-            pre_value=pre_value,
-            failure_kind=failure_kind,
-            failure_detail=failure_detail,
-            execution_id=self.execution_id,
-        )
+        return classified_from_template(instance, template, self.execution_id)
 
     # ------------------------------------------------------------------
     # The structural key.
@@ -555,9 +547,8 @@ class BatchingClassifier(RaceClassifier):
             )
         return facts.content_id
 
-    def _pair(self, instance: RaceInstance) -> _Pair:
-        """The canonical instance's region-pair inputs, built once."""
-        region_a, region_b = instance.region_a, instance.region_b
+    def _pair(self, region_a: SequencingRegion, region_b: SequencingRegion) -> _Pair:
+        """A canonical region pair's classify inputs, built once."""
         key = (region_a.tid, region_a.index, region_b.tid, region_b.index)
         pair = self._pairs.get(key)
         if pair is None:
@@ -572,15 +563,66 @@ class BatchingClassifier(RaceClassifier):
         return pair
 
     def _structural_key(self, instance: RaceInstance) -> tuple:
-        access_a, access_b = instance.access_a, instance.access_b
-        pair = self._pair(instance)
-        return (
-            self.log.program_name,
-            access_a.thread_step - instance.region_a.start_step,
-            pair.id_a,
-            access_b.thread_step - instance.region_b.start_step,
-            pair.id_b,
-            self._original_first(instance) == access_a.thread_name,
+        """The structural key of one canonical instance."""
+        return self.plan_groups([RaceGroup.of_instance(instance)]).batches[0].key
+
+    def plan_groups(self, groups: List[RaceGroup], pairs=None) -> BatchPlan:
+        """Group the groups' instances by structural key, in visit order.
+
+        ``pairs`` yields ``(group index, pair index, row_a, row_b)`` in
+        the order to visit (default: emission order); batches come out in
+        first-encounter order, each member as such a tuple, and the
+        plan's ``pairs`` holds each group's region-pair inputs.  A key is
+        ``(program, step offset a, content id a, step offset b, content
+        id b, original-first-is-a)``, all read from the rows as ints: the
+        original order comes from the per-thread global-order positions,
+        and from the earlier-opening region (side A) without them.
+        """
+        program = self.log.program_name
+        positions = self.log.global_positions()
+        contexts: List[Optional[tuple]] = [None] * len(groups)
+        region_pairs: List[Optional[_Pair]] = [None] * len(groups)
+        batches: Dict[tuple, PlannedBatch] = {}
+        total = 0
+        for index, pair_index, row_a, row_b in (
+            emission_pairs(groups) if pairs is None else pairs
+        ):
+            context = contexts[index]
+            if context is None:
+                group = groups[index]
+                region_a, region_b = group.region_a, group.region_b
+                pair = region_pairs[index] = self._pair(region_a, region_b)
+                order_a = order_b = None
+                if positions is not None:
+                    order_a = positions.get(region_a.tid)
+                    order_b = positions.get(region_b.tid)
+                context = contexts[index] = (
+                    pair.id_a,
+                    region_a.start_step,
+                    pair.id_b,
+                    region_b.start_step,
+                    order_a if order_b is not None else None,
+                    order_b,
+                )
+            id_a, start_a, id_b, start_b, order_a, order_b = context
+            step_a, step_b = row_a[0], row_b[0]
+            first_is_a = True
+            if (
+                order_a is not None
+                and step_a < len(order_a)
+                and step_b < len(order_b)
+            ):
+                position_a, position_b = order_a[step_a], order_b[step_b]
+                if position_a != NOT_IN_ORDER and position_b != NOT_IN_ORDER:
+                    first_is_a = position_a < position_b
+            key = (program, step_a - start_a, id_a, step_b - start_b, id_b, first_is_a)
+            batch = batches.get(key)
+            if batch is None:
+                batch = batches[key] = PlannedBatch(key=key)
+            batch.members.append((index, pair_index, row_a, row_b))
+            total += 1
+        return BatchPlan(
+            batches=list(batches.values()), total_instances=total, pairs=region_pairs
         )
 
     # ------------------------------------------------------------------
@@ -591,14 +633,27 @@ class BatchingClassifier(RaceClassifier):
         if self.config.store_replay_outcomes or not instances:
             # Raw-outcome callers need real replays; defer to the base.
             return super().classify_all(instances)
-        plan = plan_batches(self, instances)
+        canonical = [self._canonicalize(instance) for instance in instances]
+        verdicts = self.classify_groups([RaceGroup.of_instance(c) for c in canonical])
+        return [
+            self._from_template(instance, verdict)
+            for instance, (verdict,) in zip(canonical, verdicts)
+        ]
+
+    def classify_groups(self, groups: List[RaceGroup], pairs=None) -> List[list]:
+        """Verdicts of race groups, visited in ``pairs`` order (see
+        :meth:`plan_groups`): ``verdicts[g][p]`` is the verdict template
+        of group ``g``'s ``p``-th pair."""
+        if self.config.store_replay_outcomes:
+            return super().classify_groups(groups, pairs)
+        plan = self.plan_groups(groups, pairs)
         self.batches_planned += plan.batch_count
         for size, count in plan.size_histogram().items():
             self.batch_sizes[size] = self.batch_sizes.get(size, 0) + count
-        results: List[Optional[ClassifiedInstance]] = [None] * len(instances)
+        verdicts: List[list] = [[None] * group.count for group in groups]
         for batch in plan.batches:
-            self._classify_batch(batch, results)
-        return results
+            self._classify_batch(batch, groups, plan.pairs, verdicts)
+        return verdicts
 
     def collect_perf(self, stats) -> None:
         super().collect_perf(stats)
@@ -609,53 +664,54 @@ class BatchingClassifier(RaceClassifier):
             stats.batch_sizes[size] = stats.batch_sizes.get(size, 0) + count
 
     def _classify_batch(
-        self, batch: PlannedBatch, results: List[Optional[ClassifiedInstance]]
+        self,
+        batch: PlannedBatch,
+        groups: List[RaceGroup],
+        region_pairs: List[_Pair],
+        verdicts: List[list],
     ) -> None:
+        cache = self.cache
         computed = False
-        for position, member in batch.members:
+        for index, pair_index, row_a, row_b in batch.members:
+            pair = region_pairs[index]
             # Lazy pair live-in: cache probes and virtual-processor loads
             # resolve one address at a time, so no member ever pays for a
             # full pair-image reconstruction or copy.  Values are
             # address-identical to ``pair_snapshot``'s, so every verdict
             # matches the plain classifier's byte for byte.
-            pair = self._pair(member)
             live_in, freed = pair.live_in, pair.freed
-            template = self.cache.lookup(batch.key, live_in, freed, pair.freed_fp)
+            template = cache.lookup(batch.key, live_in, freed, pair.freed_fp)
             if template is not None:
                 if computed:
                     self.batch_fanout += 1
-                results[position] = self._from_template(member, template)
-                continue
-            # Cache miss: this member replays.  The first replay of the
-            # batch builds the shared processor; probe-divergence
-            # fallbacks rebind it to their own live-in (sharing specs and
-            # the seeded prefix image — both functions of the batch key).
-            if computed:
-                self.batch_fallbacks += 1
-            tracking = TrackingView(live_in)
-            if batch.processor is None:
-                batch.processor = self.batch_processor(member, tracking, freed)
-                processor = batch.processor
             else:
-                processor = batch.processor.rebind(tracking, freed)
-            result = self._classify_with_state(
-                member, tracking, freed, processor=processor
-            )
-            computed = True
-            self.cache.store(
-                batch.key,
-                tracking.probes,
-                freed,
-                (
+                # Cache miss: this member replays.  The first replay of
+                # the batch builds the shared processor; probe-divergence
+                # fallbacks rebind it to their own live-in (sharing specs
+                # and the seeded prefix image — both functions of the
+                # batch key).
+                if computed:
+                    self.batch_fallbacks += 1
+                instance = groups[index].instance(row_a, row_b)
+                tracking = TrackingView(live_in)
+                if batch.processor is None:
+                    batch.processor = self.batch_processor(instance, tracking, freed)
+                    processor = batch.processor
+                else:
+                    processor = batch.processor.rebind(tracking, freed)
+                result = self._classify_with_state(
+                    instance, tracking, freed, processor=processor
+                )
+                computed = True
+                template = (
                     result.outcome,
-                    result.original_first == member.access_a.thread_name,
+                    result.original_first == instance.access_a.thread_name,
                     result.pre_value,
                     result.failure_kind,
                     result.failure_detail,
-                ),
-                pair.freed_fp,
-            )
-            results[position] = result
+                )
+                cache.store(batch.key, tracking.probes, freed, template, pair.freed_fp)
+            verdicts[index][pair_index] = template
 
 
 # ----------------------------------------------------------------------
@@ -902,6 +958,8 @@ class ClassificationEngine:
         window instead of after the whole sweep, and detection state is
         bounded by the active window.  Verdict memoization, batching and
         incremental splicing all apply, same as :meth:`analyze_log`.
+        Verdicts are held per race group and pair; the instance lists
+        are built on first read.
         """
         snapshot = self._cache_snapshot()
         stats = perf if perf is not None else PerfStats()

@@ -21,12 +21,18 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..isa.program import Program
-from ..race.aggregate import StaticRaceResult, aggregate_instances
+from ..race.aggregate import (
+    RaceTally,
+    StaticRaceResult,
+    aggregate_instances,
+    tally_groups,
+    tally_result,
+)
 from ..race.classifier import ClassifierConfig, RaceClassifier
-from ..race.happens_before import HappensBeforeDetector
+from ..race.happens_before import HappensBeforeDetector, canonical_pairs
 from ..race.heuristics import BenignCategory
 from ..race.model import RaceInstance, StaticRaceKey
-from ..race.outcomes import ClassifiedInstance
+from ..race.outcomes import ClassifiedInstance, classified_from_template
 from ..record.log import ReplayLog
 from ..record.recorder import record_run
 from ..replay.ordered_replay import OrderedReplay
@@ -60,12 +66,106 @@ class _VerdictIndexField:
         analysis.__dict__["_verdict_index"] = index
 
 
+class RaceGroups:
+    """One analysis's race groups and their verdicts.
+
+    ``groups`` are the detector's :class:`~repro.race.happens_before.RaceGroup`\\ s
+    in emission order and ``verdicts[g][p]`` the verdict of group ``g``'s
+    ``p``-th pair: a verdict template, or a :class:`ClassifiedInstance`
+    from the plain classifier.  The report is tallied from these
+    directly; the instance lists are built only for a reader.
+    """
+
+    __slots__ = ("groups", "verdicts", "execution_id", "_canonical")
+
+    def __init__(self, groups: List, verdicts: List[list], execution_id: str) -> None:
+        self.groups = groups
+        self.verdicts = verdicts
+        self.execution_id = execution_id
+        #: Verdicts in canonical instance order, once instances are built.
+        self._canonical: Optional[list] = None
+
+    @property
+    def count(self) -> int:
+        return sum(group.count for group in self.groups)
+
+    def instances(self) -> List[RaceInstance]:
+        """Every instance, in canonical detector order."""
+        groups, verdicts = self.groups, self.verdicts
+        instances: List[RaceInstance] = []
+        canonical: list = []
+        for index, pair_index, row_a, row_b in canonical_pairs(groups):
+            verdict = verdicts[index][pair_index]
+            canonical.append(verdict)
+            instances.append(
+                verdict.instance
+                if isinstance(verdict, ClassifiedInstance)
+                else groups[index].instance(row_a, row_b)
+            )
+        self._canonical = canonical
+        return instances
+
+    def classified(self, instances: List[RaceInstance]) -> List[ClassifiedInstance]:
+        """Every verdict, parallel to :meth:`instances`' list."""
+        execution_id = self.execution_id
+        return [
+            verdict
+            if isinstance(verdict, ClassifiedInstance)
+            else classified_from_template(instance, verdict, execution_id)
+            for instance, verdict in zip(instances, self._canonical)
+        ]
+
+    def tallies(self) -> Dict[StaticRaceKey, RaceTally]:
+        """Per static race, what the report reads."""
+        return tally_groups(self.groups, self.verdicts, self.execution_id)
+
+
+class _RaceListField:
+    """The ``instances`` and ``classified`` fields of :class:`ExecutionAnalysis`.
+
+    A dataclass field whose default is a descriptor, as
+    :class:`_VerdictIndexField` is: ``__init__`` and assignment store a
+    list, and an analysis built from race groups
+    (:meth:`ExecutionAnalysis.defer_races`) builds both lists on their
+    first read.
+    """
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.slot = "_" + name
+
+    def __get__(self, analysis, owner=None) -> Optional[List]:
+        if analysis is None:
+            return None  # the field's default
+        state = analysis.__dict__
+        value = state.get(self.slot)
+        if value is None and "_races" in state:
+            races = state["_races"]
+            if state.get("_instances") is None:
+                state["_instances"] = races.instances()
+            if self.slot == "_classified":
+                state["_classified"] = races.classified(state["_instances"])
+            value = state[self.slot]
+        return value
+
+    def __set__(self, analysis, value: Optional[List]) -> None:
+        state = analysis.__dict__
+        if "_races" in state:
+            # An assigned list replaces the groups: build both lists from
+            # them first, and from then on the report reads the lists.
+            analysis.classified
+            del state["_races"]
+        state[self.slot] = value
+
+
 @dataclass
 class ExecutionAnalysis:
     """Everything produced by analysing one recorded execution.
 
     ``machine_result`` is ``None`` when the analysis started from a bare
-    log (:func:`analyze_log`) rather than a live recording.
+    log (:func:`analyze_log`) rather than a live recording.  The
+    pipeline's analyses keep their race groups (:class:`RaceGroups`):
+    ``instances`` and ``classified`` are built on first read, and
+    :func:`execution_report` tallies the groups without building them.
     """
 
     execution_id: str
@@ -73,8 +173,8 @@ class ExecutionAnalysis:
     machine_result: Optional[MachineResult]
     log: ReplayLog
     ordered: OrderedReplay
-    instances: List[RaceInstance]
-    classified: List[ClassifiedInstance]
+    instances: List[RaceInstance] = _RaceListField()
+    classified: List[ClassifiedInstance] = _RaceListField()
     #: Stage timings/work counters, when the caller asked for them.
     perf: Optional[PerfStats] = None
     #: Portable verdict index (:meth:`VerdictCache.export_portable`) of
@@ -88,13 +188,23 @@ class ExecutionAnalysis:
         """Let the first read of :attr:`verdict_index` call ``export``."""
         self.__dict__["_verdict_export"] = export
 
+    def defer_races(self, races: RaceGroups) -> None:
+        """Build ``instances`` and ``classified`` from ``races`` on first read."""
+        self.__dict__["_races"] = races
+
+    @property
+    def races(self) -> Optional[RaceGroups]:
+        """The race groups this analysis was built from, if any."""
+        return self.__dict__.get("_races")
+
     @property
     def program(self) -> Program:
         return self.ordered.program
 
     @property
     def instance_count(self) -> int:
-        return len(self.instances)
+        races = self.races
+        return races.count if races is not None else len(self.instances)
 
 
 @dataclass
@@ -203,9 +313,9 @@ def _analyze_recording(
     with stats.stage("replay"):
         ordered = OrderedReplay(log, program, perf=stats)
     with stats.stage("detect"):
-        instances = HappensBeforeDetector(
+        groups = HappensBeforeDetector(
             ordered, max_pairs_per_location=max_pairs_per_location, perf=stats
-        ).detect()
+        ).detect_groups()
     if classifier_factory is None:
         classifier = RaceClassifier(
             ordered, config=classifier_config, execution_id=execution_id
@@ -213,20 +323,24 @@ def _analyze_recording(
     else:
         classifier = classifier_factory(ordered, classifier_config, execution_id)
     with stats.stage("classify"):
-        classified = classifier.classify_all(instances)
+        # Canonical order, as a classify pass over the detector's sorted
+        # list visits it: batch leaders and the cache's store order
+        # follow the visit order.
+        verdicts = classifier.classify_groups(groups, canonical_pairs(groups))
+    races = RaceGroups(groups, verdicts, execution_id)
     stats.executions += 1
-    stats.instances += len(instances)
+    stats.instances += races.count
     classifier.collect_perf(stats)
-    return ExecutionAnalysis(
+    analysis = ExecutionAnalysis(
         execution_id=execution_id,
         workload=workload,
         machine_result=machine_result,
         log=log,
         ordered=ordered,
-        instances=instances,
-        classified=classified,
         perf=perf,
     )
+    analysis.defer_races(races)
+    return analysis
 
 
 def default_execution_id(log: ReplayLog) -> str:
@@ -304,7 +418,10 @@ def analyze_log_stream(
     :class:`OrderedReplay` (the both-orders virtual processor needs
     machine state), and verdicts are order-independent, so the final
     report is byte-identical to :func:`analyze_log`'s — the equivalence
-    suite asserts it.  ``perf`` picks up ``stream_first_verdict_s`` (wall
+    suite asserts it.  A window's verdicts are kept per race group and
+    pair, in the order the sweep emitted them (:class:`RaceGroups`);
+    ``instances`` and ``classified`` are put in canonical order only
+    when first read.  ``perf`` picks up ``stream_first_verdict_s`` (wall
     seconds from analysis start to the first verdict) plus the segment
     and window counters.
     """
@@ -333,44 +450,42 @@ def analyze_log_stream(
         )
     else:
         classifier = classifier_factory(ordered, classifier_config, execution_id)
-    #: Eagerly classified verdicts, keyed by detector instance identity;
-    #: reassembled into canonical order once the sweep finishes.
-    verdicts: Dict[int, ClassifiedInstance] = {}
+    groups: List = []
+    verdicts: List[list] = []
     first_verdict_s: Optional[float] = None
     for window in view.stream_windows():
-        fresh: List[RaceInstance] = []
+        fresh: List = []
         with stats.stage("detect"):
             for region, rows in window:
-                fresh.extend(detector.add_region(region, rows))
+                fresh.extend(detector.add_groups(region, rows))
         if not fresh:
             continue
         with stats.stage("classify"):
-            chunk = classifier.classify_all(fresh)
-        for instance, entry in zip(fresh, chunk):
-            verdicts[id(instance)] = entry
+            verdicts.extend(classifier.classify_groups(fresh))
+        groups.extend(fresh)
         if first_verdict_s is None:
             first_verdict_s = _time.perf_counter() - started
         stats.stream_windows += 1
     with stats.stage("detect"):
-        instances = detector.finish()
-    classified = [verdicts[id(instance)] for instance in instances]
+        detector.finish_groups()
+    races = RaceGroups(groups, verdicts, execution_id)
     stats.executions += 1
-    stats.instances += len(instances)
+    stats.instances += races.count
     stats.stream_jobs += 1
     stats.stream_segments += view.segments_fed
     if first_verdict_s is not None:
         stats.stream_first_verdict_s += first_verdict_s
     classifier.collect_perf(stats)
-    return ExecutionAnalysis(
+    analysis = ExecutionAnalysis(
         execution_id=execution_id,
         workload=workload,
         machine_result=None,
         log=log,
         ordered=ordered,
-        instances=instances,
-        classified=classified,
         perf=perf,
     )
+    analysis.defer_races(races)
+    return analysis
 
 
 @dataclass
@@ -548,7 +663,7 @@ def _detect_streaming(
     with stats.stage("detect"):
         for window in view.stream_windows():
             for region, rows in window:
-                detector.add_region(region, rows)
+                detector.add_groups(region, rows)
         instances = detector.finish()
     stats.executions += 1
     stats.instances += len(instances)
@@ -785,18 +900,29 @@ def execution_report(analysis: ExecutionAnalysis) -> Dict:
     """The canonical machine-readable race report of one analysis.
 
     A deterministic function of the analysis alone (races sorted by key,
-    no timestamps), built on :func:`repro.race.exporter.results_to_json`
-    — the same schema ``repro classify --json`` writes.  The analysis
+    no timestamps), in the schema of
+    :func:`repro.race.exporter.results_to_json` — the one ``repro
+    classify --json`` writes.  An analysis with race groups is tallied
+    from them (:func:`repro.race.aggregate.tally_groups`), one built
+    from instance lists through :func:`aggregate_instances`; both feed
+    one renderer, :func:`repro.race.exporter.tallies_to_json`.  The analysis
     service serves exactly this document per job, and the end-to-end
     tests assert its :func:`render_report` bytes match the in-process
     path's.
     """
-    results = aggregate_instances(analysis.classified)
-    from ..race.exporter import results_to_json
+    from ..race.exporter import tallies_to_json
     from .batching import instance_batch_key
 
-    return results_to_json(
-        results,
+    races = analysis.races
+    if races is not None:
+        tallies = races.tallies()
+    else:
+        tallies = {
+            key: tally_result(result)
+            for key, result in aggregate_instances(analysis.classified).items()
+        }
+    return tallies_to_json(
+        tallies,
         analysis.program,
         log=analysis.log,
         # Batch keys are derived from the recording alone (region contents

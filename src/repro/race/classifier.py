@@ -46,6 +46,7 @@ from ..replay.virtual_processor import (
     VirtualProcessor,
     same_state,
 )
+from .happens_before import RaceGroup, emission_pairs
 from .model import RaceAccess, RaceInstance
 from .outcomes import ClassifiedInstance, InstanceOutcome
 
@@ -210,6 +211,24 @@ class RaceClassifier:
     def classify_all(self, instances: List[RaceInstance]) -> List[ClassifiedInstance]:
         """Classify every instance (the paper's full §5 analysis pass)."""
         return [self.classify_instance(instance) for instance in instances]
+
+    def classify_groups(self, groups: List[RaceGroup], pairs=None) -> List[list]:
+        """Classify the detector's race groups: ``verdicts[g][p]`` is the
+        :class:`ClassifiedInstance` of group ``g``'s ``p``-th pair.
+
+        ``pairs`` yields ``(group index, pair index, row_a, row_b)`` in the
+        order to classify (default: emission order).  Every instance is
+        built and classified on its own; the engine's batching classifier
+        overrides this with the batch walk.
+        """
+        verdicts: List[list] = [[None] * group.count for group in groups]
+        for index, pair_index, row_a, row_b in (
+            emission_pairs(groups) if pairs is None else pairs
+        ):
+            verdicts[index][pair_index] = self.classify_instance(
+                groups[index].instance(row_a, row_b)
+            )
+        return verdicts
 
     def collect_perf(self, stats) -> None:
         """Fold this classifier's counters into a :class:`PerfStats`.
@@ -521,20 +540,14 @@ class RaceClassifier:
         without it.  Deriving the order from the log's values instead is
         ROADMAP item 10.
         """
-        positions = self.log.global_positions()
-        if positions is not None:
-            position_a = positions.get(
-                (instance.access_a.tid, instance.access_a.thread_step)
-            )
-            position_b = positions.get(
-                (instance.access_b.tid, instance.access_b.thread_step)
-            )
-        else:
-            position_a = position_b = None
+        log = self.log
+        access_a, access_b = instance.access_a, instance.access_b
+        position_a = log.global_position(access_a.tid, access_a.thread_step)
+        position_b = log.global_position(access_b.tid, access_b.thread_step)
         if position_a is not None and position_b is not None:
             return (
-                instance.access_a.thread_name
+                access_a.thread_name
                 if position_a < position_b
-                else instance.access_b.thread_name
+                else access_b.thread_name
             )
         return self._earlier_region(instance).thread_name

@@ -16,10 +16,10 @@ from typing import Collection, Dict, List, Optional, Union
 from ..isa.program import Program
 from ..record.log import ReplayLog
 from ..replay.differ import diff_outcomes
-from .aggregate import StaticRaceResult
+from .aggregate import RaceTally, StaticRaceResult, tally_result
 from .heuristics import categorize
 from .model import StaticRaceKey, static_key_to_text as _key_text
-from .outcomes import Classification, ClassifiedInstance, InstanceOutcome
+from .outcomes import Classification, InstanceOutcome
 
 EXPORT_VERSION = 1
 
@@ -31,7 +31,23 @@ def result_to_json(
     max_scenarios: int = 2,
     batch_key_for=None,
 ) -> Dict:
-    """One unique race's verdict as a JSON-compatible dict.
+    """One unique race's verdict as a JSON-compatible dict
+    (:func:`tally_to_json` of the result's tally)."""
+    return tally_to_json(
+        tally_result(result, max_scenarios),
+        program,
+        suppressed=suppressed,
+        batch_key_for=batch_key_for,
+    )
+
+
+def tally_to_json(
+    tally: RaceTally,
+    program: Program,
+    suppressed: bool = False,
+    batch_key_for=None,
+) -> Dict:
+    """One unique race's verdict, from its :class:`RaceTally`.
 
     ``batch_key_for(entry)``, when given, computes a harmful scenario's
     content-dedup batch key — static race id plus the two enclosing
@@ -47,39 +63,11 @@ def result_to_json(
     carries ``live_out_difference`` only when the classifier stored its
     replay outcomes (``ClassifierConfig.store_replay_outcomes``).
     """
-    reason = categorize(result, program)
-    # One pass over the instances: outcome counts, failure kinds and the
-    # exemplars (flagged instances show the harmful effect; a benign
-    # example stands in when nothing flagged).  Outcomes compare by
-    # identity: hashing an enum member costs a Python-level call.
-    no_change = changed = failed = 0
-    failure_kinds: Dict[str, int] = {}
-    flagged: List[ClassifiedInstance] = []
-    for entry in result.instances:
-        outcome = entry.outcome
-        if outcome is InstanceOutcome.NO_STATE_CHANGE:
-            no_change += 1
-            continue
-        if outcome is InstanceOutcome.STATE_CHANGE:
-            changed += 1
-        else:
-            failed += 1
-            if entry.failure_kind is not None:
-                kind = entry.failure_kind.value
-                failure_kinds[kind] = failure_kinds.get(kind, 0) + 1
-        if len(flagged) < max_scenarios:
-            flagged.append(entry)
-    exemplars = flagged or result.instances[:max_scenarios]
-    # StaticRaceResult.group, from the counts above.
-    if changed:
-        group = InstanceOutcome.STATE_CHANGE
-    elif failed:
-        group = InstanceOutcome.REPLAY_FAILURE
-    else:
-        group = InstanceOutcome.NO_STATE_CHANGE
+    reason = categorize(tally, program)
+    group = tally.group
     harmful = group is not InstanceOutcome.NO_STATE_CHANGE
     scenarios: List[Dict] = []
-    for entry in exemplars:
+    for entry in tally.exemplars:
         scenario = {
             "execution": entry.execution_id,
             "access_a": str(entry.instance.access_a),
@@ -100,10 +88,10 @@ def result_to_json(
                 scenario["batch_key"] = batch_key
         scenarios.append(scenario)
     document = {
-        "race": _key_text(result.key),
+        "race": _key_text(tally.key),
         "instructions": [
-            program.describe_instruction(result.key[0]),
-            program.describe_instruction(result.key[1]),
+            program.describe_instruction(tally.key[0]),
+            program.describe_instruction(tally.key[1]),
         ],
         "classification": str(
             Classification.POTENTIALLY_HARMFUL
@@ -114,15 +102,15 @@ def result_to_json(
         "suppressed": suppressed,
         "suggested_reason": str(reason) if reason else None,
         "instances": {
-            "total": result.instance_count,
-            "no_state_change": no_change,
-            "state_change": changed,
-            "replay_failure": failed,
+            "total": tally.instance_count,
+            "no_state_change": tally.no_change,
+            "state_change": tally.changed,
+            "replay_failure": tally.failed,
         },
     }
-    if failure_kinds:
-        document["failure_kinds"] = dict(sorted(failure_kinds.items()))
-    document["executions"] = sorted(result.executions)
+    if tally.failure_kinds:
+        document["failure_kinds"] = dict(sorted(tally.failure_kinds.items()))
+    document["executions"] = sorted(tally.executions)
     document["scenarios"] = scenarios
     return document
 
@@ -136,14 +124,31 @@ def results_to_json(
 ) -> Dict:
     """A whole analysis round as a JSON-compatible document; races in
     ``suppressed`` (marked benign) are listed but not actionable."""
+    return tallies_to_json(
+        {key: tally_result(result) for key, result in results.items()},
+        program,
+        log=log,
+        suppressed=suppressed,
+        batch_key_for=batch_key_for,
+    )
+
+
+def tallies_to_json(
+    tallies: Dict[StaticRaceKey, RaceTally],
+    program: Program,
+    log: Optional[ReplayLog] = None,
+    suppressed: Collection[StaticRaceKey] = (),
+    batch_key_for=None,
+) -> Dict:
+    """:func:`results_to_json` of per-race tallies."""
     races: List[Dict] = [
-        result_to_json(
-            result,
+        tally_to_json(
+            tally,
             program,
             suppressed=key in suppressed,
             batch_key_for=batch_key_for,
         )
-        for key, result in sorted(results.items(), key=lambda item: _key_text(item[0]))
+        for key, tally in sorted(tallies.items(), key=lambda item: _key_text(item[0]))
     ]
     harmful = [race for race in races if race["classification"] == "potentially-harmful"]
     return {

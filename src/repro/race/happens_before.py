@@ -40,7 +40,7 @@ import time
 from collections import defaultdict
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from ..record.binary_format import (
     MappedSegmentedReader,
@@ -71,6 +71,156 @@ def sort_canonically(instances: List[RaceInstance]) -> List[RaceInstance]:
     return instances
 
 
+class RaceGroup:
+    """The race instances of one (region pair, address), unexpanded.
+
+    ``region_a`` is the earlier-opening side (ties broken by tid), as in
+    every :class:`RaceInstance`.  ``rows_a`` and ``rows_b`` are the two
+    regions' rows at ``address`` as ``(step, is_write, value,
+    static_id)`` in step order, and ``count`` is how many of their
+    conflicting pairs the sweep reports: every row pair with a write on
+    either side, in row-major order, up to the per-location cap.  The
+    instances themselves are built only by whoever reads one.
+    """
+
+    __slots__ = (
+        "region_a",
+        "region_b",
+        "address",
+        "rows_a",
+        "rows_b",
+        "count",
+        "_instances",
+    )
+
+    def __init__(self, region_a, region_b, address, rows_a, rows_b, count):
+        self.region_a = region_a
+        self.region_b = region_b
+        self.address = address
+        self.rows_a = rows_a
+        self.rows_b = rows_b
+        self.count = count
+        self._instances: Optional[List[RaceInstance]] = None
+
+    @classmethod
+    def of_instance(cls, instance: RaceInstance) -> "RaceGroup":
+        """The one-instance group of a canonical ``instance``."""
+        access_a, access_b = instance.access_a, instance.access_b
+        return cls(
+            instance.region_a,
+            instance.region_b,
+            instance.address,
+            [(access_a.thread_step, access_a.is_write, access_a.value, access_a.static_id)],
+            [(access_b.thread_step, access_b.is_write, access_b.value, access_b.static_id)],
+            1,
+        )
+
+    def pairs(self) -> Iterator[Tuple[tuple, tuple]]:
+        """``(row_a, row_b)`` of each reported instance, in emission order."""
+        left = self.count
+        rows_b = self.rows_b
+        for row_a in self.rows_a:
+            write_a = row_a[1]
+            for row_b in rows_b:
+                if write_a or row_b[1]:
+                    yield row_a, row_b
+                    left -= 1
+                    if not left:
+                        return
+
+    def instance(self, row_a: tuple, row_b: tuple) -> RaceInstance:
+        """The :class:`RaceInstance` of one row pair."""
+        region_a, region_b, address = self.region_a, self.region_b, self.address
+        return RaceInstance(
+            RaceAccess(region_a.thread_name, region_a.tid, row_a[0], row_a[3], address, row_a[2], row_a[1]),
+            RaceAccess(region_b.thread_name, region_b.tid, row_b[0], row_b[3], address, row_b[2], row_b[1]),
+            region_a,
+            region_b,
+        )
+
+    def instances(self) -> List[RaceInstance]:
+        """Every reported instance, in emission order; the instances of
+        one side-A row share its :class:`RaceAccess`.  Built on the first
+        call and kept, so every caller reads the same objects."""
+        if self._instances is not None:
+            return self._instances
+        region_a, region_b, address = self.region_a, self.region_b, self.address
+        name_a, tid_a = region_a.thread_name, region_a.tid
+        name_b, tid_b = region_b.thread_name, region_b.tid
+        instances: List[RaceInstance] = []
+        last_row = access_a = None
+        for row_a, row_b in self.pairs():
+            if row_a is not last_row:
+                last_row = row_a
+                access_a = RaceAccess(
+                    name_a, tid_a, row_a[0], row_a[3], address, row_a[2], row_a[1]
+                )
+            access_b = RaceAccess(
+                name_b, tid_b, row_b[0], row_b[3], address, row_b[2], row_b[1]
+            )
+            instances.append(RaceInstance(access_a, access_b, region_a, region_b))
+        self._instances = instances
+        return instances
+
+
+def expand_groups(groups: List[RaceGroup]) -> List[RaceInstance]:
+    """The groups' instances in canonical detector order."""
+    return sort_canonically(
+        [instance for group in groups for instance in group.instances()]
+    )
+
+
+def canonical_pairs(
+    groups: List[RaceGroup],
+) -> Iterator[Tuple[int, int, tuple, tuple]]:
+    """``(group index, pair index, row_a, row_b)`` of every instance of
+    ``groups`` (in emission order), in canonical detector order.
+
+    The canonical key is ``(region_a.start_ts, region_b.start_ts,
+    step_a, step_b, address)`` with ties in emission order.  A group's
+    own pairs are already in that order, so groups are sorted by region
+    pair and only a region pair's groups at several addresses, whose
+    steps interleave, are merged pair by pair.
+    """
+    order = sorted(
+        range(len(groups)),
+        key=lambda index: (groups[index].region_a.start_ts, groups[index].region_b.start_ts),
+    )
+    position = 0
+    while position < len(order):
+        first = groups[order[position]]
+        end = position + 1
+        run_key = (first.region_a.start_ts, first.region_b.start_ts)
+        while end < len(order) and (
+            groups[order[end]].region_a.start_ts,
+            groups[order[end]].region_b.start_ts,
+        ) == run_key:
+            end += 1
+        if end - position == 1:
+            index = order[position]
+            for pair_index, (row_a, row_b) in enumerate(first.pairs()):
+                yield index, pair_index, row_a, row_b
+        else:
+            merged = [
+                (row_a[0], row_b[0], groups[index].address, index, pair_index, row_a, row_b)
+                for index in order[position:end]
+                for pair_index, (row_a, row_b) in enumerate(groups[index].pairs())
+            ]
+            merged.sort(key=lambda entry: entry[:5])
+            for _, _, _, index, pair_index, row_a, row_b in merged:
+                yield index, pair_index, row_a, row_b
+        position = end
+
+
+def emission_pairs(
+    groups: List[RaceGroup],
+) -> Iterator[Tuple[int, int, tuple, tuple]]:
+    """:func:`canonical_pairs`' tuples in emission order."""
+    for index, group in enumerate(groups):
+        for pair_index, (row_a, row_b) in enumerate(group.pairs()):
+            yield index, pair_index, row_a, row_b
+
+
 class SweepKernel:
     """The happens-before sweep line, one region at a time.
 
@@ -80,8 +230,9 @@ class SweepKernel:
     addresses a region touches; ``accesses_at(ordinal, address)``, its
     rows there as ``(step, is_write, value, static_id)`` in step order;
     and ``retire(ordinal)``, once the region has expired.  A region pair
-    is compared only on the addresses both regions touch, row by row,
-    and each instance is built straight from those rows.
+    is compared only on the addresses both regions touch, and each such
+    address with a conflict becomes one :class:`RaceGroup` over the two
+    row lists: its pairs are counted from the rows, not enumerated.
 
     Regions must be swept in opening-timestamp order.  A region expires
     from the active set once its closing timestamp is at or before the
@@ -94,7 +245,7 @@ class SweepKernel:
 
     ``max_pairs_per_location`` caps the number of instance pairs reported
     per (region pair, address) so that adversarial loops cannot explode
-    the instance count; the cap is reported via ``truncated_locations``.
+    the instance count; ``truncated_locations`` counts the capped groups.
     """
 
     def __init__(self, store, max_pairs_per_location: Optional[int] = 256):
@@ -111,8 +262,8 @@ class SweepKernel:
         #: address -> ordinals of active regions touching it.
         self._active_by_address: Dict[int, Set[int]] = defaultdict(set)
 
-    def sweep(self, ordinal: int, region: SequencingRegion) -> List[RaceInstance]:
-        """Sweep one region; returns the race instances it completed."""
+    def sweep(self, ordinal: int, region: SequencingRegion) -> List[RaceGroup]:
+        """Sweep one region; returns the race groups it completed."""
         store = self.store
         active = self._active
         active_by_address = self._active_by_address
@@ -130,15 +281,15 @@ class SweepKernel:
         for address in addresses:
             candidates |= active_by_address[address]
         tid = region.tid
-        instances: List[RaceInstance] = []
+        groups: List[RaceGroup] = []
         for other in sorted(candidates):
             other_region = active[other]
             if other_region.tid == tid:
                 continue
             self.examined += 1
-            instances.extend(self._conflicts(other, other_region, ordinal, region))
+            groups.extend(self._conflicts(other, other_region, ordinal, region))
         self.preload(ordinal, region)
-        return instances
+        return groups
 
     def preload(self, ordinal: int, region: SequencingRegion) -> None:
         """Activate a region without sweeping it: it expires, shares
@@ -172,7 +323,7 @@ class SweepKernel:
         region_a: SequencingRegion,
         ordinal_b: int,
         region_b: SequencingRegion,
-    ) -> List[RaceInstance]:
+    ) -> List[RaceGroup]:
         # Canonical side ordering: earlier-opening region is side A.
         if (region_b.start_ts, region_b.tid) < (region_a.start_ts, region_a.tid):
             region_a, region_b = region_b, region_a
@@ -180,40 +331,30 @@ class SweepKernel:
         store = self.store
         accesses_at = store.accesses_at
         cap = self.max_pairs_per_location
-        name_a, tid_a = region_a.thread_name, region_a.tid
-        name_b, tid_b = region_b.thread_name, region_b.tid
-        instances: List[RaceInstance] = []
+        groups: List[RaceGroup] = []
         common = set(store.addresses_of(ordinal_a)).intersection(
             store.addresses_of(ordinal_b)
         )
         for address in sorted(common):
             rows_b = accesses_at(ordinal_b, address)
-            emitted = 0
-            for step_a, write_a, value_a, static_a in accesses_at(ordinal_a, address):
-                access_a = None  # built on its first pair, shared by the rest
-                for step_b, write_b, value_b, static_b in rows_b:
-                    if not (write_a or write_b):
-                        continue
-                    if cap is not None and emitted >= cap:
-                        self.truncated_locations += 1
-                        break
-                    # RaceAccess(thread_name, tid, thread_step, static_id,
-                    # address, value, is_write)
-                    if access_a is None:
-                        access_a = RaceAccess(
-                            name_a, tid_a, step_a, static_a, address, value_a, write_a
-                        )
-                    access_b = RaceAccess(
-                        name_b, tid_b, step_b, static_b, address, value_b, write_b
-                    )
-                    instances.append(
-                        RaceInstance(access_a, access_b, region_a, region_b)
-                    )
-                    emitted += 1
-                else:
-                    continue
-                break
-        return instances
+            rows_a = accesses_at(ordinal_a, address)
+            # A side-A write conflicts with every side-B row, a read only
+            # with the writes.
+            writes_b = 0
+            for row in rows_b:
+                if row[1]:
+                    writes_b += 1
+            count = 0
+            for row in rows_a:
+                count += len(rows_b) if row[1] else writes_b
+            if cap is not None and count > cap:
+                self.truncated_locations += 1
+                count = cap
+            if count:
+                groups.append(
+                    RaceGroup(region_a, region_b, address, rows_a, rows_b, count)
+                )
+        return groups
 
 
 class HappensBeforeDetector:
@@ -244,6 +385,10 @@ class HappensBeforeDetector:
 
     def detect(self) -> List[RaceInstance]:
         """All race instances in the replayed execution, canonically ordered."""
+        return expand_groups(self.detect_groups())
+
+    def detect_groups(self) -> List[RaceGroup]:
+        """Every race group of the replayed execution, in emission order."""
         perf = self.perf
         if perf is None:
             return self._sweep(self.ordered.access_index())
@@ -252,28 +397,29 @@ class HappensBeforeDetector:
         with perf.stage("detect.sweep"):
             return self._sweep(index)
 
-    def _sweep(self, index) -> List[RaceInstance]:
+    def _sweep(self, index) -> List[RaceGroup]:
         kernel = SweepKernel(index, self.max_pairs_per_location)
-        instances: List[RaceInstance] = []
+        groups: List[RaceGroup] = []
         addresses_of = index.addresses_of
         for ordinal, region in enumerate(index.regions):
             if addresses_of(ordinal):
-                instances.extend(kernel.sweep(ordinal, region))
+                groups.extend(kernel.sweep(ordinal, region))
         kernel.drain()
         self.truncated_locations = kernel.truncated_locations
         if self.perf is not None:
             kernel.record_perf(self.perf)
-        return sort_canonically(instances)
+        return groups
 
 
 class StreamingHappensBeforeDetector:
     """Streaming detection: the sweep kernel fed one region at a time.
 
     The segment cursor hands regions over in opening-timestamp order with
-    their captured rows; :meth:`add_region` admits them to the
+    their captured rows; :meth:`add_groups` admits them to the
     :class:`StreamingAccessWindow`, runs one kernel step and *returns the
-    instances that step produced*, so races surface while later segments
-    are still being read (or recorded).
+    race groups that step produced*, so races surface while later
+    segments are still being read (or recorded).  :meth:`add_region`
+    returns the same step's instances instead.
 
     :meth:`finish` returns the complete canonically-ordered race set —
     byte-identical to the batch detector's (the same kernel over the same
@@ -291,7 +437,7 @@ class StreamingHappensBeforeDetector:
         self.window = StreamingAccessWindow()
         self.kernel = SweepKernel(self.window, max_pairs_per_location)
         self.perf = perf
-        self._instances: List[RaceInstance] = []
+        self._groups: List[RaceGroup] = []
         self._last_start_ts: Optional[int] = None
         self._finished = False
 
@@ -299,8 +445,8 @@ class StreamingHappensBeforeDetector:
     def truncated_locations(self) -> int:
         return self.kernel.truncated_locations
 
-    def add_region(self, region: SequencingRegion, rows) -> List[RaceInstance]:
-        """Sweep one region; returns the race instances it completed.
+    def add_groups(self, region: SequencingRegion, rows) -> List[RaceGroup]:
+        """Sweep one region; returns the race groups it completed.
 
         ``rows`` is the cursor's :class:`~repro.replay.log_view.RowView`
         of the region's captured rows (sync rows filtered by the window).
@@ -311,8 +457,17 @@ class StreamingHappensBeforeDetector:
         if ordinal is None:
             return []
         fresh = self.kernel.sweep(ordinal, region)
-        self._instances.extend(fresh)
+        self._groups.extend(fresh)
         return fresh
+
+    def add_region(self, region: SequencingRegion, rows) -> List[RaceInstance]:
+        """Sweep one region; returns the race instances it completed, in
+        emission order (:meth:`add_groups`, expanded)."""
+        return [
+            instance
+            for group in self.add_groups(region, rows)
+            for instance in group.instances()
+        ]
 
     def preload(self, region: SequencingRegion, rows) -> bool:
         """Activate a region without sweeping or counting it — a fan-out
@@ -335,14 +490,20 @@ class StreamingHappensBeforeDetector:
         self._last_start_ts = region.start_ts
         return self.window.admit(region, rows, counted=counted)
 
-    def finish(self) -> List[RaceInstance]:
-        """Retire the remaining window and return the canonical race set."""
+    def finish_groups(self) -> List[RaceGroup]:
+        """Retire the remaining window and return every race group, in
+        emission order."""
         if not self._finished:
             self._finished = True
             self.kernel.drain()
             if self.perf is not None:
                 self.kernel.record_perf(self.perf)
-        return sort_canonically(self._instances)
+        return self._groups
+
+    def finish(self) -> List[RaceInstance]:
+        """Retire the remaining window and return the canonical race set:
+        the very objects :meth:`add_region` returned, if it was used."""
+        return expand_groups(self.finish_groups())
 
 
 def find_races(
@@ -453,7 +614,7 @@ def _sweep_range(detector, released, range_start: int, range_end: int) -> int:
         if region.start_ts < range_start:
             stitches += detector.preload(region, rows)
         elif region.start_ts <= range_end:
-            detector.add_region(region, rows)
+            detector.add_groups(region, rows)
     return stitches
 
 

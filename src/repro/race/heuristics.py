@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Tuple
 from ..isa.instructions import Instruction
 from ..isa.operands import Imm, Mem, Reg
 from ..isa.program import CodeBlock, Program, StaticInstructionId
-from .aggregate import StaticRaceResult
+from .aggregate import RaceTally, StaticRaceResult
 from .outcomes import Classification, InstanceOutcome
 
 
@@ -152,20 +152,8 @@ def _is_disjoint_bits(program: Program, key) -> bool:
     return (masks[0] & masks[1]) == 0
 
 
-def _is_redundant_write(result: StaticRaceResult) -> bool:
-    """Every racing write wrote the value the location already held."""
-    saw_write = False
-    for entry in result.instances:
-        for access in (entry.instance.access_a, entry.instance.access_b):
-            if access.is_write:
-                saw_write = True
-                if access.value != entry.pre_value:
-                    return False
-    return saw_write
-
-
 def categorize(
-    result: StaticRaceResult, program: Program
+    result: "StaticRaceResult | RaceTally", program: Program
 ) -> Optional[BenignCategory]:
     """Suggest a benign-reason category for one static race.
 
@@ -186,7 +174,7 @@ def categorize(
             return BenignCategory.USER_CONSTRUCTED_SYNC
     if _is_disjoint_bits(program, result.key):
         return BenignCategory.DISJOINT_BITS
-    if _is_redundant_write(result):
+    if result.redundant_write:
         return BenignCategory.REDUNDANT_WRITE
     if result.classification is Classification.POTENTIALLY_BENIGN:
         return BenignCategory.BOTH_VALUES_VALID

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import Optional, Tuple
 
 from ..replay.errors import ReplayFailureKind
 from ..replay.virtual_processor import VPOutcome
@@ -72,3 +72,28 @@ class ClassifiedInstance:
                 ": " + self.failure_detail if self.failure_detail else "",
             )
         return text
+
+
+#: A verdict without its instance, as the verdict cache stores it:
+#: (outcome, original-first-was-side-a, pre_value, failure_kind, detail).
+VerdictTemplate = Tuple[InstanceOutcome, bool, int, Optional[ReplayFailureKind], str]
+
+
+def classified_from_template(
+    instance: RaceInstance, template: VerdictTemplate, execution_id: str
+) -> ClassifiedInstance:
+    """The :class:`ClassifiedInstance` a template stands for on ``instance``."""
+    outcome, first_is_a, pre_value, failure_kind, failure_detail = template
+    return ClassifiedInstance(
+        instance=instance,
+        outcome=outcome,
+        original_first=(
+            instance.access_a.thread_name
+            if first_is_a
+            else instance.access_b.thread_name
+        ),
+        pre_value=pre_value,
+        failure_kind=failure_kind,
+        failure_detail=failure_detail,
+        execution_id=execution_id,
+    )

@@ -275,39 +275,105 @@ def _decode_varints(data: bytes, offset: int, count: int) -> Tuple[list, int]:
     return values, end
 
 
+#: Most bytes one read of a container may inflate to, summed over all of
+#: its frames in every version.  zlib reaches about 1,000:1, so without
+#: a bound one upload could ask for tens of GB; past it, the read ends in
+#: a :class:`LogFormatError`.  The largest container the pipeline
+#: benchmark writes inflates to under 4 MiB.
+MAX_INFLATED_BYTES = 256 << 20
+
+
+class _InflateBudget:
+    """What is left of one container read's :data:`MAX_INFLATED_BYTES`."""
+
+    __slots__ = ("remaining",)
+
+    def __init__(self) -> None:
+        self.remaining = MAX_INFLATED_BYTES
+
+
+#: Most bytes one step of an undeclared-length inflate produces.
+_INFLATE_STEP = 256 << 10
+
+
+def _inflate_within(inflater, payload: bytes, limit: int) -> Optional[bytes]:
+    """Inflate ``payload`` in steps of :data:`_INFLATE_STEP`; ``None``
+    once the output passes ``limit`` bytes, so a bomb holds at most
+    ``limit`` plus one step."""
+    pieces: List[bytes] = []
+    total = 0
+    while True:
+        piece = inflater.decompress(payload, _INFLATE_STEP)
+        total += len(piece)
+        if total > limit:
+            return None
+        pieces.append(piece)
+        payload = inflater.unconsumed_tail
+        if inflater.eof or not (payload or piece):
+            return b"".join(pieces)
+
+
 def _inflate(
-    frame: Tuple[bytes, Optional[int]], segment: Optional[int] = None
+    frame: Tuple[bytes, Optional[int], str, _InflateBudget],
+    segment: Optional[int] = None,
 ) -> bytes:
     """Decompress one zlib-framed section; a bad stream is a format error.
 
-    ``frame`` is ``(payload, declared inflated length)``.  v5 frames
-    declare their length, and inflating stops one byte past it, so a
-    decompression bomb costs no more memory than the frame claims; a
-    stream that yields more or fewer bytes, or leaves input unconsumed,
-    is a format error.  Older frames declare nothing (``None``) and
-    inflate unbounded.
+    ``frame`` is ``(payload, declared inflated length, section,
+    budget)``, and what it inflates to is charged to ``budget``.  v5 frames declare their
+    length: a frame that declares more than the budget has left is
+    refused before inflating, and inflating stops one byte past the
+    declared length, so a decompression bomb costs no more memory than
+    the frame claims; a stream that yields more or fewer bytes, or
+    leaves input unconsumed, is a format error.  Older frames declare
+    nothing (``None``) and inflate up to the budget.  Errors name
+    ``section`` (``body``, ``header``, ``segment``, ``trailer`` or
+    ``footer``) and the segment ordinal, if any.
     """
-    payload, size = frame
+    payload, size, section, budget = frame
+    remaining = budget.remaining
+    if size is not None and size > remaining:
+        raise LogFormatError(
+            "%s declares %d inflated bytes, past the %d left of the "
+            "container's %d-byte inflation budget"
+            % (section, size, remaining, MAX_INFLATED_BYTES),
+            None,
+            segment,
+        )
+    inflater = zlib.decompressobj()
     try:
         if size is None:
-            return zlib.decompress(payload)
-        inflater = zlib.decompressobj()
-        data = inflater.decompress(payload, size + 1)
+            data = _inflate_within(inflater, payload, remaining)
+        else:
+            data = inflater.decompress(payload, size + 1)
     except zlib.error as error:
-        reason = "undecompressable section (%s)" % error
+        reason = "undecompressable %s (%s)" % (section, error)
         raise LogFormatError(reason, None, segment) from None
-    if len(data) > size:
-        reason = "section inflates past its declared %d bytes" % size
+    if size is None:
+        if data is None:
+            reason = "%s inflates past the container's %d-byte inflation budget" % (
+                section,
+                MAX_INFLATED_BYTES,
+            )
+        elif not inflater.eof:
+            reason = "undecompressable %s (incomplete or truncated stream)" % section
+        else:
+            # Bytes after the stream were always ignored here.
+            budget.remaining = remaining - len(data)
+            return data
+    elif len(data) > size:
+        reason = "%s inflates past its declared %d bytes" % (section, size)
     elif not inflater.eof:
         reason = "zlib stream cut short after %d of %d declared bytes" % (
             len(data),
             size,
         )
     elif len(data) < size:
-        reason = "section inflates to %d of its declared %d bytes" % (len(data), size)
+        reason = "%s inflates to %d of its declared %d bytes" % (section, len(data), size)
     elif inflater.unused_data:
-        reason = "%d bytes follow the section's zlib stream" % len(inflater.unused_data)
+        reason = "%d bytes follow the %s's zlib stream" % (len(inflater.unused_data), section)
     else:
+        budget.remaining = remaining - size
         return data
     raise LogFormatError(reason, None, segment)
 
@@ -981,7 +1047,7 @@ def decode_log(data: bytes) -> ReplayLog:
     version = _container_version(data)
     if version >= FIRST_SEGMENTED_VERSION:
         return _decode_log_segmented(data)
-    reader = _Reader(_inflate((data[len(MAGIC) + 1 :], None)))
+    reader = _Reader(_inflate((data[len(MAGIC) + 1 :], None, "body", _InflateBudget())))
     program_name = reader.text()
     program_source = reader.text()
     seed = reader.sint()
@@ -1115,7 +1181,7 @@ def decode_log_sections(data: bytes) -> LogSections:
     version = _container_version(data)
     if version >= FIRST_SEGMENTED_VERSION:
         return _decode_log_sections_segmented(data)
-    reader = _Reader(_inflate((data[len(MAGIC) + 1 :], None)))
+    reader = _Reader(_inflate((data[len(MAGIC) + 1 :], None, "body", _InflateBudget())))
     program_name = reader.text()
     program_source = reader.text()
     seed = reader.sint()
@@ -1937,11 +2003,16 @@ def _read_header(version: int, payload: bytes) -> SegmentedHeader:
 
 def read_segmented_header(data: bytes) -> SegmentedHeader:
     """Decode only the header section of a segmented container."""
+    return _header_within(data, _InflateBudget())
+
+
+def _header_within(data: bytes, budget: _InflateBudget) -> SegmentedHeader:
+    """:func:`read_segmented_header`, charged to ``budget``."""
     version = _require_segmented(data)
     for tag, start, end, size in _iter_frames(data):
         if tag != _SECTION_HEADER:
             break
-        return _read_header(version, _inflate((data[start:end], size)))
+        return _read_header(version, _inflate((data[start:end], size, "header", budget)))
     raise LogFormatError("missing header section")
 
 
@@ -1983,10 +2054,11 @@ def iter_segments(data: bytes) -> Iterator[LogSegmentView]:
     itself, which the caller already holds).
     """
     version = _require_segmented(data)
+    budget = _InflateBudget()
     ordinal = 0
     for tag, start, end, size in _iter_frames(data):
         if tag == _SECTION_SEGMENT:
-            payload = _inflate((data[start:end], size), ordinal)
+            payload = _inflate((data[start:end], size, "segment", budget), ordinal)
             yield read_segment_payload(payload, version)
             ordinal += 1
 
@@ -2006,7 +2078,7 @@ def read_segment_index(data: bytes) -> List[SegmentIndexEntry]:
     footer = None
     for tag, start, end, size in _iter_frames(data):
         if tag == _SECTION_FOOTER:
-            footer = (data[start:end], size)
+            footer = (data[start:end], size, "footer", _InflateBudget())
     if footer is None:
         raise LogFormatError("missing footer section")
     return _parse_segment_index(_inflate(footer))
@@ -2031,7 +2103,7 @@ class MappedSegmentedReader:
     multi-gigabyte log across workers that each touch a slice of it.
     """
 
-    __slots__ = ("path", "version", "header", "index", "_file", "_map")
+    __slots__ = ("path", "version", "header", "index", "_file", "_map", "_budget")
 
     def __init__(self, path) -> None:
         self.path = os.fspath(path)
@@ -2046,8 +2118,13 @@ class MappedSegmentedReader:
         try:
             self.version = _require_segmented(self._map[: len(MAGIC) + 1])
             header_frame, footer_frame = self._locate_sections()
-            self.header = _read_header(self.version, _inflate(header_frame))
-            self.index = _parse_segment_index(_inflate(footer_frame))
+            self._budget = _InflateBudget()
+            self.header = _read_header(
+                self.version, _inflate((*header_frame, "header", self._budget))
+            )
+            self.index = _parse_segment_index(
+                _inflate((*footer_frame, "footer", self._budget))
+            )
         except Exception:
             self.close()
             raise
@@ -2075,7 +2152,9 @@ class MappedSegmentedReader:
         if tag != _SECTION_SEGMENT:
             reason = "segment index entry %d points at a tag-%d frame"
             raise LogFormatError(reason % (entry.ordinal, tag), entry.offset)
-        return _inflate((self._map[start:end], size), entry.ordinal)
+        return _inflate(
+            (self._map[start:end], size, "segment", self._budget), entry.ordinal
+        )
 
     def close(self) -> None:
         try:
@@ -2133,23 +2212,24 @@ class _GatheredThread:
 
 
 def _gather_segments(
-    data: bytes, version: int, new_columns, keep_heap: bool
+    data: bytes, version: int, new_columns, keep_heap: bool, budget: _InflateBudget
 ) -> Tuple[Dict[str, _GatheredThread], bytes]:
     """Decode every segment of a segmented container straight into
     per-thread sequencer lists and access columns (``new_columns()``
     makes one thread's column carrier; heap rows land in its ``heap_*``
     lists only when ``keep_heap``).  Returns the threads in
-    first-appearance order and the decompressed trailer."""
+    first-appearance order and the decompressed trailer; what the frames
+    inflate to is charged to ``budget``."""
     gathered: Dict[str, _GatheredThread] = {}
     trailer: Optional[bytes] = None
     ordinal = 0
     for tag, start, end, size in _iter_frames(data):
         if tag == _SECTION_TRAILER:
-            trailer = _inflate((data[start:end], size))
+            trailer = _inflate((data[start:end], size, "trailer", budget))
         if tag != _SECTION_SEGMENT:
             continue
         try:
-            reader = _Reader(_inflate((data[start:end], size), ordinal))
+            reader = _Reader(_inflate((data[start:end], size, "segment", budget), ordinal))
             reader.skip_uints(3)  # ordinal, first_ts, last_ts
             rows = _RowSectionReader(reader, version, "segment")
             for _ in range(reader.uint()):
@@ -2182,9 +2262,10 @@ def _decode_log_segmented(data: bytes) -> ReplayLog:
     back in timestamp order, which is the order every machine-produced
     log already has.
     """
-    header = read_segmented_header(data)
+    budget = _InflateBudget()
+    header = _header_within(data, budget)
     gathered, trailer = _gather_segments(
-        data, header.version, ThreadAccessColumns, keep_heap=True
+        data, header.version, ThreadAccessColumns, keep_heap=True, budget=budget
     )
     reader = _Reader(trailer)
     rows = _RowSectionReader(reader, header.version, "trailer")
@@ -2230,9 +2311,10 @@ def _decode_log_sections_segmented(data: bytes) -> LogSections:
     """The sectioned reader for segmented containers: segment rows
     decoded straight into per-thread columns, trailer seeked through for
     step counts and residual rows, footer skipped."""
-    header = read_segmented_header(data)
+    budget = _InflateBudget()
+    header = _header_within(data, budget)
     gathered, trailer = _gather_segments(
-        data, header.version, CapturedColumnView, keep_heap=False
+        data, header.version, CapturedColumnView, keep_heap=False, budget=budget
     )
     threads: Dict[str, ThreadSectionView] = {
         name: ThreadSectionView(

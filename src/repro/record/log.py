@@ -23,10 +23,15 @@ sufficient to replay.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..isa.program import Program, StaticInstructionId
+
+
+#: :meth:`ReplayLog.global_positions`' entry for a step not in the order.
+NOT_IN_ORDER = -1
 
 
 @dataclass(frozen=True)
@@ -199,28 +204,43 @@ class ReplayLog:
     def global_position(self, tid: int, thread_step: int) -> Optional[int]:
         """Index of ``(tid, thread_step)`` in the recorded global order."""
         positions = self.global_positions()
-        return None if positions is None else positions.get((tid, thread_step))
+        if positions is None:
+            return None
+        column = positions.get(tid)
+        if column is None or not 0 <= thread_step < len(column):
+            return None
+        position = column[thread_step]
+        return None if position == NOT_IN_ORDER else position
 
-    def global_positions(self) -> Optional[Dict[Tuple[int, int], int]]:
-        """``(tid, thread_step) -> index`` in the recorded global order,
-        or ``None`` without an order.
+    def global_positions(self) -> Optional[Dict[int, "array[int]"]]:
+        """Per tid, an ``array`` whose entry ``step`` is the index of
+        ``(tid, step)`` in the recorded global order (its first index,
+        for an order with repeated entries), or :data:`NOT_IN_ORDER`;
+        ``None`` without an order.
 
-        Indexed once per order on first query (the classifier asks twice
-        per race instance; a linear scan per query was quadratic in
-        practice).  The index remembers the order object and the length
-        it was built from, so replacing or extending the order rebuilds
-        it, and an order with repeated entries (which the index holds
-        once) does not.
+        Each thread's array has one entry per step the thread ran, so
+        ``positions[tid][step]`` answers any in-range step; entries of
+        the order outside ``0 <= step < steps`` (which ``validate_log``
+        reports) are left out.  Indexed once per order on first query
+        (the classifier asks per race instance); the index remembers
+        the order object and the length it was built from, so replacing
+        or extending the order rebuilds it.
         """
         order = self.global_order
         if order is None:
             return None
         built = getattr(self, "_position_index", None)
         if built is None or built[0] is not order or built[1] != len(order):
-            index: Dict[Tuple[int, int], int] = {}
-            for position, entry in enumerate(order):
-                if entry not in index:  # match list.index: first occurrence wins
-                    index[entry] = position
+            index: Dict[int, "array[int]"] = {
+                thread.tid: array("q", [NOT_IN_ORDER]) * thread.steps
+                for thread in self.threads.values()
+            }
+            for position, (tid, step) in enumerate(order):
+                column = index.get(tid)
+                # First occurrence wins, as with list.index.
+                if column is not None and 0 <= step < len(column):
+                    if column[step] == NOT_IN_ORDER:
+                        column[step] = position
             built = (order, len(order), index)
             self._position_index = built
         return built[2]
